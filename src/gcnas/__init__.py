@@ -18,7 +18,6 @@ from .evaluator import (
     Evaluator,
     GroundTruthParams,
     SyntheticSupernet,
-    advance_checkpoint,
     bundled_cost_model,
     calibrate_sigma,
     flops,

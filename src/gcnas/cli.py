@@ -29,7 +29,8 @@ from .evaluator import (
     bundled_cost_model,
     calibrate_sigma,
     flops,
-    sample_architectures,
+    sample_architectures,  # unused here; kept bound so the benchmark tracer can wrap it
+    sample_choice_matrix,
 )
 from .gcn import GcnConfig, write_loss_curve
 from .metrics import kendall_tau
@@ -598,11 +599,11 @@ def _cmd_consistency(args: argparse.Namespace) -> int:
     config = _with_overrides(args)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    archs = sample_architectures(
+    matrix = sample_choice_matrix(
         config.space, args.n, seed_stream(config.seed, "consistency-sample")
     )
-    first = config.simulator.evaluate_many(archs)
-    second = config.simulator.advanced().evaluate_many(archs)
+    first = config.simulator.evaluate_matrix(matrix)
+    second = config.simulator.advanced().evaluate_matrix(matrix)
     tau_cross = kendall_tau(first, second)
     tau_same = kendall_tau(first, first)
     payload = {
@@ -708,6 +709,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        for note in getattr(exc, "__notes__", ()):
+            print(f"  {note}", file=sys.stderr)
         return 1
 
 

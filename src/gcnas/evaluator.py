@@ -33,9 +33,6 @@ class Evaluator(abc.ABC):
     are safe.
     """
 
-    #: advisory wall-clock cost of one evaluation, seconds
-    cost_seconds: float = 0.0
-
     @abc.abstractmethod
     def evaluate(self, arch: Architecture) -> float:
         raise NotImplementedError
@@ -109,10 +106,13 @@ def ground_truth_many(choice_matrix: np.ndarray, truth: GroundTruthParams) -> np
         raise ValueError(f"expected an (n, {L}) choice matrix, got shape {c.shape}")
     z = truth.base + truth.cell_utility[np.arange(L), c].sum(axis=1)
     if truth.pair_strength != 0.0:
-        v = _interaction_table(truth)
+        O = truth.choices_per_layer
+        v = (truth.pair_strength * _interaction_table(truth)).reshape(L, L, O * O)
+        columns = np.ascontiguousarray(c.T)
         for l in range(L):
+            row = columns[l] * O
             for lp in range(l + 1, L):
-                z = z + truth.pair_strength * v[l, lp][c[:, l], c[:, lp]]
+                z += v[l, lp][row + columns[lp]]
     return np.clip(z, 0.0, 1.0)
 
 
@@ -121,19 +121,28 @@ def ground_truth(arch: Architecture, truth: GroundTruthParams) -> float:
     return float(ground_truth_many(_choice_matrix([arch]), truth)[0])
 
 
-def _noise_field(choice_matrix: np.ndarray, checkpoint_seed: int, sigma: float) -> np.ndarray:
-    """Zero-mean Gaussian noise, a pure function of (architecture, checkpoint):
+def _unit_noise_field(choice_matrix: np.ndarray, checkpoint_seed: int) -> np.ndarray:
+    """Standard-normal noise, a pure function of (architecture, checkpoint):
     each architecture hashes to a uniform variate that is pushed through the
     inverse normal CDF."""
+    key = int(checkpoint_seed).to_bytes(8, "little", signed=False)
+    rows = np.ascontiguousarray(choice_matrix, dtype=np.uint16)
+    width = rows.shape[1] * rows.itemsize
+    data = rows.tobytes()
+    digests = b"".join(
+        hashlib.blake2b(data[i : i + width], key=key, digest_size=8).digest()
+        for i in range(0, len(data), width)
+    )
+    raw = np.frombuffer(digests, dtype="<u8")
+    uniform = (raw.astype(np.float64) + 0.5) / 2.0**64
+    return ndtri(uniform)
+
+
+def _noise_field(choice_matrix: np.ndarray, checkpoint_seed: int, sigma: float) -> np.ndarray:
+    """Zero-mean Gaussian noise of scale ``sigma``: the unit field, rescaled."""
     if sigma == 0.0:
         return np.zeros(len(choice_matrix), dtype=np.float64)
-    key = int(checkpoint_seed).to_bytes(8, "little", signed=False)
-    raw = np.empty(len(choice_matrix), dtype=np.uint64)
-    for i, row in enumerate(np.asarray(choice_matrix, dtype=np.uint16)):
-        digest = hashlib.blake2b(row.tobytes(), key=key, digest_size=8).digest()
-        raw[i] = int.from_bytes(digest, "little")
-    uniform = (raw.astype(np.float64) + 0.5) / 2.0**64
-    return sigma * ndtri(uniform)
+    return sigma * _unit_noise_field(choice_matrix, checkpoint_seed)
 
 
 @dataclass(frozen=True)
@@ -147,8 +156,6 @@ class SyntheticSupernet(Evaluator):
     sigma: float = 0.0065
     checkpoint_seed: int = 0
 
-    cost_seconds: float = 0.0
-
     def __post_init__(self) -> None:
         if self.sigma < 0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
@@ -158,8 +165,12 @@ class SyntheticSupernet(Evaluator):
 
     def evaluate_matrix(self, choice_matrix: np.ndarray) -> np.ndarray:
         z = ground_truth_many(choice_matrix, self.truth)
-        eps = _noise_field(choice_matrix, self.checkpoint_seed, self.sigma)
-        return np.clip(self.a * z + self.b + eps, 0.0, 1.0)
+        return self._observe(z, _noise_field(choice_matrix, self.checkpoint_seed, self.sigma))
+
+    def _observe(self, z: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """Scores of architectures with ground truth ``z`` under ``noise``:
+        ``clip(a * z + b + noise)`` to [0, 1]."""
+        return np.clip(self.a * z + self.b + noise, 0.0, 1.0)
 
     def evaluate(self, arch: Architecture) -> float:
         return float(self.evaluate_many([arch])[0])
@@ -170,29 +181,28 @@ class SyntheticSupernet(Evaluator):
         )
 
 
-def advance_checkpoint(supernet: SyntheticSupernet) -> SyntheticSupernet:
-    """A copy of the simulator with a fresh, independently seeded noise
-    field; ground truth and affine coefficients unchanged."""
-    return supernet.advanced()
+def sample_choice_matrix(spec: SearchSpaceSpec, n: int, seed: int) -> np.ndarray:
+    """(n, L) choice indices of n distinct architectures drawn uniformly from
+    the whole space, in draw order: batches of n uniform rows are drawn until
+    n distinct rows have been seen, and the first occurrences are kept."""
+    if n > spec.size:
+        raise ValueError(f"cannot sample {n} distinct architectures from a space of {spec.size}")
+    rng = np.random.default_rng(seed)
+    dtype = np.min_scalar_type(spec.choices_per_layer - 1)
+    row_bytes = np.dtype((np.void, spec.num_layers * dtype.itemsize))
+    kept = np.empty((0, spec.num_layers), dtype=dtype)
+    while len(kept) < n:
+        batch = rng.integers(0, spec.choices_per_layer, (n, spec.num_layers))
+        pool = np.concatenate([kept, batch.astype(dtype)])
+        # kept rows are distinct and lead the pool, so they stay first
+        _, first = np.unique(pool.view(row_bytes).ravel(), return_index=True)
+        kept = pool[np.sort(first)[:n]]
+    return kept.astype(np.int64)
 
 
 def sample_architectures(spec: SearchSpaceSpec, n: int, seed: int) -> list[Architecture]:
     """n distinct architectures drawn uniformly from the whole space."""
-    if n > spec.size:
-        raise ValueError(f"cannot sample {n} distinct architectures from a space of {spec.size}")
-    rng = np.random.default_rng(seed)
-    seen: set[tuple[int, ...]] = set()
-    out: list[Architecture] = []
-    while len(out) < n:
-        batch = rng.integers(0, spec.choices_per_layer, (n, spec.num_layers))
-        for row in batch:
-            key = tuple(int(x) for x in row)
-            if key not in seen:
-                seen.add(key)
-                out.append(Architecture(key))
-                if len(out) == n:
-                    break
-    return out
+    return [Architecture(tuple(row)) for row in sample_choice_matrix(spec, n, seed).tolist()]
 
 
 def calibrate_sigma(
@@ -212,26 +222,28 @@ def calibrate_sigma(
     lo_t, hi_t = target
     if not 0.0 < lo_t < hi_t < 1.0:
         raise ValueError(f"target window must satisfy 0 < lo < hi < 1, got {target}")
-    archs = sample_architectures(spec, n_archs, seed_stream(seed, "calibration-sample"))
-    matrix = _choice_matrix(archs)
-    other = supernet.advanced()
-
-    def tau_at(sigma: float) -> float:
-        s1 = dataclasses.replace(supernet, sigma=sigma)
-        s2 = dataclasses.replace(other, sigma=sigma)
-        return kendall_tau(s1.evaluate_matrix(matrix), s2.evaluate_matrix(matrix))
-
+    matrix = sample_choice_matrix(spec, n_archs, seed_stream(seed, "calibration-sample"))
     z = ground_truth_many(matrix, supernet.truth)
     spread = float(z.std())
     if spread == 0.0:
         raise ValueError("ground truth is constant; two-checkpoint tau cannot be calibrated")
+    # sigma only rescales each checkpoint's noise field, so hash both once
+    unit_first = _unit_noise_field(matrix, supernet.checkpoint_seed)
+    unit_second = _unit_noise_field(matrix, supernet.advanced().checkpoint_seed)
+
+    def tau_at(sigma: float) -> float:
+        return kendall_tau(
+            supernet._observe(z, sigma * unit_first), supernet._observe(z, sigma * unit_second)
+        )
 
     lo, hi = 0.0, spread
-    while tau_at(hi) > hi_t:
+    tau = tau_at(hi)
+    while tau > hi_t:
         hi *= 2.0
         if hi > 1e3 * spread:
             raise RuntimeError("calibration failed to bracket the target window")
-    sigma, tau = hi, tau_at(hi)
+        tau = tau_at(hi)
+    sigma = hi
     for _ in range(max_iterations):
         mid = 0.5 * (lo + hi)
         tau = tau_at(mid)

@@ -26,11 +26,18 @@ def _joint_tie_pair_count(x: np.ndarray, y: np.ndarray) -> int:
     return int((counts * (counts - 1) // 2).sum())
 
 
+# Below this length one pairwise comparison counts descents faster than
+# further halving, whose cost is dominated by Python-level calls.
+_BLOCK = 64
+
+
 def _merge_count_inversions(y: np.ndarray) -> tuple[int, np.ndarray]:
-    """Pairs (i < j) with y[i] > y[j], by merge counting."""
+    """Pairs (i < j) with y[i] > y[j], by merge counting (Knight 1966) down to
+    blocks of ``_BLOCK`` items, each counted by direct comparison. Returns the
+    count and ``y`` sorted."""
     n = len(y)
-    if n < 2:
-        return 0, y
+    if n <= _BLOCK:
+        return int(np.triu(y[:, None] > y[None, :], 1).sum()), np.sort(y)
     mid = n // 2
     inv_l, left = _merge_count_inversions(y[:mid])
     inv_r, right = _merge_count_inversions(y[mid:])
@@ -56,6 +63,8 @@ def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
     n = len(x)
     if n < 2:
         raise ValueError(f"need at least 2 items, got {n}")
+    if np.isnan(x).any() or np.isnan(y).any():
+        raise ValueError("tau undefined: inputs contain NaN")
 
     order = np.lexsort((y, x))
     ys = y[order]

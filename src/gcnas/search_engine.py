@@ -296,7 +296,8 @@ def iter_search_rounds(
         try:
             result = run_round(subspace, current, config, round_index=t, cost_model=cost_model)
         except Exception as exc:
-            raise type(exc)(f"search round {t} failed: {exc}") from exc
+            exc.add_note(f"search round {t}")
+            raise
         preserved = result.preserved
         searched.extend(segment)
         yield result

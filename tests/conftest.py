@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+
+from gcnas.evaluator import GroundTruthParams, _interaction_table
+from gcnas.search_space import Architecture, SearchSpaceSpec
 
 # Published 8-architecture comparison table: ground-truth accuracy vs the
 # same sub-networks sampled from two super-network snapshots.
@@ -34,6 +39,67 @@ def tau_brute(a, b) -> float:
     n0 = n * (n - 1) / 2
     denom = np.sqrt((n0 - ties_a) * (n0 - ties_b))
     return float(num / denom)
+
+
+def tau_pairs(a, b) -> float:
+    """Vectorised O(n^2) tau-b by pair counting in exact integers; a
+    reference for kendall_tau at sizes where tau_brute is too slow."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    n = len(a)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    sa = np.sign(a[:, None] - a[None, :])[upper]
+    sb = np.sign(b[:, None] - b[None, :])[upper]
+    num = int((sa * sb).sum())
+    n0 = n * (n - 1) // 2
+    ties_a = int((sa == 0).sum())
+    ties_b = int((sb == 0).sum())
+    return num / math.sqrt((n0 - ties_a) * (n0 - ties_b))
+
+
+def merge_count_inversions_reference(y: np.ndarray) -> tuple[int, np.ndarray]:
+    """Pairs (i < j) with y[i] > y[j], by merge counting down to single
+    items; the reference for the blocked count in gcnas.metrics."""
+    n = len(y)
+    if n < 2:
+        return 0, y
+    mid = n // 2
+    inv_l, left = merge_count_inversions_reference(y[:mid])
+    inv_r, right = merge_count_inversions_reference(y[mid:])
+    pos = np.searchsorted(left, right, side="right")
+    cross = int(left.size * right.size - pos.sum())
+    return inv_l + inv_r + cross, np.sort(np.concatenate([left, right]), kind="mergesort")
+
+
+def sample_architectures_reference(spec: SearchSpaceSpec, n: int, seed: int) -> list[Architecture]:
+    """n distinct architectures by a set-of-tuples rejection loop over
+    batches of n uniform rows; the reference for sample_architectures."""
+    rng = np.random.default_rng(seed)
+    seen: set[tuple[int, ...]] = set()
+    out: list[Architecture] = []
+    while len(out) < n:
+        batch = rng.integers(0, spec.choices_per_layer, (n, spec.num_layers))
+        for row in batch:
+            key = tuple(int(x) for x in row)
+            if key not in seen:
+                seen.add(key)
+                out.append(Architecture(key))
+                if len(out) == n:
+                    break
+    return out
+
+
+def ground_truth_reference(choice_matrix: np.ndarray, truth: GroundTruthParams) -> np.ndarray:
+    """Ground truth summed one pairwise term at a time, in the same order as
+    gcnas.evaluator.ground_truth_many."""
+    c = np.asarray(choice_matrix, dtype=np.int64)
+    L = truth.num_layers
+    z = truth.base + truth.cell_utility[np.arange(L), c].sum(axis=1)
+    v = _interaction_table(truth)
+    for l in range(L):
+        for lp in range(l + 1, L):
+            z = z + truth.pair_strength * v[l, lp][c[:, l], c[:, lp]]
+    return np.clip(z, 0.0, 1.0)
 
 
 def power_iteration_largest_eigenvalue(matrix, iterations: int = 200, seed: int = 0) -> float:

@@ -140,6 +140,16 @@ class TestSearchCommand:
         assert overridden["seed"] == 99
         assert overridden["config_sha256"] != baseline["config_sha256"]
 
+    def test_round_error_names_the_round(self, tiny_config, capsys):
+        path, _ = tiny_config
+        config = json.loads(path.read_text())
+        config["search"]["m_samples"] = 20  # round 0 has 16 nodes
+        path.write_text(json.dumps(config))
+        assert main(["search", "--config", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].startswith("error: round 0: m_samples=20")
+        assert err[1:] == ["  search round 0"]
+
     def test_dump_predictions(self, tiny_config):
         path, out = tiny_config
         main(["search", "--config", str(path), "--dump-predictions"])

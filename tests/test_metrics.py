@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gcnas import metrics
 from gcnas.metrics import kendall_tau, regression_score
 from conftest import (
     ACC_SNAPSHOT_A,
@@ -10,7 +13,29 @@ from conftest import (
     ACC_TRUE,
     TAU_TRUE_VS_A,
     TAU_TRUE_VS_B,
+    merge_count_inversions_reference,
     tau_brute,
+    tau_pairs,
+)
+
+
+def _score_pair(n: int, seed: int, levels: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Two correlated score vectors: integers in [0, levels) (tie-heavy) or,
+    when ``levels`` is None, floats."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n)
+    b = a + rng.standard_normal(n)
+    if levels is not None:
+        a = np.floor((a - a.min()) / (np.ptp(a) + 1e-9) * levels)
+        b = np.floor((b - b.min()) / (np.ptp(b) + 1e-9) * levels)
+    return a, b
+
+
+score_pairs = st.builds(
+    _score_pair,
+    st.integers(2, 600),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([2, 3, 8, 50, None]),
 )
 
 
@@ -74,6 +99,31 @@ class TestKendallTau:
         b = rng.standard_normal(40)
         assert kendall_tau(np.exp(a) + 3, b) == pytest.approx(kendall_tau(a, b), abs=1e-12)
 
+    @settings(max_examples=150, deadline=None)
+    @given(score_pairs)
+    @example(_score_pair(64, 0, None))
+    @example(_score_pair(65, 1, 2))
+    @example(_score_pair(129, 2, None))
+    @example(_score_pair(600, 3, 8))
+    def test_blocked_count_equals_recursive_reference(self, pair):
+        a, b = pair
+        ys = b[np.lexsort((b, a))]
+        count, ordered = metrics._merge_count_inversions(ys)
+        ref_count, ref_ordered = merge_count_inversions_reference(ys)
+        assert count == ref_count
+        assert (ordered == ref_ordered).all()
+        if len(set(a)) < 2 or len(set(b)) < 2:
+            return
+        with mock.patch.object(metrics, "_merge_count_inversions", merge_count_inversions_reference):
+            reference = kendall_tau(a, b)
+        assert kendall_tau(a, b) == reference
+        assert kendall_tau(a, b) == tau_pairs(a, b)
+
+    def test_pair_count_oracle_agrees_with_bruteforce(self):
+        for seed, levels in [(0, 3), (1, None)]:
+            a, b = _score_pair(60, seed, levels)
+            assert tau_pairs(a, b) == pytest.approx(tau_brute(a, b), abs=1e-12)
+
     def test_errors(self):
         with pytest.raises(ValueError):
             kendall_tau([1.0], [2.0])
@@ -81,6 +131,8 @@ class TestKendallTau:
             kendall_tau([1.0, 2.0], [1.0, 2.0, 3.0])
         with pytest.raises(ValueError):
             kendall_tau([1.0, 1.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="NaN"):
+            kendall_tau([1.0, 2.0, 3.0], [1.0, float("nan"), 2.0])
 
     def test_large_input_agrees_with_bruteforce_sample(self):
         rng = np.random.default_rng(8)

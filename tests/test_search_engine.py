@@ -1,4 +1,5 @@
 import dataclasses
+import errno
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from gcnas.arch_graph import build_graph, normalize_adjacency
 from gcnas.evaluator import (
     CostModel,
+    Evaluator,
     GroundTruthParams,
     SyntheticSupernet,
     flops_many,
@@ -236,6 +238,27 @@ class TestRunSearch:
         config = exhaustive_config(300, plan=plan)  # too many samples
         with pytest.raises(ValueError, match="round 0"):
             run_search(spec, noiseless_supernet(spec, 0), config)
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            OSError(errno.EIO, "evaluation store unreadable"),
+            UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte"),
+            KeyError("checkpoint"),
+        ],
+    )
+    def test_round_errors_keep_type_and_args(self, error):
+        class Failing(Evaluator):
+            def evaluate(self, arch):
+                raise error
+
+        spec = SearchSpaceSpec(4, 4)
+        config = exhaustive_config(16, plan=make_segment_plan(spec, [2, 2]))
+        with pytest.raises(type(error)) as info:
+            run_search(spec, Failing(), config)
+        assert info.value is error
+        assert info.value.args == error.args
+        assert info.value.__notes__ == ["search round 0"]
 
 
 class TestConstraintSelect:
