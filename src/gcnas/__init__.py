@@ -5,7 +5,6 @@ from .arch_graph import (
     AssignedSimilarity,
     MeasuredSimilarity,
     SimilarityMode,
-    assignment_of,
     build_graph,
     dump_graph,
     measured_similarity,
@@ -51,11 +50,9 @@ from .search_space import (
     SegmentPlan,
     Subspace,
     SuperCell,
-    cell_hamming,
     default_initial_architecture,
     default_space,
     full_subspace,
-    gray_encode,
     make_segment_plan,
     materialize,
     sample_uniform,

@@ -81,11 +81,6 @@ def node_index(subspace: Subspace, assignment: Mapping[SlotKey, int]) -> int:
     return subspace.index_of(subspace.digits_from_assignment(assignment))
 
 
-def assignment_of(subspace: Subspace, index: int) -> dict[SlotKey, int]:
-    """Inverse of :func:`node_index`."""
-    return subspace.assignment_from_digits(subspace.digits_of(index))
-
-
 def _digit_matrix(subspace: Subspace) -> np.ndarray:
     """(num_nodes, num_slots) slot digits of every node."""
     n = subspace.node_count

@@ -13,11 +13,11 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import inspect
 import json
-import math
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,14 +39,15 @@ from .search_engine import (
     SearchConfig,
     constraint_select,
     iter_search_rounds,
+    round_subspace,
     run_round,
 )
 from .search_space import (
     Architecture,
     SearchSpaceSpec,
     SegmentPlan,
-    Subspace,
     default_initial_architecture,
+    default_space,
     make_segment_plan,
 )
 from .seeding import seed_stream
@@ -58,6 +59,32 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # configuration schema
+#
+# Every default lives with the class that owns it: the dataclass fields, the
+# keyword defaults of GroundTruthParams.random and default_space(). The rules
+# that are not such defaults are spelled out where the section is read.
+
+
+@dataclasses.dataclass(frozen=True)
+class _OrNull:
+    """Default of a key that may be null: absent means null, any other value
+    must have ``shape`` (a type, or a one-type tuple for a list of it)."""
+
+    shape: Any
+
+
+_SHAPE_NAMES = {
+    bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+    (int,): "a list of integers", (str,): "a list of strings",
+}
+
+
+def _matches(value: Any, shape: Any) -> bool:
+    if isinstance(shape, tuple):
+        return isinstance(value, list) and all(_matches(x, shape[0]) for x in value)
+    if isinstance(value, bool):
+        return shape is bool
+    return isinstance(value, (int, float) if shape is float else shape)
 
 
 def _require_mapping(value: Any, path: str) -> dict:
@@ -66,237 +93,139 @@ def _require_mapping(value: Any, path: str) -> dict:
     return value
 
 
-def _reject_unknown(obj: dict, allowed: Sequence[str], path: str) -> None:
+def _read(raw: Any, path: str, defaults: Mapping[str, Any]) -> dict[str, Any]:
+    """The JSON object ``raw`` read against ``{key: default}``.
+
+    Unknown keys are rejected and absent keys take their default. A present
+    value must have the JSON type of its default; an int given where the
+    default is a float is stored as a float, so that ``1`` and ``1.0`` hash
+    alike. A ``None`` or ``{}`` default passes the value through for the
+    caller to read (the cost model, or a nested object).
+    """
+    obj = _require_mapping(raw, path)
     for key in obj:
-        if key not in allowed:
+        if key not in defaults:
             raise ConfigError(f"unknown key {path}.{key}")
+    values = {}
+    for key, default in defaults.items():
+        nullable = isinstance(default, _OrNull)
+        if key not in obj:
+            values[key] = None if nullable else default
+            continue
+        value = obj[key]
+        if default is None or isinstance(default, dict) or (nullable and value is None):
+            values[key] = value
+            continue
+        if nullable:
+            shape = default.shape
+        else:
+            shape = (type(default[0]),) if isinstance(default, tuple) else type(default)
+        if not _matches(value, shape):
+            expected = _SHAPE_NAMES[shape] + (" or null" if nullable else "")
+            raise ConfigError(f"{path}.{key}: expected {expected}, got {value!r}")
+        values[key] = float(value) if shape is float else value
+    return values
 
 
-def _get_int(obj: dict, key: str, default: int, path: str) -> int:
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: expected an integer, got {value!r}")
-    return value
+def _defaults(cls: type, skip: Sequence[str] = ()) -> dict[str, Any]:
+    """Field defaults of a dataclass, less the fields that are not config keys."""
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
 
 
-def _get_float(obj: dict, key: str, default: float, path: str) -> float:
-    value = obj.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number, got {value!r}")
-    return float(value)
+def _values(obj: Any, skip: Sequence[str] = ()) -> dict[str, Any]:
+    """Field values of a constructed dataclass, less the fields that are not
+    config keys."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in skip}
 
 
-def _get_bool(obj: dict, key: str, default: bool, path: str) -> bool:
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected a boolean, got {value!r}")
-    return value
-
-
-def _get_str(obj: dict, key: str, default: str, path: str) -> str:
-    value = obj.get(key, default)
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}.{key}: expected a string, got {value!r}")
-    return value
-
-
-def _parse_space(obj: dict, path: str) -> SearchSpaceSpec:
-    _reject_unknown(obj, ("num_layers", "choices_per_layer", "choice_labels"), path)
-    num_layers = _get_int(obj, "num_layers", 19, path)
-    choices = _get_int(obj, "choices_per_layer", 6, path)
-    labels = obj.get("choice_labels")
-    if labels is None and num_layers == 19 and choices == 6:
-        from .search_space import DEFAULT_CHOICE_LABELS
-
-        labels = list(DEFAULT_CHOICE_LABELS)
-    if labels is not None:
-        if not isinstance(labels, list) or not all(isinstance(x, str) for x in labels):
-            raise ConfigError(f"{path}.choice_labels: expected a list of strings")
-        labels = tuple(labels)
+def _build(cls: Callable[..., Any], path: str, *args: Any, **kwargs: Any) -> Any:
+    """``cls(*args, **kwargs)``, its validation errors reported at ``path``."""
     try:
-        return SearchSpaceSpec(num_layers, choices, labels)
-    except ValueError as exc:
+        return cls(*args, **kwargs)
+    except (ValueError, TypeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def _parse_plan(value: Any, spec: SearchSpaceSpec, path: str) -> SegmentPlan:
-    if value is None:
+# SearchConfig fields that are set from other parts of the config
+_SEARCH_SKIP = ("plan", "similarity", "gcn", "seed", "initial_architecture")
+_SIMILARITY_MODES = {"assigned": AssignedSimilarity, "measured": MeasuredSimilarity}
+
+
+def _parse_space(raw: Any, path: str) -> SearchSpaceSpec:
+    default = _values(default_space())
+    values = _read(raw, path, default | {"choice_labels": _OrNull((str,))})
+    if values == default | {"choice_labels": None}:
+        values = default  # null labels of a 19x6 space are the default labels
+    return _build(SearchSpaceSpec, path, **values)
+
+
+def _parse_plan(sizes: list[int] | None, spec: SearchSpaceSpec, path: str) -> SegmentPlan:
+    if sizes is None:
         sizes = [7, 6, 6] if spec.num_layers == 19 else [spec.num_layers]
-    else:
-        if not isinstance(value, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in value
-        ):
-            raise ConfigError(f"{path}: expected a list of integers")
-        sizes = value
-    try:
-        return make_segment_plan(spec, sizes)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    return _build(make_segment_plan, path, spec, sizes)
 
 
-def _parse_similarity(obj: Any, path: str) -> SimilarityMode:
-    obj = _require_mapping(obj, path)
-    mode = _get_str(obj, "mode", "assigned", path)
-    if mode == "assigned":
-        _reject_unknown(obj, ("mode", "weight"), path)
-        weight = _get_float(obj, "weight", math.exp(-0.5), path)
-        try:
-            return AssignedSimilarity(weight)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    if mode == "measured":
-        _reject_unknown(obj, ("mode", "min_pairs", "floor", "fallback_weight"), path)
-        try:
-            return MeasuredSimilarity(
-                min_pairs=_get_int(obj, "min_pairs", 30, path),
-                floor=_get_float(obj, "floor", 0.01, path),
-                fallback_weight=_get_float(obj, "fallback_weight", math.exp(-0.5), path),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-    raise ConfigError(f'{path}.mode: expected "assigned" or "measured", got {mode!r}')
-
-
-def _parse_gcn(obj: Any, path: str) -> GcnConfig:
-    obj = _require_mapping(obj, path)
-    _reject_unknown(
-        obj, ("hidden_dims", "epochs", "lr", "lr_decay", "weight_decay", "dtype"), path
-    )
-    dims = obj.get("hidden_dims", [512, 512])
-    if not isinstance(dims, list) or not all(
-        isinstance(x, int) and not isinstance(x, bool) for x in dims
-    ):
-        raise ConfigError(f"{path}.hidden_dims: expected a list of integers")
-    try:
-        return GcnConfig(
-            hidden_dims=tuple(dims),
-            epochs=_get_int(obj, "epochs", 600, path),
-            lr=_get_float(obj, "lr", 0.01, path),
-            lr_decay=_get_float(obj, "lr_decay", 0.1, path),
-            weight_decay=_get_float(obj, "weight_decay", 5e-4, path),
-            dtype=_get_str(obj, "dtype", "float64", path),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+def _parse_similarity(raw: Any, path: str) -> SimilarityMode:
+    mode = _require_mapping(raw, path).get("mode", "assigned")
+    cls = _SIMILARITY_MODES.get(mode) if isinstance(mode, str) else None
+    if cls is None:
+        raise ConfigError(f'{path}.mode: expected "assigned" or "measured", got {mode!r}')
+    values = _read(raw, path, {"mode": mode} | _defaults(cls))
+    del values["mode"]
+    return _build(cls, path, **values)
 
 
 def _parse_search(
-    obj: Any,
-    plan: SegmentPlan,
-    initial: Architecture,
-    seed: int,
-    path: str,
+    raw: Any, plan: SegmentPlan, initial: Architecture, seed: int, path: str
 ) -> SearchConfig:
-    obj = _require_mapping(obj, path)
-    _reject_unknown(
-        obj,
-        (
-            "m_samples",
-            "train_split",
-            "top_pool",
-            "k_preserve",
-            "similarity",
-            "advance_checkpoints",
-            "constraint_budget",
-            "gcn",
-        ),
+    values = _read(
+        raw,
         path,
+        _defaults(SearchConfig, _SEARCH_SKIP)
+        | {"constraint_budget": _OrNull(float), "similarity": {}, "gcn": {}},
     )
-    budget = obj.get("constraint_budget")
-    if budget is not None and (isinstance(budget, bool) or not isinstance(budget, (int, float))):
-        raise ConfigError(f"{path}.constraint_budget: expected a number or null, got {budget!r}")
-    try:
-        return SearchConfig(
-            m_samples=_get_int(obj, "m_samples", 2000, path),
-            train_split=_get_int(obj, "train_split", 1800, path),
-            top_pool=_get_int(obj, "top_pool", 100, path),
-            k_preserve=_get_int(obj, "k_preserve", 6, path),
-            plan=plan,
-            similarity=_parse_similarity(obj.get("similarity", {}), f"{path}.similarity"),
-            gcn=_parse_gcn(obj.get("gcn", {}), f"{path}.gcn"),
-            seed=seed,
-            constraint_budget=None if budget is None else float(budget),
-            advance_checkpoints=_get_bool(obj, "advance_checkpoints", False, path),
-            initial_architecture=initial,
-        )
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    values["similarity"] = _parse_similarity(values["similarity"], f"{path}.similarity")
+    gcn_path = f"{path}.gcn"
+    gcn_values = _read(values["gcn"], gcn_path, _defaults(GcnConfig, ("seed",)))
+    values["gcn"] = _build(GcnConfig, gcn_path, **gcn_values)
+    return _build(
+        SearchConfig, path, plan=plan, seed=seed, initial_architecture=initial, **values
+    )
 
 
 def _parse_simulator(
-    obj: Any, spec: SearchSpaceSpec, seed: int, path: str
+    raw: Any, spec: SearchSpaceSpec, seed: int, path: str
 ) -> tuple[SyntheticSupernet, dict[str, Any]]:
-    obj = _require_mapping(obj, path)
-    _reject_unknown(
-        obj,
-        (
-            "a",
-            "b",
-            "sigma",
-            "base",
-            "utility_amplitude",
-            "pair_strength",
-            "truth_seed",
-            "checkpoint_seed",
-        ),
-        path,
-    )
-    truth_seed = obj.get("truth_seed")
-    if truth_seed is None:
-        truth_seed = seed_stream(seed, "ground-truth")
-    elif isinstance(truth_seed, bool) or not isinstance(truth_seed, int):
-        raise ConfigError(f"{path}.truth_seed: expected an integer or null, got {truth_seed!r}")
-    checkpoint_seed = obj.get("checkpoint_seed")
-    if checkpoint_seed is None:
-        checkpoint_seed = seed_stream(seed, "checkpoint")
-    elif isinstance(checkpoint_seed, bool) or not isinstance(checkpoint_seed, int):
-        raise ConfigError(
-            f"{path}.checkpoint_seed: expected an integer or null, got {checkpoint_seed!r}"
-        )
-    resolved = {
-        "a": _get_float(obj, "a", 0.95, path),
-        "b": _get_float(obj, "b", 0.05, path),
-        "sigma": _get_float(obj, "sigma", 0.0065, path),
-        "base": _get_float(obj, "base", 0.8, path),
-        "utility_amplitude": _get_float(obj, "utility_amplitude", 0.01, path),
-        "pair_strength": _get_float(obj, "pair_strength", 0.0005, path),
-        "truth_seed": truth_seed,
-        "checkpoint_seed": checkpoint_seed,
+    supernet_keys = _defaults(SyntheticSupernet, ("truth",))
+    truth_keys = {
+        name: p.default
+        for name, p in inspect.signature(GroundTruthParams.random).parameters.items()
+        if p.default is not p.empty
     }
-    truth = GroundTruthParams.random(
-        spec,
-        truth_seed,
-        base=resolved["base"],
-        utility_amplitude=resolved["utility_amplitude"],
-        pair_strength=resolved["pair_strength"],
+    # null seeds fall back to streams of the config seed
+    values = _read(
+        raw,
+        path,
+        supernet_keys | truth_keys | {"truth_seed": _OrNull(int), "checkpoint_seed": _OrNull(int)},
     )
-    try:
-        supernet = SyntheticSupernet(
-            truth=truth,
-            a=resolved["a"],
-            b=resolved["b"],
-            sigma=resolved["sigma"],
-            checkpoint_seed=checkpoint_seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-    return supernet, resolved
+    if values["truth_seed"] is None:
+        values["truth_seed"] = seed_stream(seed, "ground-truth")
+    if values["checkpoint_seed"] is None:
+        values["checkpoint_seed"] = seed_stream(seed, "checkpoint")
+    truth_args = {k: values[k] for k in truth_keys}
+    truth = GroundTruthParams.random(spec, values["truth_seed"], **truth_args)
+    supernet = _build(SyntheticSupernet, path, truth, **{k: values[k] for k in supernet_keys})
+    return supernet, values
 
 
-def _parse_cost_model(value: Any, spec: SearchSpaceSpec, path: str) -> tuple[CostModel, Any]:
-    if value is None or value == "bundled":
+def _parse_cost_model(raw: Any, spec: SearchSpaceSpec, path: str) -> tuple[CostModel, Any]:
+    if raw is None or raw == "bundled":
         return bundled_cost_model(spec), "bundled"
-    obj = _require_mapping(value, path)
-    _reject_unknown(obj, ("fixed_cost", "cell_cost"), path)
-    table = obj.get("cell_cost")
-    if not isinstance(table, list):
+    # fixed_cost has no dataclass default: it precedes the required table
+    values = _read(raw, path, {"fixed_cost": 0.0, "cell_cost": None})
+    if not isinstance(values["cell_cost"], list):
         raise ConfigError(f"{path}.cell_cost: expected an LxO table")
-    try:
-        model = CostModel(_get_float(obj, "fixed_cost", 0.0, path), np.asarray(table, dtype=float))
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    model = _build(CostModel, path, values["fixed_cost"], values["cell_cost"])
     return model, {"fixed_cost": model.fixed_cost, "cell_cost": model.cell_cost.tolist()}
 
 
@@ -313,74 +242,40 @@ class RunConfig:
     config_sha256: str
 
 
-_TOP_LEVEL_KEYS = (
-    "seed",
-    "output_dir",
-    "search_space",
-    "plan",
-    "initial_architecture",
-    "search",
-    "simulator",
-    "cost_model",
-)
-
-
 def parse_config(raw: Any) -> RunConfig:
     """Validate a raw JSON object and resolve every default."""
-    raw = _require_mapping(raw, "$")
-    _reject_unknown(raw, _TOP_LEVEL_KEYS, "$")
-    seed = _get_int(raw, "seed", 0, "$")
-    output_dir = Path(_get_str(raw, "output_dir", "gcnas-output", "$"))
-    space = _parse_space(_require_mapping(raw.get("search_space", {}), "$.search_space"), "$.search_space")
-    plan = _parse_plan(raw.get("plan"), space, "$.plan")
-    initial_text = raw.get("initial_architecture")
-    if initial_text is None:
+    top = _read(raw, "$", {
+        "seed": _defaults(SearchConfig)["seed"], "output_dir": "gcnas-output",
+        "search_space": {}, "plan": _OrNull((int,)), "initial_architecture": _OrNull(str),
+        "search": {}, "simulator": {}, "cost_model": None,
+    })
+    seed = top["seed"]
+    output_dir = Path(top["output_dir"])
+    space = _parse_space(top["search_space"], "$.search_space")
+    plan = _parse_plan(top["plan"], space, "$.plan")
+    if top["initial_architecture"] is None:
         initial = default_initial_architecture(space)
-    elif isinstance(initial_text, str):
-        initial = Architecture.from_text(initial_text)
-        try:
-            space.validate_architecture(initial)
-        except ValueError as exc:
-            raise ConfigError(f"$.initial_architecture: {exc}") from exc
     else:
-        raise ConfigError(
-            f"$.initial_architecture: expected a string or null, got {initial_text!r}"
+        initial = _build(
+            Architecture.from_text, "$.initial_architecture", top["initial_architecture"]
         )
-    search = _parse_search(raw.get("search", {}), plan, initial, seed, "$.search")
-    simulator, simulator_resolved = _parse_simulator(
-        raw.get("simulator", {}), space, seed, "$.simulator"
+        _build(space.validate_architecture, "$.initial_architecture", initial)
+    search = _parse_search(top["search"], plan, initial, seed, "$.search")
+    simulator, simulator_resolved = _parse_simulator(top["simulator"], space, seed, "$.simulator")
+    cost_model, cost_model_resolved = _parse_cost_model(top["cost_model"], space, "$.cost_model")
+    similarity_mode = next(
+        m for m, cls in _SIMILARITY_MODES.items() if isinstance(search.similarity, cls)
     )
-    cost_model, cost_model_resolved = _parse_cost_model(
-        raw.get("cost_model"), space, "$.cost_model"
-    )
-
     resolved = {
         "seed": seed,
         "output_dir": str(output_dir),
-        "search_space": {
-            "num_layers": space.num_layers,
-            "choices_per_layer": space.choices_per_layer,
-            "choice_labels": list(space.choice_labels) if space.choice_labels else None,
-        },
+        "search_space": _values(space),
         "plan": [len(seg) for seg in plan.segments],
         "initial_architecture": initial.to_text(),
-        "search": {
-            "m_samples": search.m_samples,
-            "train_split": search.train_split,
-            "top_pool": search.top_pool,
-            "k_preserve": search.k_preserve,
-            "similarity": dataclasses.asdict(search.similarity)
-            | {"mode": "measured" if isinstance(search.similarity, MeasuredSimilarity) else "assigned"},
-            "advance_checkpoints": search.advance_checkpoints,
-            "constraint_budget": search.constraint_budget,
-            "gcn": {
-                "hidden_dims": list(search.gcn.hidden_dims),
-                "epochs": search.gcn.epochs,
-                "lr": search.gcn.lr,
-                "lr_decay": search.gcn.lr_decay,
-                "weight_decay": search.gcn.weight_decay,
-                "dtype": search.gcn.dtype,
-            },
+        "search": _values(search, _SEARCH_SKIP)
+        | {
+            "similarity": {"mode": similarity_mode} | _values(search.similarity),
+            "gcn": _values(search.gcn, ("seed",)),
         },
         "simulator": simulator_resolved,
         "cost_model": cost_model_resolved,
@@ -388,29 +283,22 @@ def parse_config(raw: Any) -> RunConfig:
     digest = hashlib.sha256(
         json.dumps(resolved, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
-    return RunConfig(
-        seed=seed,
-        output_dir=output_dir,
-        space=space,
-        plan=plan,
-        initial_architecture=initial,
-        search=search,
-        simulator=simulator,
-        cost_model=cost_model,
-        config_sha256=digest,
-    )
+    return RunConfig(seed, output_dir, space, plan, initial, search, simulator, cost_model, digest)
 
 
-def load_config(path: str | Path) -> RunConfig:
-    """Parse, default and validate a JSON config file."""
+def _read_json(path: str | Path) -> Any:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_config(raw)
+
+
+def load_config(path: str | Path) -> RunConfig:
+    """Parse, default and validate a JSON config file."""
+    return parse_config(_read_json(path))
 
 
 # ---------------------------------------------------------------------------
@@ -454,17 +342,22 @@ def _dump_predictions(path: Path, result: RoundResult) -> None:
 
 
 def _with_overrides(args: argparse.Namespace) -> RunConfig:
-    if args.config:
-        config = load_config(args.config)
-        raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-    else:
-        config, raw = parse_config({}), {}
-    if getattr(args, "seed", None) is not None:
-        raw["seed"] = args.seed
-        config = parse_config(raw)
-    if getattr(args, "out", None) is not None:
+    raw = _read_json(args.config) if args.config else {}
+    if args.seed is not None:
+        raw = _require_mapping(raw, "$") | {"seed": args.seed}
+    config = parse_config(raw)
+    if args.out is not None:
         config = dataclasses.replace(config, output_dir=Path(args.out))
     return config
+
+
+def _write_round(out: Path, config: RunConfig, result: RoundResult, lookup_table: bool) -> None:
+    """Round report and loss curve, plus the prediction lookup table if asked."""
+    t = result.report.round_index
+    write_report(out / f"round_{t}.json", result.report.as_dict() | _provenance(config))
+    write_loss_curve(result.loss_curve, out / f"loss_round_{t}.csv")
+    if lookup_table:
+        _dump_predictions(out / f"predictions_round_{t}.csv", result)
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
@@ -476,11 +369,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     for result in iter_search_rounds(
         config.space, config.simulator, config.search, config.cost_model
     ):
-        t = result.report.round_index
-        write_report(out / f"round_{t}.json", result.report.as_dict() | _provenance(config))
-        write_loss_curve(result.loss_curve, out / f"loss_round_{t}.csv")
-        if args.dump_predictions:
-            _dump_predictions(out / f"predictions_round_{t}.csv", result)
+        _write_round(out, config, result, args.dump_predictions)
         reports.append(result.report)
         final = result.preserved[0]
     assert final is not None
@@ -505,43 +394,27 @@ def _single_round(config: RunConfig, segment_index: int) -> RoundResult:
         raise ValueError(
             f"segment index {segment_index} outside [0, {len(segments)}) of the plan"
         )
-    segment = segments[segment_index]
-    fixed = {
-        p: config.initial_architecture.choices[p]
-        for p in range(config.space.num_layers)
-        if p not in segment
-    }
-    subspace = Subspace(config.space, tuple(segment), fixed)
-    return run_round(
-        subspace, config.simulator, config.search, segment_index, config.cost_model
-    )
+    # a single round searches its segment with every other layer fixed
+    subspace = round_subspace(config.space, segments[segment_index], (), (),
+                              config.initial_architecture)
+    return run_round(subspace, config.simulator, config.search, segment_index, config.cost_model)
 
 
 def _cmd_round(args: argparse.Namespace) -> int:
+    """``round``, and ``predict``: the same round plus its lookup table."""
     config = _with_overrides(args)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     result = _single_round(config, args.segment)
+    _write_round(out, config, result, args.lookup_table)
     t = result.report.round_index
-    write_report(out / f"round_{t}.json", result.report.as_dict() | _provenance(config))
-    write_loss_curve(result.loss_curve, out / f"loss_round_{t}.csv")
-    print(f"round {t}: tau_val={result.report.tau_val:.6f} "
-          f"best={result.report.best_selected.architecture.to_text()}")
-    print(f"reports written to {out}")
-    return 0
-
-
-def _cmd_predict(args: argparse.Namespace) -> int:
-    config = _with_overrides(args)
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    result = _single_round(config, args.segment)
-    t = result.report.round_index
-    write_report(out / f"round_{t}.json", result.report.as_dict() | _provenance(config))
-    write_loss_curve(result.loss_curve, out / f"loss_round_{t}.csv")
-    path = out / f"predictions_round_{t}.csv"
-    _dump_predictions(path, result)
-    print(f"lookup table with {result.graph.num_nodes} entries written to {path}")
+    if args.lookup_table:
+        path = out / f"predictions_round_{t}.csv"
+        print(f"lookup table with {result.graph.num_nodes} entries written to {path}")
+    else:
+        print(f"round {t}: tau_val={result.report.tau_val:.6f} "
+              f"best={result.report.best_selected.architecture.to_text()}")
+        print(f"reports written to {out}")
     return 0
 
 
@@ -623,14 +496,8 @@ def _cmd_constraint(args: argparse.Namespace) -> int:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     result = _single_round(config, args.segment)
-    selected = constraint_select(
-        result.graph,
-        result.model,
-        config.cost_model,
-        args.budget,
-        config.simulator,
-        config.search.top_pool,
-    )
+    selected = constraint_select(result.graph, result.model, config.cost_model, args.budget,
+                                 config.simulator, config.search.top_pool)
     payload = {
         "architecture": selected.architecture.to_text(),
         "accuracy": selected.accuracy,
@@ -662,15 +529,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write per-round prediction lookup tables")
     p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("round", help="run a single round on one segment")
-    common(p)
-    p.add_argument("--segment", type=int, default=0)
-    p.set_defaults(func=_cmd_round)
-
-    p = sub.add_parser("predict", help="run one round and dump its prediction lookup table")
-    common(p)
-    p.add_argument("--segment", type=int, default=0)
-    p.set_defaults(func=_cmd_predict)
+    for name, lookup_table, help_text in (
+        ("round", False, "run a single round on one segment"),
+        ("predict", True, "run one round and dump its prediction lookup table"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        common(p)
+        p.add_argument("--segment", type=int, default=0)
+        p.set_defaults(func=_cmd_round, lookup_table=lookup_table)
 
     p = sub.add_parser("tau", help="Kendall tau of two CSV columns (FILE.csv:COLUMN, 1-based)")
     p.add_argument("--a", required=True)

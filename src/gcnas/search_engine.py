@@ -130,6 +130,47 @@ def _rank_by_accuracy(accuracies: np.ndarray, node_ids: np.ndarray) -> np.ndarra
     return np.lexsort((node_ids, -accuracies))
 
 
+def _evaluate(evaluator: Evaluator, archs: Sequence[Architecture]) -> np.ndarray:
+    """``evaluator.evaluate_many(archs)``, checked against the Evaluator
+    contract: one finite score in [0, 1] per architecture."""
+    scores = np.asarray(evaluator.evaluate_many(archs), dtype=np.float64)
+    if scores.shape != (len(archs),):
+        raise ValueError(
+            f"evaluator returned scores of shape {scores.shape} for {len(archs)} architectures"
+        )
+    bad = ~((scores >= 0.0) & (scores <= 1.0))  # NaN fails both comparisons
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"evaluator score {float(scores[i])!r} for architecture {archs[i].to_text()} "
+            "is not a finite value in [0, 1]"
+        )
+    return scores
+
+
+def _rank_within_budget(
+    graph: ArchGraph,
+    predictions: np.ndarray,
+    cost_model: CostModel | None,
+    budget: float | None,
+    context: str = "",
+) -> np.ndarray:
+    """Node ids by descending prediction (stable), keeping those whose
+    multiply-add cost is within ``budget``; ``None`` keeps every node.
+    Raises if no node is within budget, the message prefixed by ``context``."""
+    order = np.argsort(-predictions, kind="stable")
+    if budget is None:
+        return order
+    cost = flops_many(graph.choice_matrix, cost_model)
+    order = order[cost[order] <= budget]
+    if len(order) == 0:
+        raise ValueError(
+            f"{context}no architecture within budget {budget:g}; "
+            f"minimum achievable cost is {cost.min():g}"
+        )
+    return order
+
+
 def reverify(
     candidates: Sequence[Architecture],
     evaluator: Evaluator,
@@ -141,7 +182,7 @@ def reverify(
     if not candidates:
         raise ValueError("reverify needs a non-empty candidate list")
     ids = np.arange(len(candidates)) if node_indices is None else np.asarray(node_indices)
-    accuracies = np.asarray(evaluator.evaluate_many(list(candidates)), dtype=np.float64)
+    accuracies = _evaluate(evaluator, list(candidates))
     best = _rank_by_accuracy(accuracies, ids)[0]
     node = None if node_indices is None else int(ids[best])
     return ScoredArchitecture(candidates[best], float(accuracies[best]), node)
@@ -181,7 +222,7 @@ def run_round(
     )
     node_ids = np.array([node_index(subspace, a) for a in assignments], dtype=np.int64)
     archs = [materialize(subspace, a) for a in assignments]
-    accuracies = np.asarray(evaluator.evaluate_many(archs), dtype=np.float64)
+    accuracies = _evaluate(evaluator, archs)
 
     samples = list(zip(assignments, accuracies.tolist()))
     needs_samples = isinstance(config.similarity, MeasuredSimilarity)
@@ -204,18 +245,12 @@ def run_round(
     tau_val = kendall_tau(predictions[val_ids], val_accs)
     reg_score_val = regression_score(predictions[val_ids], val_accs)
 
-    order = np.argsort(-predictions, kind="stable")
-    if config.constraint_budget is not None:
-        cost = flops_many(graph.choice_matrix, cost_model)
-        order = order[cost[order] <= config.constraint_budget]
-        if len(order) == 0:
-            raise ValueError(
-                f"round {round_index}: no architecture within budget "
-                f"{config.constraint_budget:g}; minimum achievable cost is {cost.min():g}"
-            )
+    order = _rank_within_budget(
+        graph, predictions, cost_model, config.constraint_budget, f"round {round_index}: "
+    )
     pool_ids = order[: config.top_pool]
     pool_archs = [node_architecture(graph, int(i)) for i in pool_ids]
-    pool_accs = np.asarray(evaluator.evaluate_many(pool_archs), dtype=np.float64)
+    pool_accs = _evaluate(evaluator, pool_archs)
     pool_rank = _rank_by_accuracy(pool_accs, pool_ids)
 
     k = min(config.k_preserve, len(pool_ids))
@@ -247,7 +282,7 @@ def run_round(
     return RoundResult(preserved, report, graph, model, predictions, loss_curve)
 
 
-def _round_subspace(
+def round_subspace(
     spec: SearchSpaceSpec,
     segment: Sequence[int],
     searched: Sequence[int],
@@ -292,7 +327,7 @@ def iter_search_rounds(
     for t, segment in enumerate(plan.segments):
         if t > 0 and config.advance_checkpoints:
             current = current.advanced()
-        subspace = _round_subspace(spec, segment, searched, preserved, initial)
+        subspace = round_subspace(spec, segment, searched, preserved, initial)
         try:
             result = run_round(subspace, current, config, round_index=t, cost_model=cost_model)
         except Exception as exc:
@@ -331,15 +366,6 @@ def constraint_select(
     """Rank all nodes by prediction, keep those within the multiply-add
     budget, re-evaluate the surviving top pool and return the measured
     argmax."""
-    predictions = forward(graph, model)
-    cost = flops_many(graph.choice_matrix, cost_model)
-    order = np.argsort(-predictions, kind="stable")
-    order = order[cost[order] <= budget]
-    if len(order) == 0:
-        raise ValueError(
-            f"no architecture within budget {budget:g}; "
-            f"minimum achievable cost is {cost.min():g}"
-        )
-    pool_ids = order[:top_pool]
+    pool_ids = _rank_within_budget(graph, forward(graph, model), cost_model, budget)[:top_pool]
     pool_archs = [node_architecture(graph, int(i)) for i in pool_ids]
     return reverify(pool_archs, evaluator, node_indices=pool_ids.tolist())

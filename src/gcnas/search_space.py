@@ -287,21 +287,6 @@ def gray_code_table(num_codes: int, bits: int) -> np.ndarray:
     return ((gray[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
-def gray_encode(arch: Architecture, spec: SearchSpaceSpec) -> np.ndarray:
-    """Gray-code bit vector of an architecture, one ``bits_per_cell`` block
-    per cell, concatenated in layer order."""
-    spec.validate_architecture(arch)
-    table = gray_code_table(spec.choices_per_layer, spec.bits_per_cell)
-    return table[np.asarray(arch.choices, dtype=np.int64)].reshape(-1)
-
-
-def cell_hamming(a: Architecture, b: Architecture) -> int:
-    """Number of cells at which two architectures pick different choices."""
-    if len(a.choices) != len(b.choices):
-        raise ValueError(f"length mismatch: {len(a.choices)} vs {len(b.choices)}")
-    return sum(x != y for x, y in zip(a.choices, b.choices))
-
-
 def sample_uniform(subspace: Subspace, m: int, seed: int) -> list[dict[SlotKey, int]]:
     """``m`` distinct node assignments drawn uniformly without replacement."""
     n = subspace.node_count
@@ -334,27 +319,3 @@ def materialize(subspace: Subspace, assignment: Mapping[SlotKey, int]) -> Archit
             for pos, c in zip(slot.super_cell.positions, slot.super_cell.candidates[pick]):
                 choices[pos] = c
     return Architecture(tuple(choices))  # type: ignore[arg-type]
-
-
-def extract_assignment(subspace: Subspace, arch: Architecture) -> dict[SlotKey, int]:
-    """Inverse of :func:`materialize` for architectures consistent with the
-    subspace; raises if the architecture contradicts fixed cells or picks a
-    sub-assignment no super-cell candidate provides."""
-    subspace.spec.validate_architecture(arch)
-    for pos, c in subspace.fixed.items():
-        if arch.choices[pos] != c:
-            raise ValueError(f"architecture choice {arch.choices[pos]} at fixed cell {pos} != {c}")
-    assignment: dict[SlotKey, int] = {}
-    for slot in subspace.slots:
-        if slot.super_cell is None:
-            assignment[slot.key] = arch.choices[slot.key]  # type: ignore[index]
-        else:
-            sub = tuple(arch.choices[p] for p in slot.super_cell.positions)
-            try:
-                assignment[slot.key] = slot.super_cell.candidates.index(sub)
-            except ValueError:
-                raise ValueError(
-                    f"sub-assignment {sub} at cells {slot.super_cell.positions} "
-                    "matches no super-cell candidate"
-                ) from None
-    return assignment

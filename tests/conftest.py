@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 
 from gcnas.evaluator import GroundTruthParams, _interaction_table
-from gcnas.search_space import Architecture, SearchSpaceSpec
+from gcnas.search_space import (
+    Architecture,
+    SearchSpaceSpec,
+    SlotKey,
+    Subspace,
+    gray_code_table,
+)
 
 # Published 8-architecture comparison table: ground-truth accuracy vs the
 # same sub-networks sampled from two super-network snapshots.
@@ -100,6 +106,50 @@ def ground_truth_reference(choice_matrix: np.ndarray, truth: GroundTruthParams) 
         for lp in range(l + 1, L):
             z = z + truth.pair_strength * v[l, lp][c[:, l], c[:, lp]]
     return np.clip(z, 0.0, 1.0)
+
+
+def gray_encode(arch: Architecture, spec: SearchSpaceSpec) -> np.ndarray:
+    """Gray-code bit vector of one architecture, one ``bits_per_cell`` block
+    per cell in layer order; the reference for the graph's feature rows."""
+    spec.validate_architecture(arch)
+    table = gray_code_table(spec.choices_per_layer, spec.bits_per_cell)
+    return table[np.asarray(arch.choices, dtype=np.int64)].reshape(-1)
+
+
+def cell_hamming(a: Architecture, b: Architecture) -> int:
+    """Number of cells at which two architectures pick different choices."""
+    if len(a.choices) != len(b.choices):
+        raise ValueError(f"length mismatch: {len(a.choices)} vs {len(b.choices)}")
+    return sum(x != y for x, y in zip(a.choices, b.choices))
+
+
+def assignment_of(subspace: Subspace, index: int) -> dict[SlotKey, int]:
+    """Slot assignment of a node index; the inverse of ``node_index``."""
+    return subspace.assignment_from_digits(subspace.digits_of(index))
+
+
+def extract_assignment(subspace: Subspace, arch: Architecture) -> dict[SlotKey, int]:
+    """Inverse of ``materialize`` for architectures consistent with the
+    subspace; raises if the architecture contradicts fixed cells or picks a
+    sub-assignment no super-cell candidate provides."""
+    subspace.spec.validate_architecture(arch)
+    for pos, c in subspace.fixed.items():
+        if arch.choices[pos] != c:
+            raise ValueError(f"architecture choice {arch.choices[pos]} at fixed cell {pos} != {c}")
+    assignment: dict[SlotKey, int] = {}
+    for slot in subspace.slots:
+        if slot.super_cell is None:
+            assignment[slot.key] = arch.choices[slot.key]
+        else:
+            sub = tuple(arch.choices[p] for p in slot.super_cell.positions)
+            try:
+                assignment[slot.key] = slot.super_cell.candidates.index(sub)
+            except ValueError:
+                raise ValueError(
+                    f"sub-assignment {sub} at cells {slot.super_cell.positions} "
+                    "matches no super-cell candidate"
+                ) from None
+    return assignment
 
 
 def power_iteration_largest_eigenvalue(matrix, iterations: int = 200, seed: int = 0) -> float:

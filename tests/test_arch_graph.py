@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from gcnas.arch_graph import (
     ArchGraph,
     MeasuredSimilarity,
-    assignment_of,
     build_graph,
     dump_graph,
     measured_similarity,
@@ -21,12 +20,10 @@ from gcnas.search_space import (
     SearchSpaceSpec,
     Subspace,
     SuperCell,
-    cell_hamming,
-    gray_encode,
     materialize,
     sample_uniform,
 )
-from conftest import power_iteration_largest_eigenvalue
+from conftest import assignment_of, cell_hamming, gray_encode, power_iteration_largest_eigenvalue
 
 ASSIGNED = math.exp(-0.5)
 

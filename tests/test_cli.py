@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import re
 
 import pytest
 
@@ -34,7 +36,113 @@ def tiny_config(tmp_path):
     return path, tmp_path / "out"
 
 
+# Config digests and the tiny-config result.json digest, recorded before the
+# schema was derived from the dataclasses; any drift changes every report.
+PINNED_DIGESTS = [
+    ({}, "24f75a810bcda3a4ef15e29a735b63c9a365a6e230346fc01ad08627ec4a0413"),
+    (
+        {"search": {"similarity": {"mode": "measured"}}},
+        "77004d6e33e355befc418f614edd6a24c962d5b5c24efb9ea14a88853f5b5e98",
+    ),
+    (
+        {
+            "seed": 3,
+            "search_space": {"num_layers": 10, "choices_per_layer": 6},
+            "plan": [5, 5],
+            "search": {
+                "gcn": {"hidden_dims": [32, 32], "dtype": "float32", "epochs": 40},
+                "constraint_budget": 4e8,
+            },
+            "cost_model": {"fixed_cost": 1, "cell_cost": [[1, 2, 3, 4, 5, 6]] * 10},
+        },
+        "c5d901d3a00fdabc237a8f53339c4d033fed3f8e186cf53aad37a126b1f79843",
+    ),
+]
+TINY_RESULT_SHA256 = "c96822d9c0314ef8cb9375ac9e0469a498c9d2cab80f65b556de7831af6630cc"
+
+# every leaf key of every section, as a dotted path below $
+LEAF_KEYS = [
+    "seed", "output_dir", "plan", "initial_architecture",
+    "search_space.num_layers", "search_space.choices_per_layer", "search_space.choice_labels",
+    "search.m_samples", "search.train_split", "search.top_pool", "search.k_preserve",
+    "search.advance_checkpoints", "search.constraint_budget",
+    "search.similarity.mode", "search.similarity.weight", "search.similarity.min_pairs",
+    "search.similarity.floor", "search.similarity.fallback_weight",
+    "search.gcn.hidden_dims", "search.gcn.epochs", "search.gcn.lr", "search.gcn.lr_decay",
+    "search.gcn.weight_decay", "search.gcn.dtype",
+    "simulator.a", "simulator.b", "simulator.sigma", "simulator.base",
+    "simulator.utility_amplitude", "simulator.pair_strength", "simulator.truth_seed",
+    "simulator.checkpoint_seed",
+    "cost_model.fixed_cost", "cost_model.cell_cost",
+]
+FLOAT_KEYS = [
+    "search.constraint_budget", "search.similarity.weight", "search.similarity.floor",
+    "search.similarity.fallback_weight", "search.gcn.lr", "search.gcn.lr_decay",
+    "search.gcn.weight_decay", "simulator.a", "simulator.b", "simulator.sigma",
+    "simulator.base", "simulator.utility_amplitude", "simulator.pair_strength",
+    "cost_model.fixed_cost",
+]
+MEASURED_KEYS = ("min_pairs", "floor", "fallback_weight")
+
+
+def config_with(dotted: str, value) -> dict:
+    """A config that sets ``value`` at the dotted key path, plus what the key
+    needs to be read: measured mode for its keys, a table for a cost model."""
+    *sections, key = dotted.split(".")
+    obj = {key: value}
+    if sections == ["search", "similarity"] and key in MEASURED_KEYS:
+        obj = {"mode": "measured"} | obj
+    if sections == ["cost_model"]:
+        obj = {"cell_cost": [[1.0] * 6] * 19} | obj
+    for section in reversed(sections):
+        obj = {section: obj}
+    return obj
+
+
 class TestConfigSchema:
+    @pytest.mark.parametrize("raw, digest", PINNED_DIGESTS, ids=["default", "measured", "ci10"])
+    def test_pinned_config_digests(self, raw, digest):
+        assert parse_config(raw).config_sha256 == digest
+
+    def test_pinned_result_digest(self, tiny_config):
+        path, out = tiny_config
+        raw = json.loads(path.read_text())
+        del raw["output_dir"]  # the output path is hashed; --out is not
+        path.write_text(json.dumps(raw))
+        assert main(["search", "--config", str(path), "--out", str(out)]) == 0
+        assert hashlib.sha256((out / "result.json").read_bytes()).hexdigest() == TINY_RESULT_SHA256
+
+    @pytest.mark.parametrize("dotted", LEAF_KEYS)
+    @pytest.mark.parametrize("wrong", [{"an": "object"}, True], ids=["object", "bool"])
+    def test_wrong_type_names_key_path(self, dotted, wrong):
+        if wrong is True and dotted == "search.advance_checkpoints":
+            wrong = 1  # the one boolean key
+        with pytest.raises(ConfigError) as info:
+            parse_config(config_with(dotted, wrong))
+        assert str(info.value).startswith(f"$.{dotted}: expected ")
+
+    @pytest.mark.parametrize(
+        "raw, path",
+        [
+            ({"bogus": 1}, "$"),
+            ({"search_space": {"bogus": 1}}, "$.search_space"),
+            ({"search": {"bogus": 1}}, "$.search"),
+            ({"search": {"similarity": {"bogus": 1}}}, "$.search.similarity"),
+            ({"search": {"similarity": {"mode": "measured", "bogus": 1}}}, "$.search.similarity"),
+            ({"search": {"gcn": {"bogus": 1}}}, "$.search.gcn"),
+            ({"simulator": {"bogus": 1}}, "$.simulator"),
+            ({"cost_model": {"bogus": 1}}, "$.cost_model"),
+        ],
+    )
+    def test_unknown_key_in_every_section(self, raw, path):
+        with pytest.raises(ConfigError, match=re.escape(f"unknown key {path}.bogus")):
+            parse_config(raw)
+
+    @pytest.mark.parametrize("dotted", FLOAT_KEYS)
+    def test_float_keys_accept_ints(self, dotted):
+        as_int = parse_config(config_with(dotted, 1))
+        assert as_int.config_sha256 == parse_config(config_with(dotted, 1.0)).config_sha256
+
     def test_empty_object_gives_full_defaults(self):
         config = parse_config({})
         assert config.space.num_layers == 19
@@ -51,6 +159,12 @@ class TestConfigSchema:
         assert config.search.similarity.weight == pytest.approx(math.exp(-0.5))
         assert config.initial_architecture.choices == (1,) * 19
         assert config.simulator.a == 0.95
+
+    def test_default_labels_replace_only_null_labels_of_19x6(self):
+        labels = ["a", "b", "c", "d", "e", "f"]
+        space = parse_config({"search_space": {"choice_labels": labels}}).space
+        assert space.choice_labels == tuple(labels)
+        assert parse_config({"search_space": {"num_layers": 5}}).space.choice_labels is None
 
     def test_choices_below_two_rejected(self):
         with pytest.raises(ConfigError, match="choices_per_layer"):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -239,6 +241,24 @@ class TestModelIO:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"not a model")
         with pytest.raises(ValueError):
+            load_model(path)
+
+    def saved_bytes(self, tmp_path) -> bytes:
+        path = tmp_path / "model.bin"
+        save_model(init_model(9, GcnConfig(hidden_dims=(5, 3), dtype="float32")), path)
+        return path.read_bytes()
+
+    @pytest.mark.parametrize("cut", [6, 20, -5])
+    def test_truncated_file_names_path(self, tmp_path, cut):
+        path = tmp_path / "cut.bin"
+        path.write_bytes(self.saved_bytes(tmp_path)[:cut])
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated")):
+            load_model(path)
+
+    def test_trailing_bytes_name_path(self, tmp_path):
+        path = tmp_path / "long.bin"
+        path.write_bytes(self.saved_bytes(tmp_path) + b"\0\0\0")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: 3 trailing bytes")):
             load_model(path)
 
     def test_loss_curve_format(self, tmp_path):

@@ -14,6 +14,7 @@ from gcnas.evaluator import (
     ground_truth,
     ground_truth_many,
 )
+from gcnas import search_engine
 from gcnas.gcn import GcnConfig, train
 from gcnas.search_engine import (
     SearchConfig,
@@ -145,6 +146,49 @@ class TestRunRound:
                 SearchConfig(m_samples=14, train_split=10, top_pool=20, k_preserve=2,
                              gcn=SMALL_GCN),
             )
+
+    class Shifted(SyntheticSupernet):
+        """Scores outside the [0, 1] contract."""
+
+        def evaluate_many(self, archs):
+            return super().evaluate_many(archs) + 5
+
+    class Short(SyntheticSupernet):
+        """Three scores too few."""
+
+        def evaluate_many(self, archs):
+            return super().evaluate_many(archs)[:-3]
+
+    @pytest.mark.parametrize(
+        "broken, message, pool_message",
+        [(Shifted, r"score 5\.\d+ for architecture [\d,]+ is not a finite value in \[0, 1\]",
+          r"is not a finite value in \[0, 1\]"),
+         (Short, r"scores of shape \(17,\) for 20 architectures",
+          r"scores of shape \(2,\) for 5 architectures")],
+        ids=["out-of-range", "short"],
+    )
+    def test_evaluator_outputs_checked_before_training(
+        self, monkeypatch, broken, message, pool_message
+    ):
+        spec = SearchSpaceSpec(3, 4)
+        evaluator = broken(noiseless_supernet(spec, 2).truth)
+        config = SearchConfig(m_samples=20, train_split=15, top_pool=5, k_preserve=2,
+                              gcn=SMALL_GCN)
+        monkeypatch.setattr(search_engine, "train", lambda *a: pytest.fail("trained"))
+        with pytest.raises(ValueError, match=message):
+            run_round(full_subspace(spec), evaluator, config)
+        with pytest.raises(ValueError, match=pool_message):
+            reverify([Architecture((0, 0, i)) for i in range(4)] + [Architecture((1, 0, 0))],
+                     evaluator)
+
+    @pytest.mark.parametrize("score", [float("nan"), float("inf"), -0.1])
+    def test_non_finite_or_negative_scores_rejected(self, score):
+        class Constant(Evaluator):
+            def evaluate(self, arch):
+                return score
+
+        with pytest.raises(ValueError, match="not a finite value in"):
+            reverify([Architecture((0,))], Constant())
 
     def test_measured_similarity_round(self):
         # the sampled evaluations seed the similarity table; sparse statistics

@@ -9,17 +9,15 @@ from gcnas.search_space import (
     SegmentPlan,
     Subspace,
     SuperCell,
-    cell_hamming,
     default_initial_architecture,
     default_space,
-    extract_assignment,
     full_subspace,
     gray_code_table,
-    gray_encode,
     make_segment_plan,
     materialize,
     sample_uniform,
 )
+from conftest import cell_hamming, extract_assignment, gray_encode
 
 
 class TestSearchSpaceSpec:
