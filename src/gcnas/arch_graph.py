@@ -4,7 +4,8 @@ Nodes enumerate every assignment of a subspace in mixed-radix order; an
 undirected edge joins two nodes iff their architectures differ at exactly one
 searchable position (a super-cell counts as one position). Edge weights come
 from either a fixed assigned similarity or a measured, correlation-based
-one. The GCN consumes the symmetric renormalized adjacency.
+one, as one similarity matrix per slot; the adjacency is their Kronecker
+sum. The GCN consumes the symmetric renormalized adjacency.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import scipy.sparse as sp
 
 from .search_space import Architecture, SlotKey, Subspace, gray_code_table
 
-#: default node cap; larger graphs are rejected rather than built densely
+#: node cap; larger graphs are rejected before anything is allocated
 MAX_GRAPH_NODES = 6**7
 
 ASSIGNED_WEIGHT = math.exp(-0.5)
@@ -111,27 +112,27 @@ def measured_similarity(
     samples: Sequence[tuple[Mapping[SlotKey, int], float]],
     subspace: Subspace,
     mode: MeasuredSimilarity = MeasuredSimilarity(),
-) -> dict[tuple[SlotKey, int, int], float]:
-    """Per-(position, choice pair) similarity from evaluation records.
+) -> list[np.ndarray]:
+    """Per-slot similarity matrices from evaluation records.
 
     For every searchable position and unordered choice pair, collects the
     accuracies of sampled assignment pairs identical everywhere else and
     takes their Pearson correlation, clamped to [floor, 1]. Pairs with fewer
     than ``min_pairs`` observations (or degenerate variance) fall back to the
-    assigned weight.
+    assigned weight. Returns one symmetric, zero-diagonal matrix per slot.
     """
     if not samples:
         raise ValueError("measured similarity needs at least one evaluation record")
     digit_rows = [subspace.digits_from_assignment(a) for a, _ in samples]
     accs = [float(acc) for _, acc in samples]
-    slots = subspace.slots
 
-    table: dict[tuple[SlotKey, int, int], float] = {}
-    for j, slot in enumerate(slots):
+    weights = []
+    for j, slot in enumerate(subspace.slots):
         groups: dict[tuple[int, ...], dict[int, float]] = {}
         for row, acc in zip(digit_rows, accs):
             key = row[:j] + row[j + 1 :]
             groups.setdefault(key, {})[row[j]] = acc
+        w = np.zeros((slot.radix, slot.radix))
         for c_a in range(slot.radix):
             for c_b in range(c_a + 1, slot.radix):
                 xs, ys = [], []
@@ -146,63 +147,42 @@ def measured_similarity(
                     if x.std() > 0 and y.std() > 0:
                         r = float(np.corrcoef(x, y)[0, 1])
                         weight = min(1.0, max(mode.floor, r))
-                table[(slot.key, c_a, c_b)] = weight
-    return table
+                w[c_a, c_b] = w[c_b, c_a] = weight
+        weights.append(w)
+    return weights
 
 
 def build_graph(
     subspace: Subspace,
     mode: SimilarityMode = AssignedSimilarity(),
     samples: Sequence[tuple[Mapping[SlotKey, int], float]] | None = None,
-    max_nodes: int = MAX_GRAPH_NODES,
 ) -> ArchGraph:
     """Construct the Hamming-1 graph of a subspace.
 
     Edges link every pair of assignments differing in exactly one searchable
-    position; weights follow ``mode``. Node features are the Gray codes of
-    the materialized architectures.
+    position; weights follow ``mode``. The graph is the Cartesian product of
+    one weighted complete graph per slot, so its adjacency is the Kronecker
+    sum of the per-slot similarity matrices. Node features are the Gray
+    codes of the materialized architectures.
     """
     n = subspace.node_count
-    if n > max_nodes:
-        raise ValueError(f"subspace has {n} nodes, exceeding the configured cap of {max_nodes}")
+    if n > MAX_GRAPH_NODES:
+        raise ValueError(f"subspace has {n} nodes, exceeding the cap of {MAX_GRAPH_NODES}")
     if isinstance(mode, MeasuredSimilarity):
         if samples is None:
             raise ValueError("measured similarity requires evaluation records")
-        weight_table = measured_similarity(samples, subspace, mode)
+        weights = measured_similarity(samples, subspace, mode)
     else:
-        weight_table = None
+        weights = [mode.weight * (1 - np.eye(slot.radix)) for slot in subspace.slots]
 
-    digits = _digit_matrix(subspace)
-    idx = np.arange(n, dtype=np.int64)
-    rows, cols, weights = [], [], []
-    for j, (slot, w) in enumerate(zip(subspace.slots, subspace._place_weights)):
-        column = digits[:, j]
-        for c_a in range(slot.radix):
-            src = idx[column == c_a]
-            for c_b in range(c_a + 1, slot.radix):
-                dst = src + (c_b - c_a) * w
-                if weight_table is None:
-                    weight = mode.weight  # type: ignore[union-attr]
-                else:
-                    weight = weight_table[(slot.key, c_a, c_b)]
-                rows.append(src)
-                cols.append(dst)
-                weights.append(np.full(len(src), weight, dtype=np.float64))
-
-    if rows:
-        u = np.concatenate(rows)
-        v = np.concatenate(cols)
-        wv = np.concatenate(weights)
-        # store both directions; csr construction orders indices canonically
-        adjacency = sp.csr_matrix(
-            (np.concatenate([wv, wv]), (np.concatenate([u, v]), np.concatenate([v, u]))),
-            shape=(n, n),
-        )
-    else:
-        adjacency = sp.csr_matrix((n, n), dtype=np.float64)
+    # kronsum(A, W) = I (x) A + W (x) I puts W on the more significant digit,
+    # so fold from the last slot; the 1x1 start is the graph with no slots
+    adjacency = sp.csr_matrix((1, 1))
+    for w in reversed(weights):
+        adjacency = sp.kronsum(adjacency, w, format="csr")
 
     spec = subspace.spec
-    choice_matrix = _materialized_choices(subspace, digits)
+    choice_matrix = _materialized_choices(subspace, _digit_matrix(subspace))
     gray = gray_code_table(spec.choices_per_layer, spec.bits_per_cell).astype(np.float32)
     features = gray[choice_matrix].reshape(n, spec.feature_dim)
     return ArchGraph(subspace, n, adjacency, features, choice_matrix)
@@ -216,10 +196,11 @@ def normalize_adjacency(graph: ArchGraph) -> sp.csr_matrix:
     """
     if graph.normalized is None:
         a_tilde = (graph.adjacency + sp.eye(graph.num_nodes, format="csr")).tocsr()
-        degree = np.asarray(a_tilde.sum(axis=1)).ravel()
-        inv_sqrt = 1.0 / np.sqrt(degree)
-        normalized = a_tilde.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :])
-        graph.normalized = normalized.tocsr()
+        inv_sqrt = 1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel())
+        # rows, then columns, in place: the roundings of D^(-1/2) applied on each side
+        a_tilde.data *= np.repeat(inv_sqrt, np.diff(a_tilde.indptr))
+        a_tilde.data *= inv_sqrt[a_tilde.indices]
+        graph.normalized = a_tilde
     return graph.normalized
 
 
@@ -235,10 +216,10 @@ def dump_graph(graph: ArchGraph, path_prefix: str | Path) -> tuple[Path, Path]:
     prefix = Path(path_prefix)
     edges_path = prefix.with_name(prefix.name + ".edges.txt")
     features_path = prefix.with_name(prefix.name + ".features.npy")
+    # the upper triangle of a canonical CSR comes out in (u, v) order
     coo = sp.triu(graph.adjacency, k=1).tocoo()
-    order = np.lexsort((coo.col, coo.row))
     with edges_path.open("w", encoding="utf-8") as fh:
-        for u, v, w in zip(coo.row[order], coo.col[order], coo.data[order]):
+        for u, v, w in zip(coo.row, coo.col, coo.data):
             fh.write(f"{u} {v} {w:.9g}\n")
     np.save(features_path, graph.features)
     return edges_path, features_path

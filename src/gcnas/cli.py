@@ -268,7 +268,6 @@ def parse_config(raw: Any) -> RunConfig:
     )
     resolved = {
         "seed": seed,
-        "output_dir": str(output_dir),
         "search_space": _values(space),
         "plan": [len(seg) for seg in plan.segments],
         "initial_architecture": initial.to_text(),

@@ -46,7 +46,8 @@ class GcnConfig:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        np.dtype(self.dtype)  # fail early on unknown dtypes
+        if np.dtype(self.dtype) not in (np.float32, np.float64):
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
 
 #: reduced-width profile for CI runs; search quality tracks the full-width

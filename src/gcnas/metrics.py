@@ -85,9 +85,10 @@ def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
 
 
 def regression_score(pred: Sequence[float], target: Sequence[float]) -> float:
-    """Coefficient of determination of the least-squares linear fit of
-    ``target`` on ``pred``; 1 for a perfect affine relation, 0 when ``pred``
-    carries no linear information."""
+    """Squared Pearson correlation of ``pred`` and ``target``: the coefficient
+    of determination of the least-squares linear fit of ``target`` on
+    ``pred``; 1 for a perfect affine relation, 0 when ``pred`` carries no
+    linear information."""
     p = np.asarray(pred, dtype=np.float64)
     t = np.asarray(target, dtype=np.float64)
     if p.ndim != 1 or t.ndim != 1:
@@ -96,14 +97,13 @@ def regression_score(pred: Sequence[float], target: Sequence[float]) -> float:
         raise ValueError(f"length mismatch: {len(p)} vs {len(t)}")
     if len(p) < 2:
         raise ValueError(f"need at least 2 items, got {len(p)}")
-    ss_tot = float(((t - t.mean()) ** 2).sum())
+    pc = p - p.mean()
+    tc = t - t.mean()
+    ss_tot = float((tc**2).sum())
     if ss_tot == 0.0:
         raise ValueError("regression score undefined: target has zero variance")
-    var_p = float(((p - p.mean()) ** 2).sum())
+    var_p = float((pc**2).sum())
     if var_p == 0.0:
         # fit collapses to the target mean
         return 0.0
-    slope = float(((p - p.mean()) * (t - t.mean())).sum()) / var_p
-    intercept = t.mean() - slope * p.mean()
-    residual = t - (slope * p + intercept)
-    return 1.0 - float((residual**2).sum()) / ss_tot
+    return float((pc * tc).sum()) ** 2 / (var_p * ss_tot)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gcnas.evaluator import GroundTruthParams, _interaction_table
 from gcnas.search_space import (
@@ -108,6 +109,16 @@ def ground_truth_reference(choice_matrix: np.ndarray, truth: GroundTruthParams) 
     return np.clip(z, 0.0, 1.0)
 
 
+def regression_score_reference(pred, target) -> float:
+    """1 - SS_res / SS_tot of the least-squares line of target on pred; the
+    reference for the squared correlation in regression_score."""
+    p = np.asarray(pred, dtype=np.float64)
+    t = np.asarray(target, dtype=np.float64)
+    slope = float(((p - p.mean()) * (t - t.mean())).sum()) / float(((p - p.mean()) ** 2).sum())
+    residual = t - (slope * p + (t.mean() - slope * p.mean()))
+    return 1.0 - float((residual**2).sum()) / float(((t - t.mean()) ** 2).sum())
+
+
 def gray_encode(arch: Architecture, spec: SearchSpaceSpec) -> np.ndarray:
     """Gray-code bit vector of one architecture, one ``bits_per_cell`` block
     per cell in layer order; the reference for the graph's feature rows."""
@@ -150,6 +161,39 @@ def extract_assignment(subspace: Subspace, arch: Architecture) -> dict[SlotKey, 
                     "matches no super-cell candidate"
                 ) from None
     return assignment
+
+
+def hamming_adjacency_reference(subspace: Subspace, weight_of) -> sp.csr_matrix:
+    """Hamming-1 adjacency written out as an edge list: for each slot and
+    choice pair (c_a < c_b), every node at c_a links to the node at c_b with
+    weight ``weight_of(j, c_a, c_b)``, stored in both directions; the
+    reference for the Kronecker-sum construction in build_graph."""
+    n = subspace.node_count
+    idx = np.arange(n, dtype=np.int64)
+    rows, cols, weights = [], [], []
+    for j, (slot, w) in enumerate(zip(subspace.slots, subspace._place_weights)):
+        column = (idx // w) % slot.radix
+        for c_a in range(slot.radix):
+            src = idx[column == c_a]
+            for c_b in range(c_a + 1, slot.radix):
+                rows.append(src)
+                cols.append(src + (c_b - c_a) * w)
+                weights.append(np.full(len(src), weight_of(j, c_a, c_b), dtype=np.float64))
+    if not rows:
+        return sp.csr_matrix((n, n), dtype=np.float64)
+    u, v, wv = np.concatenate(rows), np.concatenate(cols), np.concatenate(weights)
+    return sp.csr_matrix(
+        (np.concatenate([wv, wv]), (np.concatenate([u, v]), np.concatenate([v, u]))),
+        shape=(n, n),
+    )
+
+
+def normalize_reference(adjacency: sp.csr_matrix) -> sp.csr_matrix:
+    """D^(-1/2) (A + I) D^(-1/2) by two broadcast multiplies; the reference
+    for the in-place scaling in normalize_adjacency."""
+    a_tilde = (adjacency + sp.eye(adjacency.shape[0], format="csr")).tocsr()
+    inv_sqrt = 1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel())
+    return a_tilde.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :]).tocsr()
 
 
 def power_iteration_largest_eigenvalue(matrix, iterations: int = 200, seed: int = 0) -> float:

@@ -1,13 +1,17 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcnas.arch_graph import (
+    MAX_GRAPH_NODES,
     ArchGraph,
+    AssignedSimilarity,
     MeasuredSimilarity,
     build_graph,
     dump_graph,
@@ -23,7 +27,14 @@ from gcnas.search_space import (
     materialize,
     sample_uniform,
 )
-from conftest import assignment_of, cell_hamming, gray_encode, power_iteration_largest_eigenvalue
+from conftest import (
+    assignment_of,
+    cell_hamming,
+    gray_encode,
+    hamming_adjacency_reference,
+    normalize_reference,
+    power_iteration_largest_eigenvalue,
+)
 
 ASSIGNED = math.exp(-0.5)
 
@@ -94,9 +105,15 @@ class TestBuildGraph:
                 assert (dense[u, v] > 0) == (slot_distance == 1)
 
     def test_node_cap(self):
-        sub = Subspace(SearchSpaceSpec(3, 6), (0, 1, 2), {})
-        with pytest.raises(ValueError, match="216.*100"):
-            build_graph(sub, max_nodes=100)
+        sub = Subspace(SearchSpaceSpec(8, 6), tuple(range(8)), {})
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{6**8}.*{MAX_GRAPH_NODES}"):
+                build_graph(sub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # rejected before any per-node array exists
 
     def test_features_are_gray_codes_of_materialized_archs(self):
         sc = SuperCell((0, 1), ((2, 5), (3, 3)))
@@ -113,6 +130,76 @@ class TestBuildGraph:
             build_graph(two_free_cells(), MeasuredSimilarity())
 
 
+@st.composite
+def subspaces(draw):
+    """Random specs (L 1-5, O 2-5) split into free, fixed and at most one
+    super-cell with K >= 1 distinct candidates."""
+    L = draw(st.integers(1, 5))
+    O = draw(st.integers(2, 5))
+    roles = draw(st.lists(st.sampled_from(("free", "fixed", "super")), min_size=L, max_size=L))
+    free = tuple(p for p, role in enumerate(roles) if role == "free")
+    fixed = {p: draw(st.integers(0, O - 1)) for p, role in enumerate(roles) if role == "fixed"}
+    positions = tuple(p for p, role in enumerate(roles) if role == "super")
+    super_cells = ()
+    if positions:
+        pool = list(itertools.product(range(O), repeat=len(positions)))
+        k = draw(st.integers(1, min(len(pool), 8)))
+        candidates = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k, unique=True))
+        super_cells = (SuperCell(positions, tuple(candidates)),)
+    return Subspace(SearchSpaceSpec(L, O), free, fixed, super_cells)
+
+
+ALL_FIXED = Subspace(SearchSpaceSpec(3, 4), (), {0: 1, 1: 0, 2: 3})
+
+
+def assert_same_csr(got, want):
+    assert got.has_canonical_format
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+class TestKroneckerSumMatchesEdgeList:
+    """build_graph and normalize_adjacency give the same bits as the edge-list
+    construction and the broadcast-multiply normalization."""
+
+    def check(self, graph, weight_of):
+        want = hamming_adjacency_reference(graph.subspace, weight_of)
+        assert_same_csr(graph.adjacency, want)
+        assert_same_csr(normalize_adjacency(graph), normalize_reference(want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(subspaces(), st.floats(1e-3, 10.0))
+    @example(ALL_FIXED, ASSIGNED)
+    def test_assigned(self, sub, weight):
+        graph = build_graph(sub, AssignedSimilarity(weight))
+        self.check(graph, lambda j, c_a, c_b: weight)
+
+    @settings(max_examples=60, deadline=None)
+    @given(subspaces(), st.integers(0, 2**32 - 1))
+    @example(ALL_FIXED, 0)
+    def test_measured_over_all_nodes(self, sub, seed):
+        accs = np.random.default_rng(seed).random(sub.node_count)
+        samples = [(assignment_of(sub, i), float(acc)) for i, acc in enumerate(accs)]
+        mode = MeasuredSimilarity(min_pairs=2)
+        table = measured_similarity(samples, sub, mode)
+        for w, slot in zip(table, sub.slots):
+            assert w.shape == (slot.radix, slot.radix)
+            assert np.array_equal(w, w.T) and not w.diagonal().any()
+        graph = build_graph(sub, mode, samples=samples)
+        self.check(graph, lambda j, c_a, c_b: table[j][c_a, c_b])
+
+    def test_search_ci_round_one_shape(self):
+        # 10x6 space, plan [5, 5]: five free cells plus a K=6 super-cell, 6^6 nodes
+        rng = np.random.default_rng(5)
+        pool = sorted({tuple(rng.integers(0, 6, 5).tolist()) for _ in range(40)})
+        candidates = [pool[i] for i in rng.choice(len(pool), 6, replace=False)]
+        sub = Subspace(SearchSpaceSpec(10, 6), (5, 6, 7, 8, 9), {},
+                       (SuperCell((0, 1, 2, 3, 4), candidates),))
+        graph = build_graph(sub)
+        assert graph.num_nodes == 6**6
+        self.check(graph, lambda j, c_a, c_b: ASSIGNED)
+
+
 class TestMeasuredSimilarity:
     def make_samples(self, sub, accuracy_of):
         samples = []
@@ -126,7 +213,7 @@ class TestMeasuredSimilarity:
         # between any two values gives perfectly correlated accuracies
         samples = self.make_samples(sub, lambda a: 0.5 + 0.01 * a[1])
         table = measured_similarity(samples, sub, MeasuredSimilarity(min_pairs=4))
-        assert table[(0, 0, 1)] == pytest.approx(1.0)
+        assert table[0][0, 1] == pytest.approx(1.0)
 
     def test_anticorrelated_pair_clamps_to_floor(self):
         sub = Subspace(SearchSpaceSpec(2, 6), (0, 1), {})
@@ -137,13 +224,13 @@ class TestMeasuredSimilarity:
 
         samples = self.make_samples(sub, accuracy)
         table = measured_similarity(samples, sub, MeasuredSimilarity(min_pairs=4, floor=0.01))
-        assert table[(0, 0, 1)] == pytest.approx(0.01)
+        assert table[0][0, 1] == pytest.approx(0.01)
 
     def test_sparse_statistics_fall_back(self):
         sub = Subspace(SearchSpaceSpec(2, 6), (0, 1), {})
         samples = self.make_samples(sub, lambda a: 0.5 + 0.01 * a[1])
         table = measured_similarity(samples, sub, MeasuredSimilarity(min_pairs=30))
-        assert table[(0, 0, 1)] == pytest.approx(ASSIGNED)
+        assert table[0][0, 1] == pytest.approx(ASSIGNED)
 
     def test_empty_samples_error(self):
         with pytest.raises(ValueError):

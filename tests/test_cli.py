@@ -36,13 +36,15 @@ def tiny_config(tmp_path):
     return path, tmp_path / "out"
 
 
-# Config digests and the tiny-config result.json digest, recorded before the
-# schema was derived from the dataclasses; any drift changes every report.
+# Config digests and the tiny-config result.json digest. Recorded before the
+# schema was derived from the dataclasses, and recorded again when output_dir
+# left the hash (config_sha256 was the only byte that moved); any drift
+# changes every report.
 PINNED_DIGESTS = [
-    ({}, "24f75a810bcda3a4ef15e29a735b63c9a365a6e230346fc01ad08627ec4a0413"),
+    ({}, "2e0de7c615c8b84658f4fa624fbefb4a57b4d1e517a5814e00bae0156e185799"),
     (
         {"search": {"similarity": {"mode": "measured"}}},
-        "77004d6e33e355befc418f614edd6a24c962d5b5c24efb9ea14a88853f5b5e98",
+        "0279146d6845b3e06b8b9497c1bc17bd77ed33d8355154e3995d879e273c8d30",
     ),
     (
         {
@@ -55,10 +57,10 @@ PINNED_DIGESTS = [
             },
             "cost_model": {"fixed_cost": 1, "cell_cost": [[1, 2, 3, 4, 5, 6]] * 10},
         },
-        "c5d901d3a00fdabc237a8f53339c4d033fed3f8e186cf53aad37a126b1f79843",
+        "2d51e3c03cfd982de98f276912ed712c5782bf548e68cc9aef64d7099763e603",
     ),
 ]
-TINY_RESULT_SHA256 = "c96822d9c0314ef8cb9375ac9e0469a498c9d2cab80f65b556de7831af6630cc"
+TINY_RESULT_SHA256 = "64a52f849dd629ab28749f020f4c8e53aee43574250c5ed2e561677fdfe59546"
 
 # every leaf key of every section, as a dotted path below $
 LEAF_KEYS = [
@@ -106,11 +108,13 @@ class TestConfigSchema:
 
     def test_pinned_result_digest(self, tiny_config):
         path, out = tiny_config
-        raw = json.loads(path.read_text())
-        del raw["output_dir"]  # the output path is hashed; --out is not
-        path.write_text(json.dumps(raw))
         assert main(["search", "--config", str(path), "--out", str(out)]) == 0
         assert hashlib.sha256((out / "result.json").read_bytes()).hexdigest() == TINY_RESULT_SHA256
+
+    def test_output_dir_is_not_hashed(self):
+        dirs = ("a", "b/c", "gcnas-output")
+        digests = {parse_config({"output_dir": d}).config_sha256 for d in dirs}
+        assert digests == {parse_config({}).config_sha256}
 
     @pytest.mark.parametrize("dotted", LEAF_KEYS)
     @pytest.mark.parametrize("wrong", [{"an": "object"}, True], ids=["object", "bool"])
@@ -183,6 +187,11 @@ class TestConfigSchema:
             parse_config({"seed": "abc"})
         with pytest.raises(ConfigError, match=r"\$\.plan"):
             parse_config({"plan": "oops"})
+
+    @pytest.mark.parametrize("dtype", ["floatX", "int32", "bool", "float16", "complex128"])
+    def test_bad_dtype_is_a_config_error(self, dtype):
+        with pytest.raises(ConfigError, match=r"^\$\.search\.gcn: "):
+            parse_config({"search": {"gcn": {"dtype": dtype}}})
 
     def test_measured_similarity_parse(self):
         config = parse_config(

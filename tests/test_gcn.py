@@ -70,6 +70,9 @@ class TestInitModel:
             GcnConfig(epochs=0)
         with pytest.raises(TypeError):
             GcnConfig(dtype="floatX")
+        for dtype in ("int32", "bool", "float16", "complex128"):
+            with pytest.raises(ValueError, match="float32 or float64"):
+                GcnConfig(dtype=dtype)
 
 
 class TestSchedule:

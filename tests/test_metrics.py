@@ -14,6 +14,7 @@ from conftest import (
     TAU_TRUE_VS_A,
     TAU_TRUE_VS_B,
     merge_count_inversions_reference,
+    regression_score_reference,
     tau_brute,
     tau_pairs,
 )
@@ -166,6 +167,14 @@ class TestRegressionScore:
     def test_zero_target_variance_errors(self):
         with pytest.raises(ValueError):
             regression_score([1.0, 2.0], [3.0, 3.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 200), st.integers(0, 2**32 - 1), st.floats(0.0, 10.0))
+    def test_matches_least_squares_fit(self, n, seed, noise):
+        rng = np.random.default_rng(seed)
+        p = rng.standard_normal(n)
+        t = p + noise * rng.standard_normal(n)
+        assert regression_score(p, t) == pytest.approx(regression_score_reference(p, t), abs=1e-12)
 
     def test_bounded_above_by_one(self):
         rng = np.random.default_rng(5)
