@@ -1,6 +1,6 @@
 """Per-round architecture graphs.
 
-Nodes enumerate every assignment of a subspace in mixed-radix order; an
+Nodes enumerate every slot-digit row of a subspace in mixed-radix order; an
 undirected edge joins two nodes iff their architectures differ at exactly one
 searchable position (a super-cell counts as one position). Edge weights come
 from either a fixed assigned similarity or a measured, correlation-based
@@ -11,14 +11,14 @@ sum. The GCN consumes the symmetric renormalized adjacency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
 
-from .search_space import Architecture, SlotKey, Subspace, gray_code_table
+from .search_space import Architecture, Subspace, gray_code_table
 
 #: node cap; larger graphs are rejected before anything is allocated
 MAX_GRAPH_NODES = 6**7
@@ -40,7 +40,7 @@ class AssignedSimilarity:
 @dataclass(frozen=True)
 class MeasuredSimilarity:
     """Edge weights estimated from evaluation records: the correlation of
-    accuracies across sampled assignment pairs that differ only at the edge's
+    accuracies across sampled node pairs that differ only at the edge's
     position. Sparse statistics fall back to the assigned weight."""
 
     min_pairs: int = 30
@@ -59,13 +59,14 @@ SimilarityMode = Union[AssignedSimilarity, MeasuredSimilarity]
 
 @dataclass
 class ArchGraph:
-    """Graph over all assignments of a subspace.
+    """Graph over all nodes of a subspace.
 
     ``adjacency`` stores both directions of each undirected edge;
     ``features`` holds the Gray code of each node's fully materialized
     architecture (fixed cells included as constant bits); ``choice_matrix``
     keeps the materialized per-layer choices for cost and oracle lookups.
-    Instances are immutable once built; ``normalized`` is filled at most once.
+    Instances are immutable once built; ``normalized`` is filled at most once,
+    ``model_inputs`` at most once per model dtype, with (A_hat, A_hat @ X).
     """
 
     subspace: Subspace
@@ -74,79 +75,55 @@ class ArchGraph:
     features: np.ndarray
     choice_matrix: np.ndarray
     normalized: sp.csr_matrix | None = None
+    model_inputs: dict[np.dtype, tuple[sp.csr_matrix, np.ndarray]] = field(default_factory=dict)
 
 
-def node_index(subspace: Subspace, assignment: Mapping[SlotKey, int]) -> int:
-    """Mixed-radix index of an assignment over the subspace's canonical slot
-    order."""
-    return subspace.index_of(subspace.digits_from_assignment(assignment))
-
-
-def _digit_matrix(subspace: Subspace) -> np.ndarray:
-    """(num_nodes, num_slots) slot digits of every node."""
-    n = subspace.node_count
-    idx = np.arange(n, dtype=np.int64)
-    digits = np.empty((n, len(subspace.slots)), dtype=np.int64)
-    for j, (slot, w) in enumerate(zip(subspace.slots, subspace._place_weights)):
-        digits[:, j] = (idx // w) % slot.radix
-    return digits
-
-
-def _materialized_choices(subspace: Subspace, digits: np.ndarray) -> np.ndarray:
-    """(num_nodes, L) per-layer choices of every node's full architecture."""
-    n = len(digits)
-    L = subspace.spec.num_layers
-    choices = np.empty((n, L), dtype=np.int64)
-    for pos, c in subspace.fixed.items():
-        choices[:, pos] = c
-    for j, slot in enumerate(subspace.slots):
-        if slot.super_cell is None:
-            choices[:, slot.key] = digits[:, j]
-        else:
-            cand = np.asarray(slot.super_cell.candidates, dtype=np.int64)
-            choices[:, slot.super_cell.positions] = cand[digits[:, j]]
-    return choices
+def node_index(subspace: Subspace, row: Sequence[int]) -> int:
+    """Mixed-radix node id of one digit row."""
+    return int(subspace.index(np.asarray(row)[None])[0])
 
 
 def measured_similarity(
-    samples: Sequence[tuple[Mapping[SlotKey, int], float]],
+    digits: np.ndarray,
+    accuracies: np.ndarray,
     subspace: Subspace,
     mode: MeasuredSimilarity = MeasuredSimilarity(),
 ) -> list[np.ndarray]:
-    """Per-slot similarity matrices from evaluation records.
+    """Per-slot similarity matrices from evaluation records: digit rows and
+    their accuracies.
 
     For every searchable position and unordered choice pair, collects the
-    accuracies of sampled assignment pairs identical everywhere else and
-    takes their Pearson correlation, clamped to [floor, 1]. Pairs with fewer
-    than ``min_pairs`` observations (or degenerate variance) fall back to the
+    accuracies of sampled rows identical everywhere else and takes their
+    Pearson correlation, clamped to [floor, 1]. Pairs with fewer than
+    ``min_pairs`` observations (or degenerate variance) fall back to the
     assigned weight. Returns one symmetric, zero-diagonal matrix per slot.
     """
-    if not samples:
+    accuracies = np.asarray(accuracies, dtype=np.float64)
+    if len(accuracies) == 0:
         raise ValueError("measured similarity needs at least one evaluation record")
-    digit_rows = [subspace.digits_from_assignment(a) for a, _ in samples]
-    accs = [float(acc) for _, acc in samples]
+    digits = subspace._checked(digits)
+    if len(digits) != len(accuracies):
+        raise ValueError(f"{len(digits)} digit rows but {len(accuracies)} accuracies")
 
     weights = []
     for j, slot in enumerate(subspace.slots):
-        groups: dict[tuple[int, ...], dict[int, float]] = {}
-        for row, acc in zip(digit_rows, accs):
-            key = row[:j] + row[j + 1 :]
-            groups.setdefault(key, {})[row[j]] = acc
+        # rows equal off slot j form a group, groups in first-seen order;
+        # a repeated row keeps its last accuracy
+        _, first, inverse = np.unique(
+            np.delete(digits, j, axis=1), axis=0, return_index=True, return_inverse=True
+        )
+        group = np.argsort(np.argsort(first))[inverse.reshape(-1)]
+        table = np.full((len(first), slot.radix), np.nan)
+        table[group, digits[:, j]] = accuracies
         w = np.zeros((slot.radix, slot.radix))
         for c_a in range(slot.radix):
             for c_b in range(c_a + 1, slot.radix):
-                xs, ys = [], []
-                for by_choice in groups.values():
-                    if c_a in by_choice and c_b in by_choice:
-                        xs.append(by_choice[c_a])
-                        ys.append(by_choice[c_b])
+                both = ~np.isnan(table[:, c_a]) & ~np.isnan(table[:, c_b])
+                x, y = table[both, c_a], table[both, c_b]
                 weight = mode.fallback_weight
-                if len(xs) >= mode.min_pairs:
-                    x = np.asarray(xs)
-                    y = np.asarray(ys)
-                    if x.std() > 0 and y.std() > 0:
-                        r = float(np.corrcoef(x, y)[0, 1])
-                        weight = min(1.0, max(mode.floor, r))
+                if len(x) >= mode.min_pairs and x.std() > 0 and y.std() > 0:
+                    r = float(np.corrcoef(x, y)[0, 1])
+                    weight = min(1.0, max(mode.floor, r))
                 w[c_a, c_b] = w[c_b, c_a] = weight
         weights.append(w)
     return weights
@@ -155,15 +132,16 @@ def measured_similarity(
 def build_graph(
     subspace: Subspace,
     mode: SimilarityMode = AssignedSimilarity(),
-    samples: Sequence[tuple[Mapping[SlotKey, int], float]] | None = None,
+    samples: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> ArchGraph:
     """Construct the Hamming-1 graph of a subspace.
 
-    Edges link every pair of assignments differing in exactly one searchable
-    position; weights follow ``mode``. The graph is the Cartesian product of
-    one weighted complete graph per slot, so its adjacency is the Kronecker
-    sum of the per-slot similarity matrices. Node features are the Gray
-    codes of the materialized architectures.
+    Edges link every pair of nodes differing in exactly one searchable
+    position; weights follow ``mode``, measured ones from ``samples``, the
+    (digit rows, accuracies) of evaluated nodes. The graph is the Cartesian
+    product of one weighted complete graph per slot, so its adjacency is the
+    Kronecker sum of the per-slot similarity matrices. Node features are the
+    Gray codes of the materialized architectures.
     """
     n = subspace.node_count
     if n > MAX_GRAPH_NODES:
@@ -171,7 +149,7 @@ def build_graph(
     if isinstance(mode, MeasuredSimilarity):
         if samples is None:
             raise ValueError("measured similarity requires evaluation records")
-        weights = measured_similarity(samples, subspace, mode)
+        weights = measured_similarity(*samples, subspace, mode)
     else:
         weights = [mode.weight * (1 - np.eye(slot.radix)) for slot in subspace.slots]
 
@@ -182,7 +160,7 @@ def build_graph(
         adjacency = sp.kronsum(adjacency, w, format="csr")
 
     spec = subspace.spec
-    choice_matrix = _materialized_choices(subspace, _digit_matrix(subspace))
+    choice_matrix = subspace.choices(subspace.digits(np.arange(n)))
     gray = gray_code_table(spec.choices_per_layer, spec.bits_per_cell).astype(np.float32)
     features = gray[choice_matrix].reshape(n, spec.feature_dim)
     return ArchGraph(subspace, n, adjacency, features, choice_matrix)

@@ -187,6 +187,8 @@ def sample_choice_matrix(spec: SearchSpaceSpec, n: int, seed: int) -> np.ndarray
     n distinct rows have been seen, and the first occurrences are kept."""
     if n > spec.size:
         raise ValueError(f"cannot sample {n} distinct architectures from a space of {spec.size}")
+    if n < 0:
+        raise ValueError(f"sample count must be non-negative, got {n}")
     rng = np.random.default_rng(seed)
     dtype = np.min_scalar_type(spec.choices_per_layer - 1)
     row_bytes = np.dtype((np.void, spec.num_layers * dtype.itemsize))
@@ -222,6 +224,8 @@ def calibrate_sigma(
     lo_t, hi_t = target
     if not 0.0 < lo_t < hi_t < 1.0:
         raise ValueError(f"target window must satisfy 0 < lo < hi < 1, got {target}")
+    if n_archs < 2:
+        raise ValueError(f"n_archs must be >= 2 to rank two checkpoints, got {n_archs}")
     matrix = sample_choice_matrix(spec, n_archs, seed_stream(seed, "calibration-sample"))
     z = ground_truth_many(matrix, supernet.truth)
     spread = float(z.std())

@@ -100,14 +100,15 @@ def learning_rate_at(epoch: int, config: GcnConfig) -> float:
     return lr
 
 
-def _cast_inputs(graph: ArchGraph, dtype: np.dtype) -> tuple[sp.csr_matrix, np.ndarray]:
-    a_hat = normalize_adjacency(graph)
-    if a_hat.dtype != dtype:
-        a_hat = a_hat.astype(dtype)
-    features = graph.features
-    if features.dtype != dtype:
-        features = features.astype(dtype)
-    return a_hat, features
+def _model_inputs(graph: ArchGraph, dtype: np.dtype) -> tuple[sp.csr_matrix, np.ndarray]:
+    """A_hat and A_hat @ X in the model dtype; neither depends on the model,
+    so both are cached on the graph. Every dtype's A_hat shares the index
+    arrays of the float64 one."""
+    if dtype not in graph.model_inputs:
+        a = normalize_adjacency(graph)
+        a_hat = sp.csr_matrix((a.data.astype(dtype, copy=False), a.indices, a.indptr), a.shape)
+        graph.model_inputs[dtype] = (a_hat, a_hat @ graph.features.astype(dtype, copy=False))
+    return graph.model_inputs[dtype]
 
 
 def _forward_cached(
@@ -162,8 +163,7 @@ def forward(graph: ArchGraph, model: GcnModel) -> np.ndarray:
             f"graph features have dimension {graph.features.shape[1]}, "
             f"model expects {model.feat_dim}"
         )
-    a_hat, features = _cast_inputs(graph, dtype)
-    out, _ = _forward_cached(a_hat, a_hat @ features, model)
+    out, _ = _forward_cached(*_model_inputs(graph, dtype), model)
     return out
 
 
@@ -208,10 +208,9 @@ def loss_and_gradients(
     it (0.5 * weight_decay * ||W||^2 per weight array, bias excluded).
     """
     dtype = model.layer_weights[0].dtype
-    a_hat, features = _cast_inputs(graph, dtype)
     idx = np.asarray(node_indices, dtype=np.int64)
     y = np.asarray(targets, dtype=dtype)
-    return next(_steps(a_hat, a_hat @ features, model, idx, y, weight_decay))
+    return next(_steps(*_model_inputs(graph, dtype), model, idx, y, weight_decay))
 
 
 def train(
@@ -236,8 +235,7 @@ def train(
     dtype = np.dtype(config.dtype)
     y = np.asarray([v for _, v in labels], dtype=dtype)
 
-    a_hat, features = _cast_inputs(graph, dtype)
-    propagated = a_hat @ features
+    a_hat, propagated = _model_inputs(graph, dtype)
 
     model = init_model(graph.features.shape[1], config)
     # warm-start the regression offset; Adam's fixed step size would spend
@@ -281,8 +279,9 @@ def save_model(model: GcnModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> GcnModel:
-    """Read a :func:`save_model` file; a truncated file or trailing bytes
-    raise ``ValueError`` naming the path."""
+    """Read a :func:`save_model` file; a truncated file, trailing bytes or
+    array shapes that do not form a model raise ``ValueError`` naming the
+    path."""
     data = Path(path).read_bytes()
     if data[:4] != _MODEL_MAGIC:
         raise ValueError(f"{path}: not a model file")
@@ -308,7 +307,13 @@ def load_model(path: str | Path) -> GcnModel:
         raise ValueError(f"{path}: {len(data) - offset} trailing bytes after the last array")
     if len(arrays) < 3:
         raise ValueError(f"{path}: expected at least 3 arrays, found {len(arrays)}")
-    return GcnModel(arrays[:-2], arrays[-2], arrays[-1])
+    *weights, head, bias = arrays
+    chained = all(w.ndim == 2 for w in weights) and all(
+        a.shape[1] == b.shape[0] for a, b in zip(weights, weights[1:])
+    )
+    if not (chained and head.shape == (weights[-1].shape[1],) and bias.shape == (1,)):
+        raise ValueError(f"{path}: inconsistent array shapes {[a.shape for a in arrays]}")
+    return GcnModel(weights, head, bias)
 
 
 def write_loss_curve(losses: Sequence[float], path: str | Path) -> None:

@@ -19,7 +19,6 @@ import numpy as np
 from .arch_graph import (
     ArchGraph,
     AssignedSimilarity,
-    MeasuredSimilarity,
     SimilarityMode,
     build_graph,
     node_architecture,
@@ -217,18 +216,14 @@ def run_round(
     if config.constraint_budget is not None and cost_model is None:
         raise ValueError(f"round {round_index}: constraint_budget set but no cost model given")
 
-    assignments = sample_uniform(
+    digits = sample_uniform(
         subspace, config.m_samples, seed_stream(config.seed, "sample", round_index)
     )
-    node_ids = np.array([node_index(subspace, a) for a in assignments], dtype=np.int64)
-    archs = [materialize(subspace, a) for a in assignments]
+    node_ids = np.array([node_index(subspace, row) for row in digits], dtype=np.int64)
+    archs = [materialize(subspace, row) for row in digits]
     accuracies = _evaluate(evaluator, archs)
 
-    samples = list(zip(assignments, accuracies.tolist()))
-    needs_samples = isinstance(config.similarity, MeasuredSimilarity)
-    graph = build_graph(
-        subspace, config.similarity, samples=samples if needs_samples else None
-    )
+    graph = build_graph(subspace, config.similarity, samples=(digits, accuracies))
     normalize_adjacency(graph)
 
     split = config.train_split

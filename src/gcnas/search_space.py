@@ -9,15 +9,12 @@ binary-reflected Gray codes of the fully materialized architecture.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
-
-# A searchable slot is addressed either by its layer index (free cell) or by
-# the tuple of layer indices it spans (super-cell).
-SlotKey = Union[int, tuple[int, ...]]
 
 #: kernel {3,5,7} x expansion {3,6} labels of the default 6-choice cell
 DEFAULT_CHOICE_LABELS = ("k3_e3", "k3_e6", "k5_e3", "k5_e6", "k7_e3", "k7_e6")
@@ -135,24 +132,25 @@ class SuperCell:
         if len(set(candidates)) != len(candidates):
             raise ValueError("super-cell candidates must be distinct")
 
-    @property
-    def num_candidates(self) -> int:
-        return len(self.candidates)
-
 
 @dataclass(frozen=True)
 class Slot:
-    """One searchable position of a subspace in canonical order."""
+    """One searchable position of a subspace in canonical order: the layers
+    it sets and, per digit, the choices it puts there. A free cell ``p`` is
+    ``((p,), ((0,), ..., (O-1,)))``; a super-cell offers its candidates."""
 
-    key: SlotKey
-    radix: int
-    super_cell: SuperCell | None = None
+    positions: tuple[int, ...]
+    options: tuple[tuple[int, ...], ...]
+
+    @property
+    def radix(self) -> int:
+        return len(self.options)
 
 
 @dataclass(frozen=True)
 class Subspace:
     """The searchable region of one round: free cells, fixed cells and
-    super-cells partition the layer range."""
+    super-cells partition the layer range. A node is a row of slot digits."""
 
     spec: SearchSpaceSpec
     free_positions: tuple[int, ...]
@@ -186,51 +184,68 @@ class Subspace:
     @cached_property
     def slots(self) -> tuple[Slot, ...]:
         """Searchable slots sorted by their leading layer index."""
-        slots = [Slot(p, self.spec.choices_per_layer) for p in self.free_positions]
-        slots += [Slot(sc.positions, sc.num_candidates, sc) for sc in self.super_cells]
-        slots.sort(key=lambda s: s.key if isinstance(s.key, int) else s.key[0])
-        return tuple(slots)
+        every_choice = tuple((c,) for c in range(self.spec.choices_per_layer))
+        slots = [Slot((p,), every_choice) for p in self.free_positions]
+        slots += [Slot(sc.positions, sc.candidates) for sc in self.super_cells]
+        return tuple(sorted(slots, key=lambda s: s.positions[0]))
 
     @property
     def node_count(self) -> int:
-        n = 1
-        for slot in self.slots:
-            n *= slot.radix
-        return n
+        return math.prod(slot.radix for slot in self.slots)
 
     @cached_property
-    def _place_weights(self) -> tuple[int, ...]:
-        # big-endian mixed radix: first slot is most significant
-        weights = [1] * len(self.slots)
-        for j in range(len(self.slots) - 2, -1, -1):
-            weights[j] = weights[j + 1] * self.slots[j + 1].radix
-        return tuple(weights)
+    def _radices(self) -> np.ndarray:
+        return np.array([slot.radix for slot in self.slots], dtype=np.int64)
 
-    def digits_of(self, index: int) -> tuple[int, ...]:
-        if not 0 <= index < self.node_count:
-            raise ValueError(f"node index {index} is outside [0, {self.node_count})")
-        return tuple(
-            (index // w) % slot.radix for slot, w in zip(self.slots, self._place_weights)
-        )
+    @cached_property
+    def _place_weights(self) -> np.ndarray:
+        # big-endian mixed radix: the first slot is most significant
+        return self.node_count // np.cumprod(self._radices)
 
-    def index_of(self, digits: Sequence[int]) -> int:
-        index = 0
-        for slot, w, d in zip(self.slots, self._place_weights, digits):
-            if not 0 <= d < slot.radix:
-                raise ValueError(f"digit {d} for slot {slot.key} is outside [0, {slot.radix})")
-            index += int(d) * w
-        return index
+    @cached_property
+    def _gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flat option table and (S+1, L) offsets: the choices of digit rows
+        ``d`` are ``flat[d @ offsets[:-1] + offsets[-1]]``."""
+        L = self.spec.num_layers
+        flat = [self.fixed.get(pos, 0) for pos in range(L)]  # then each slot's options, row-major
+        offsets = np.zeros((len(self.slots) + 1, L), dtype=np.int64)
+        offsets[-1] = np.arange(L)
+        for j, slot in enumerate(self.slots):
+            width = len(slot.positions)
+            offsets[j, slot.positions] = width
+            offsets[-1, slot.positions] = len(flat) + np.arange(width)
+            flat += [c for option in slot.options for c in option]
+        return np.array(flat, dtype=np.int64), offsets
 
-    def assignment_from_digits(self, digits: Sequence[int]) -> dict[SlotKey, int]:
-        return {slot.key: int(d) for slot, d in zip(self.slots, digits)}
+    def _checked(self, digits: np.ndarray) -> np.ndarray:
+        d = np.asarray(digits, dtype=np.int64)
+        if d.ndim != 2 or d.shape[1] != len(self.slots):
+            raise ValueError(f"digit rows must have shape (n, {len(self.slots)}), got {d.shape}")
+        bad = (d < 0) | (d >= self._radices)
+        if np.count_nonzero(bad):
+            i, j = np.argwhere(bad)[0]
+            slot = self.slots[j]
+            raise ValueError(f"digit {d[i, j]} for slot {slot.positions} is outside [0, {slot.radix})")
+        return d
 
-    def digits_from_assignment(self, assignment: Mapping[SlotKey, int]) -> tuple[int, ...]:
-        digits = []
-        for slot in self.slots:
-            if slot.key not in assignment:
-                raise ValueError(f"assignment is missing slot {slot.key}")
-            digits.append(int(assignment[slot.key]))
-        return tuple(digits)
+    def digits(self, ids: np.ndarray) -> np.ndarray:
+        """(n, S) slot digits of the node ids ``ids``."""
+        ids = np.asarray(ids, dtype=np.int64)
+        bad = (ids < 0) | (ids >= self.node_count)
+        if np.count_nonzero(bad):
+            raise ValueError(f"node index {ids[bad][0]} is outside [0, {self.node_count})")
+        return ids[:, None] // self._place_weights % self._radices
+
+    def index(self, digits: np.ndarray) -> np.ndarray:
+        """(n,) mixed-radix node ids of the digit rows ``digits``."""
+        return self._checked(digits).dot(self._place_weights)
+
+    def choices(self, digits: np.ndarray) -> np.ndarray:
+        """(n, L) per-layer choices of the full architectures of ``digits``:
+        fixed choices copied, free digits inserted, super-cell digits
+        expanded to their candidate."""
+        flat, offsets = self._gather
+        return flat[self._checked(digits).dot(offsets[:-1]) + offsets[-1]]
 
 
 def full_subspace(spec: SearchSpaceSpec) -> Subspace:
@@ -287,35 +302,17 @@ def gray_code_table(num_codes: int, bits: int) -> np.ndarray:
     return ((gray[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
 
 
-def sample_uniform(subspace: Subspace, m: int, seed: int) -> list[dict[SlotKey, int]]:
-    """``m`` distinct node assignments drawn uniformly without replacement."""
+def sample_uniform(subspace: Subspace, m: int, seed: int) -> np.ndarray:
+    """Digit rows (m, S) of ``m`` distinct nodes drawn uniformly without replacement."""
     n = subspace.node_count
     if m > n:
         raise ValueError(f"cannot sample {m} distinct nodes from a subspace of {n} nodes")
     if m < 0:
         raise ValueError(f"sample count must be non-negative, got {m}")
     rng = np.random.default_rng(seed)
-    indices = rng.choice(n, size=m, replace=False)
-    return [subspace.assignment_from_digits(subspace.digits_of(int(i))) for i in indices]
+    return subspace.digits(rng.choice(n, size=m, replace=False))
 
 
-def materialize(subspace: Subspace, assignment: Mapping[SlotKey, int]) -> Architecture:
-    """Expand an assignment over a subspace's slots into a full architecture:
-    fixed choices copied, free choices inserted, super-cell picks expanded to
-    their candidate's sub-assignment."""
-    L = subspace.spec.num_layers
-    choices: list[int | None] = [None] * L
-    for pos, c in subspace.fixed.items():
-        choices[pos] = c
-    for slot in subspace.slots:
-        if slot.key not in assignment:
-            raise ValueError(f"assignment is missing slot {slot.key}")
-        pick = int(assignment[slot.key])
-        if not 0 <= pick < slot.radix:
-            raise ValueError(f"assignment {pick} for slot {slot.key} is outside [0, {slot.radix})")
-        if slot.super_cell is None:
-            choices[slot.key] = pick  # type: ignore[index]
-        else:
-            for pos, c in zip(slot.super_cell.positions, slot.super_cell.candidates[pick]):
-                choices[pos] = c
-    return Architecture(tuple(choices))  # type: ignore[arg-type]
+def materialize(subspace: Subspace, row: Sequence[int]) -> Architecture:
+    """The full architecture of one digit row."""
+    return Architecture(subspace.choices(np.asarray(row)[None])[0].tolist())

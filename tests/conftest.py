@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import strategies as st
 
 from gcnas.evaluator import GroundTruthParams, _interaction_table
 from gcnas.search_space import (
     Architecture,
     SearchSpaceSpec,
-    SlotKey,
     Subspace,
+    SuperCell,
     gray_code_table,
 )
 
@@ -134,33 +136,125 @@ def cell_hamming(a: Architecture, b: Architecture) -> int:
     return sum(x != y for x, y in zip(a.choices, b.choices))
 
 
-def assignment_of(subspace: Subspace, index: int) -> dict[SlotKey, int]:
-    """Slot assignment of a node index; the inverse of ``node_index``."""
-    return subspace.assignment_from_digits(subspace.digits_of(index))
+def _slots_reference(subspace: Subspace) -> list[tuple[int, int, SuperCell | None]]:
+    """(leading layer, radix, super-cell or None) of each slot in canonical
+    order, read from the free cells and super-cells, not from ``slots``."""
+    O = subspace.spec.choices_per_layer
+    slots = [(p, O, None) for p in subspace.free_positions]
+    slots += [(sc.positions[0], len(sc.candidates), sc) for sc in subspace.super_cells]
+    return sorted(slots, key=lambda s: s[0])
 
 
-def extract_assignment(subspace: Subspace, arch: Architecture) -> dict[SlotKey, int]:
+def _place_weights_reference(subspace: Subspace) -> list[int]:
+    slots = _slots_reference(subspace)
+    weights = [1] * len(slots)
+    for j in range(len(slots) - 2, -1, -1):
+        weights[j] = weights[j + 1] * slots[j + 1][1]
+    return weights
+
+
+def digits_of_reference(subspace: Subspace, index: int) -> tuple[int, ...]:
+    """Slot digits of one node id, one slot at a time; the reference for
+    ``Subspace.digits``."""
+    slots = _slots_reference(subspace)
+    if not 0 <= index < math.prod(radix for _, radix, _ in slots):
+        raise ValueError(f"node index {index} is outside the subspace")
+    weights = _place_weights_reference(subspace)
+    return tuple((index // w) % radix for (_, radix, _), w in zip(slots, weights))
+
+
+def index_of_reference(subspace: Subspace, digits) -> int:
+    """Node id of one full digit row; the reference for ``Subspace.index``."""
+    index = 0
+    weights = _place_weights_reference(subspace)
+    for (_, radix, _), w, d in zip(_slots_reference(subspace), weights, digits, strict=True):
+        if not 0 <= d < radix:
+            raise ValueError(f"digit {d} is outside [0, {radix})")
+        index += int(d) * w
+    return index
+
+
+def materialize_reference(subspace: Subspace, digits) -> tuple[int, ...]:
+    """Per-layer choices of one digit row: fixed choices copied, free digits
+    inserted, super-cell digits expanded to their candidate; the reference
+    for ``Subspace.choices``."""
+    choices: list[int | None] = [None] * subspace.spec.num_layers
+    for pos, c in subspace.fixed.items():
+        choices[pos] = c
+    for (lead, _, sc), d in zip(_slots_reference(subspace), digits, strict=True):
+        if sc is None:
+            choices[lead] = int(d)
+        else:
+            for pos, c in zip(sc.positions, sc.candidates[d]):
+                choices[pos] = c
+    return tuple(choices)  # type: ignore[arg-type]
+
+
+def measured_similarity_reference(digits, accuracies, subspace: Subspace, mode) -> list[np.ndarray]:
+    """Per-slot similarity matrices with records grouped in dicts keyed by
+    the other slots' digits, in first-seen order, a repeated row keeping its
+    last accuracy; the reference for ``measured_similarity``."""
+    rows = [tuple(int(d) for d in row) for row in digits]
+    accs = [float(acc) for acc in accuracies]
+    weights = []
+    for j, (_, radix, _) in enumerate(_slots_reference(subspace)):
+        groups: dict[tuple[int, ...], dict[int, float]] = {}
+        for row, acc in zip(rows, accs):
+            groups.setdefault(row[:j] + row[j + 1 :], {})[row[j]] = acc
+        w = np.zeros((radix, radix))
+        for c_a in range(radix):
+            for c_b in range(c_a + 1, radix):
+                pairs = [(g[c_a], g[c_b]) for g in groups.values() if c_a in g and c_b in g]
+                weight = mode.fallback_weight
+                if len(pairs) >= mode.min_pairs:
+                    x = np.asarray([p[0] for p in pairs])
+                    y = np.asarray([p[1] for p in pairs])
+                    if x.std() > 0 and y.std() > 0:
+                        weight = min(1.0, max(mode.floor, float(np.corrcoef(x, y)[0, 1])))
+                w[c_a, c_b] = w[c_b, c_a] = weight
+        weights.append(w)
+    return weights
+
+
+def extract_digits(subspace: Subspace, arch: Architecture) -> tuple[int, ...]:
     """Inverse of ``materialize`` for architectures consistent with the
-    subspace; raises if the architecture contradicts fixed cells or picks a
-    sub-assignment no super-cell candidate provides."""
+    subspace; raises if the architecture contradicts fixed cells or picks
+    choices no option of a slot provides."""
     subspace.spec.validate_architecture(arch)
     for pos, c in subspace.fixed.items():
         if arch.choices[pos] != c:
             raise ValueError(f"architecture choice {arch.choices[pos]} at fixed cell {pos} != {c}")
-    assignment: dict[SlotKey, int] = {}
+    digits = []
     for slot in subspace.slots:
-        if slot.super_cell is None:
-            assignment[slot.key] = arch.choices[slot.key]
-        else:
-            sub = tuple(arch.choices[p] for p in slot.super_cell.positions)
-            try:
-                assignment[slot.key] = slot.super_cell.candidates.index(sub)
-            except ValueError:
-                raise ValueError(
-                    f"sub-assignment {sub} at cells {slot.super_cell.positions} "
-                    "matches no super-cell candidate"
-                ) from None
-    return assignment
+        picked = tuple(arch.choices[p] for p in slot.positions)
+        try:
+            digits.append(slot.options.index(picked))
+        except ValueError:
+            raise ValueError(f"choices {picked} at cells {slot.positions} match no option") from None
+    return tuple(digits)
+
+
+@st.composite
+def subspaces(draw):
+    """Random specs (L 1-5, O 2-5) split into free, fixed and at most one
+    super-cell with K >= 1 distinct candidates."""
+    L = draw(st.integers(1, 5))
+    O = draw(st.integers(2, 5))
+    roles = draw(st.lists(st.sampled_from(("free", "fixed", "super")), min_size=L, max_size=L))
+    free = tuple(p for p, role in enumerate(roles) if role == "free")
+    fixed = {p: draw(st.integers(0, O - 1)) for p, role in enumerate(roles) if role == "fixed"}
+    positions = tuple(p for p, role in enumerate(roles) if role == "super")
+    super_cells = ()
+    if positions:
+        pool = list(itertools.product(range(O), repeat=len(positions)))
+        k = draw(st.integers(1, min(len(pool), 8)))
+        candidates = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k, unique=True))
+        super_cells = (SuperCell(positions, tuple(candidates)),)
+    return Subspace(SearchSpaceSpec(L, O), free, fixed, super_cells)
+
+
+#: the single-node subspace with every layer fixed
+ALL_FIXED = Subspace(SearchSpaceSpec(3, 4), (), {0: 1, 1: 0, 2: 3})
 
 
 def hamming_adjacency_reference(subspace: Subspace, weight_of) -> sp.csr_matrix:
@@ -171,11 +265,12 @@ def hamming_adjacency_reference(subspace: Subspace, weight_of) -> sp.csr_matrix:
     n = subspace.node_count
     idx = np.arange(n, dtype=np.int64)
     rows, cols, weights = [], [], []
-    for j, (slot, w) in enumerate(zip(subspace.slots, subspace._place_weights)):
-        column = (idx // w) % slot.radix
-        for c_a in range(slot.radix):
+    slots = _slots_reference(subspace)
+    for j, ((_, radix, _), w) in enumerate(zip(slots, _place_weights_reference(subspace))):
+        column = (idx // w) % radix
+        for c_a in range(radix):
             src = idx[column == c_a]
-            for c_b in range(c_a + 1, slot.radix):
+            for c_b in range(c_a + 1, radix):
                 rows.append(src)
                 cols.append(src + (c_b - c_a) * w)
                 weights.append(np.full(len(src), weight_of(j, c_a, c_b), dtype=np.float64))

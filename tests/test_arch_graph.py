@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 
@@ -28,12 +27,14 @@ from gcnas.search_space import (
     sample_uniform,
 )
 from conftest import (
-    assignment_of,
+    ALL_FIXED,
     cell_hamming,
     gray_encode,
     hamming_adjacency_reference,
+    measured_similarity_reference,
     normalize_reference,
     power_iteration_largest_eigenvalue,
+    subspaces,
 )
 
 ASSIGNED = math.exp(-0.5)
@@ -46,12 +47,17 @@ def two_free_cells() -> Subspace:
 class TestNodeIndex:
     def test_corners(self):
         sub = two_free_cells()
-        assert node_index(sub, {0: 0, 1: 0}) == 0
-        assert node_index(sub, {0: 5, 1: 5}) == 35
+        assert node_index(sub, [0, 0]) == 0
+        assert node_index(sub, [5, 5]) == 35
 
     def test_out_of_range_index(self):
-        with pytest.raises(ValueError):
-            assignment_of(two_free_cells(), 36)
+        for index in (36, -1):
+            with pytest.raises(ValueError, match=f"{index} is outside"):
+                two_free_cells().digits([index])
+
+    def test_short_row_errors(self):
+        with pytest.raises(ValueError, match="shape"):
+            node_index(two_free_cells(), [3])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**9))
@@ -59,7 +65,7 @@ class TestNodeIndex:
         sc = SuperCell((2, 3), ((0, 0), (1, 5), (2, 2)))
         sub = Subspace(SearchSpaceSpec(5, 6), (0, 4), {1: 3}, (sc,))
         index = raw % sub.node_count
-        assert node_index(sub, assignment_of(sub, index)) == index
+        assert node_index(sub, sub.digits([index])[0]) == index
 
 
 class TestBuildGraph:
@@ -86,7 +92,7 @@ class TestBuildGraph:
         sub = Subspace(SearchSpaceSpec(3, 6), (0, 1, 2), {})
         graph = build_graph(sub)
         dense = graph.adjacency.toarray()
-        archs = [materialize(sub, assignment_of(sub, i)) for i in range(216)]
+        archs = [materialize(sub, row) for row in sub.digits(np.arange(216))]
         for u in range(216):
             for v in range(u + 1, 216):
                 expected = ASSIGNED if cell_hamming(archs[u], archs[v]) == 1 else 0.0
@@ -98,7 +104,7 @@ class TestBuildGraph:
         sub = Subspace(SearchSpaceSpec(3, 6), (2,), {}, (sc,))
         graph = build_graph(sub)
         dense = graph.adjacency.toarray()
-        digits = [sub.digits_of(i) for i in range(graph.num_nodes)]
+        digits = sub.digits(np.arange(graph.num_nodes))
         for u in range(graph.num_nodes):
             for v in range(u + 1, graph.num_nodes):
                 slot_distance = sum(a != b for a, b in zip(digits[u], digits[v]))
@@ -121,35 +127,13 @@ class TestBuildGraph:
         graph = build_graph(sub)
         spec = sub.spec
         for index in range(graph.num_nodes):
-            arch = materialize(sub, assignment_of(sub, index))
+            arch = materialize(sub, sub.digits([index])[0])
             assert graph.features[index].tolist() == gray_encode(arch, spec).tolist()
             assert node_architecture(graph, index) == arch
 
     def test_measured_mode_requires_samples(self):
         with pytest.raises(ValueError, match="records"):
             build_graph(two_free_cells(), MeasuredSimilarity())
-
-
-@st.composite
-def subspaces(draw):
-    """Random specs (L 1-5, O 2-5) split into free, fixed and at most one
-    super-cell with K >= 1 distinct candidates."""
-    L = draw(st.integers(1, 5))
-    O = draw(st.integers(2, 5))
-    roles = draw(st.lists(st.sampled_from(("free", "fixed", "super")), min_size=L, max_size=L))
-    free = tuple(p for p, role in enumerate(roles) if role == "free")
-    fixed = {p: draw(st.integers(0, O - 1)) for p, role in enumerate(roles) if role == "fixed"}
-    positions = tuple(p for p, role in enumerate(roles) if role == "super")
-    super_cells = ()
-    if positions:
-        pool = list(itertools.product(range(O), repeat=len(positions)))
-        k = draw(st.integers(1, min(len(pool), 8)))
-        candidates = draw(st.lists(st.sampled_from(pool), min_size=k, max_size=k, unique=True))
-        super_cells = (SuperCell(positions, tuple(candidates)),)
-    return Subspace(SearchSpaceSpec(L, O), free, fixed, super_cells)
-
-
-ALL_FIXED = Subspace(SearchSpaceSpec(3, 4), (), {0: 1, 1: 0, 2: 3})
 
 
 def assert_same_csr(got, want):
@@ -178,14 +162,20 @@ class TestKroneckerSumMatchesEdgeList:
     @given(subspaces(), st.integers(0, 2**32 - 1))
     @example(ALL_FIXED, 0)
     def test_measured_over_all_nodes(self, sub, seed):
-        accs = np.random.default_rng(seed).random(sub.node_count)
-        samples = [(assignment_of(sub, i), float(acc)) for i, acc in enumerate(accs)]
+        # every node once, in a random order, then a few repeated with new accuracies
+        rng = np.random.default_rng(seed)
+        ids = rng.permutation(sub.node_count)
+        ids = np.concatenate([ids, rng.choice(ids, 3)])
+        digits, accs = sub.digits(ids), rng.random(len(ids))
         mode = MeasuredSimilarity(min_pairs=2)
-        table = measured_similarity(samples, sub, mode)
-        for w, slot in zip(table, sub.slots):
+        table = measured_similarity(digits, accs, sub, mode)
+        want = measured_similarity_reference(digits, accs, sub, mode)
+        assert len(table) == len(want) == len(sub.slots)
+        for w, ref, slot in zip(table, want, sub.slots):
             assert w.shape == (slot.radix, slot.radix)
             assert np.array_equal(w, w.T) and not w.diagonal().any()
-        graph = build_graph(sub, mode, samples=samples)
+            assert np.array_equal(w, ref)
+        graph = build_graph(sub, mode, samples=(digits, accs))
         self.check(graph, lambda j, c_a, c_b: table[j][c_a, c_b])
 
     def test_search_ci_round_one_shape(self):
@@ -202,17 +192,15 @@ class TestKroneckerSumMatchesEdgeList:
 
 class TestMeasuredSimilarity:
     def make_samples(self, sub, accuracy_of):
-        samples = []
-        for assignment in sample_uniform(sub, sub.node_count, seed=0):
-            samples.append((assignment, accuracy_of(assignment)))
-        return samples
+        digits = sample_uniform(sub, sub.node_count, seed=0)
+        return digits, np.array([accuracy_of(row) for row in digits])
 
     def test_perfectly_correlated_pair(self):
         sub = Subspace(SearchSpaceSpec(2, 6), (0, 1), {})
         # accuracy depends only on the *other* cell: swapping cell 0's choice
         # between any two values gives perfectly correlated accuracies
         samples = self.make_samples(sub, lambda a: 0.5 + 0.01 * a[1])
-        table = measured_similarity(samples, sub, MeasuredSimilarity(min_pairs=4))
+        table = measured_similarity(*samples, sub, MeasuredSimilarity(min_pairs=4))
         assert table[0][0, 1] == pytest.approx(1.0)
 
     def test_anticorrelated_pair_clamps_to_floor(self):
@@ -223,26 +211,41 @@ class TestMeasuredSimilarity:
             return 0.5 + sign * 0.01 * a[1]
 
         samples = self.make_samples(sub, accuracy)
-        table = measured_similarity(samples, sub, MeasuredSimilarity(min_pairs=4, floor=0.01))
+        table = measured_similarity(*samples, sub, MeasuredSimilarity(min_pairs=4, floor=0.01))
         assert table[0][0, 1] == pytest.approx(0.01)
 
     def test_sparse_statistics_fall_back(self):
         sub = Subspace(SearchSpaceSpec(2, 6), (0, 1), {})
         samples = self.make_samples(sub, lambda a: 0.5 + 0.01 * a[1])
-        table = measured_similarity(samples, sub, MeasuredSimilarity(min_pairs=30))
+        table = measured_similarity(*samples, sub, MeasuredSimilarity(min_pairs=30))
         assert table[0][0, 1] == pytest.approx(ASSIGNED)
+
+    def test_repeated_row_keeps_its_last_accuracy(self):
+        sub = Subspace(SearchSpaceSpec(2, 6), (0, 1), {})
+        digits, accs = self.make_samples(sub, lambda a: 0.5 + 0.01 * a[1])
+        mode = MeasuredSimilarity(min_pairs=4)
+        repeated = measured_similarity(np.vstack([digits, digits[:1]]), np.append(accs, 0.9), sub, mode)
+        overwritten = measured_similarity(digits, np.append(0.9, accs[1:]), sub, mode)
+        original = measured_similarity(digits, accs, sub, mode)
+        assert all(np.array_equal(a, b) for a, b in zip(repeated, overwritten))
+        assert not all(np.array_equal(a, b) for a, b in zip(repeated, original))
+
+    def test_rows_and_accuracies_must_pair_up(self):
+        sub = two_free_cells()
+        with pytest.raises(ValueError, match="3 digit rows but 2 accuracies"):
+            measured_similarity(sub.digits([0, 1, 2]), np.array([0.5, 0.6]), sub)
 
     def test_empty_samples_error(self):
         with pytest.raises(ValueError):
-            measured_similarity([], two_free_cells())
+            measured_similarity(np.empty((0, 2), dtype=np.int64), np.empty(0), two_free_cells())
 
     def test_weights_applied_to_edges(self):
         sub = Subspace(SearchSpaceSpec(2, 6), (0, 1), {})
         samples = self.make_samples(sub, lambda a: 0.5 + 0.01 * a[1])
         mode = MeasuredSimilarity(min_pairs=4)
         graph = build_graph(sub, mode, samples=samples)
-        u = node_index(sub, {0: 0, 1: 2})
-        v = node_index(sub, {0: 1, 1: 2})
+        u = node_index(sub, [0, 2])
+        v = node_index(sub, [1, 2])
         assert graph.adjacency[u, v] == pytest.approx(1.0)
 
 

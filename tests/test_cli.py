@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+import warnings
 
 import pytest
 
@@ -295,6 +296,17 @@ class TestOtherCommands:
         assert main(["calibrate-sigma", "--config", str(path), "--n", "200"]) == 0
         fragment = json.loads((out / "sigma.json").read_text())
         assert 0 < fragment["simulator"]["sigma"] < 1
+
+    @pytest.mark.parametrize("command", ["calibrate-sigma", "consistency"])
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_too_few_samples_exit_1_without_warnings(self, tiny_config, capsys, command, n):
+        path, _ = tiny_config
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", str(path), "--n", n]) == 1
+        assert caught == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
     def test_round_and_predict(self, tiny_config):
         path, out = tiny_config

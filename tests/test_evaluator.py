@@ -165,6 +165,13 @@ class TestCalibration:
         )
         assert 0.45 <= fresh <= 0.65
 
+    @pytest.mark.parametrize("n", [1, 0, -3])
+    def test_needs_two_architectures(self, n):
+        spec = SearchSpaceSpec(3, 3)
+        sn = SyntheticSupernet(GroundTruthParams.random(spec, 0))
+        with pytest.raises(ValueError, match=f"n_archs must be >= 2.*got {n}"):
+            calibrate_sigma(sn, spec, n_archs=n)
+
     def test_pinned_result(self):
         # literals recorded at an earlier commit: calibration output must
         # stay bitwise reproducible across refactors of the noise path
@@ -199,6 +206,11 @@ class TestSampleArchitectures:
     def test_space_size_bound(self):
         with pytest.raises(ValueError):
             sample_architectures(SearchSpaceSpec(2, 3), 10, seed=0)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError, match="non-negative, got -3"):
+            sample_choice_matrix(SearchSpaceSpec(2, 3), -3, seed=0)
+        assert sample_choice_matrix(SearchSpaceSpec(2, 3), 0, seed=0).shape == (0, 2)
 
 
 class TestCostModel:

@@ -7,6 +7,8 @@ import scipy.sparse as sp
 from gcnas.arch_graph import ArchGraph, build_graph, normalize_adjacency
 from gcnas.gcn import (
     GcnConfig,
+    GcnModel,
+    _forward_cached,
     forward,
     init_model,
     learning_rate_at,
@@ -229,6 +231,34 @@ class TestTraining:
             train(graph, [(0, float("inf"))], GcnConfig(hidden_dims=(4,), epochs=3))
 
 
+class TestModelInputs:
+    def test_cached_per_dtype_with_the_same_bits(self):
+        graph = toy_graph(num_free=2, choices=4)
+        labels = [(i, 0.5 + 0.01 * i) for i in range(8)]
+        config = GcnConfig(hidden_dims=(6, 6), epochs=3, seed=4, dtype="float32")
+        model, _ = train(graph, labels, config)
+        f32 = np.dtype(np.float32)
+        a_hat, propagated = graph.model_inputs[f32]
+        out = forward(graph, model)
+        loss_and_gradients(graph, model, [0, 1], [0.5, 0.6])
+        assert list(graph.model_inputs) == [f32]
+        assert graph.model_inputs[f32][0] is a_hat and graph.model_inputs[f32][1] is propagated
+        # the same bits as casting and propagating afresh
+        cast = normalize_adjacency(graph).astype(np.float32)
+        want, _ = _forward_cached(cast, cast @ graph.features, model)
+        assert out.tobytes() == want.tobytes()
+        assert out.tobytes() == forward(graph, model).tobytes()
+
+        model64 = init_model(graph.features.shape[1], GcnConfig(hidden_dims=(6, 6), seed=4))
+        forward(graph, model64)
+        assert list(graph.model_inputs) == [f32, np.dtype(np.float64)]
+        normalized = normalize_adjacency(graph)
+        for a, _ in graph.model_inputs.values():
+            assert np.shares_memory(a.indices, normalized.indices)
+            assert np.shares_memory(a.indptr, normalized.indptr)
+        assert np.shares_memory(graph.model_inputs[np.dtype(np.float64)][0].data, normalized.data)
+
+
 class TestModelIO:
     def test_save_load_roundtrip(self, tmp_path):
         model = init_model(9, GcnConfig(hidden_dims=(5, 3), seed=8, dtype="float32"))
@@ -262,6 +292,23 @@ class TestModelIO:
         path = tmp_path / "long.bin"
         path.write_bytes(self.saved_bytes(tmp_path) + b"\0\0\0")
         with pytest.raises(ValueError, match=re.escape(f"{path}: 3 trailing bytes")):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "weights, head, bias",
+        [
+            ([np.ones(9)], np.ones(9), np.ones(1)),  # 1-D layer weight
+            ([np.ones((9, 5)), np.ones((4, 3))], np.ones(3), np.ones(1)),  # layers do not chain
+            ([np.ones((9, 8))], np.ones((8, 1)), np.ones(1)),  # 2-D head
+            ([np.ones((9, 8))], np.ones(7), np.ones(1)),  # head narrower than the last layer
+            ([np.ones((9, 8))], np.ones(8), np.ones(3)),  # bias of three
+            ([np.ones((9, 8))], np.ones(8), np.ones((1, 1))),  # 2-D bias
+        ],
+    )
+    def test_inconsistent_shapes_name_path(self, tmp_path, weights, head, bias):
+        path = tmp_path / "shapes.bin"
+        save_model(GcnModel(weights, head, bias), path)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: inconsistent array shapes")):
             load_model(path)
 
     def test_loss_curve_format(self, tmp_path):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcnas.search_space import (
@@ -17,7 +17,16 @@ from gcnas.search_space import (
     materialize,
     sample_uniform,
 )
-from conftest import cell_hamming, extract_assignment, gray_encode
+from conftest import (
+    ALL_FIXED,
+    cell_hamming,
+    digits_of_reference,
+    extract_digits,
+    gray_encode,
+    index_of_reference,
+    materialize_reference,
+    subspaces,
+)
 
 
 class TestSearchSpaceSpec:
@@ -141,14 +150,14 @@ class TestSubspace:
 class TestSampleUniform:
     def test_exhaustive_covers_every_node(self):
         sub = Subspace(SearchSpaceSpec(2, 4), (0, 1), {})
-        assignments = sample_uniform(sub, 16, seed=5)
-        seen = {tuple(sorted(a.items())) for a in assignments}
-        assert len(seen) == 16
+        rows = sample_uniform(sub, 16, seed=5)
+        assert rows.shape == (16, 2)
+        assert len({tuple(row) for row in rows.tolist()}) == 16
 
     def test_deterministic_in_seed(self):
         sub = Subspace(SearchSpaceSpec(3, 6), (0, 1, 2), {})
-        assert sample_uniform(sub, 20, seed=9) == sample_uniform(sub, 20, seed=9)
-        assert sample_uniform(sub, 20, seed=9) != sample_uniform(sub, 20, seed=10)
+        assert np.array_equal(sample_uniform(sub, 20, seed=9), sample_uniform(sub, 20, seed=9))
+        assert not np.array_equal(sample_uniform(sub, 20, seed=9), sample_uniform(sub, 20, seed=10))
 
     def test_oversampling_names_both_quantities(self):
         sub = Subspace(SearchSpaceSpec(3, 6), (0, 1), {2: 0})
@@ -159,23 +168,24 @@ class TestSampleUniform:
 class TestMaterialize:
     def test_free_and_fixed(self):
         sub = Subspace(SearchSpaceSpec(3, 6), (0, 1), {2: 4})
-        assert materialize(sub, {0: 1, 1: 3}).choices == (1, 3, 4)
+        assert materialize(sub, [1, 3]).choices == (1, 3, 4)
 
     def test_supercell_expansion(self):
         sc = SuperCell((0, 1), ((2, 5), (3, 3)))
         sub = Subspace(SearchSpaceSpec(3, 6), (), {2: 0}, (sc,))
-        assert materialize(sub, {(0, 1): 0}).choices == (2, 5, 0)
-        assert materialize(sub, {(0, 1): 1}).choices == (3, 3, 0)
+        assert materialize(sub, [0]).choices == (2, 5, 0)
+        assert materialize(sub, [1]).choices == (3, 3, 0)
 
     def test_missing_position_errors(self):
         sub = Subspace(SearchSpaceSpec(3, 6), (0, 1), {2: 4})
-        with pytest.raises(ValueError, match="missing"):
-            materialize(sub, {0: 1})
+        with pytest.raises(ValueError, match=r"shape \(n, 2\), got \(1, 1\)"):
+            materialize(sub, [1])
 
     def test_out_of_range_errors(self):
         sub = Subspace(SearchSpaceSpec(3, 6), (0, 1), {2: 4})
-        with pytest.raises(ValueError):
-            materialize(sub, {0: 1, 1: 6})
+        for row in ([1, 6], [1, -1]):
+            with pytest.raises(ValueError, match=r"slot \(1,\) is outside \[0, 6\)"):
+                materialize(sub, row)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -198,9 +208,49 @@ class TestMaterialize:
         fixed = {p: data.draw(st.integers(0, O - 1)) for p in rest}
         sub = Subspace(spec, free, fixed, sc_cells)
         index = data.draw(st.integers(0, sub.node_count - 1))
-        assignment = sub.assignment_from_digits(sub.digits_of(index))
-        arch = materialize(sub, assignment)
-        assert extract_assignment(sub, arch) == assignment
+        row = tuple(sub.digits([index])[0].tolist())
+        assert extract_digits(sub, materialize(sub, row)) == row
+
+
+class TestCodec:
+    """``Subspace.digits``, ``index`` and ``choices`` give the same values as
+    the scalar, one-slot-at-a-time references, on every node."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(subspaces())
+    @example(ALL_FIXED)
+    def test_matches_scalar_references(self, sub):
+        ids = np.arange(sub.node_count)
+        digits = sub.digits(ids)
+        want = [digits_of_reference(sub, i) for i in range(sub.node_count)]
+        assert digits.shape == (sub.node_count, len(sub.slots))
+        assert np.array_equal(digits, np.array(want, dtype=np.int64).reshape(digits.shape))
+        assert np.array_equal(sub.index(digits), ids)
+        assert [index_of_reference(sub, row) for row in want] == ids.tolist()
+        choices = sub.choices(digits)
+        assert choices.dtype == np.int64
+        assert np.array_equal(choices, [materialize_reference(sub, row) for row in want])
+
+    def test_supercell_between_free_cells(self):
+        sc = SuperCell((1, 2), ((0, 1), (4, 4), (2, 3)))
+        sub = Subspace(SearchSpaceSpec(5, 5), (0, 4), {3: 2}, (sc,))
+        assert [s.positions for s in sub.slots] == [(0,), (1, 2), (4,)]
+        assert sub.slots[1].options == sc.candidates and sub.slots[1].radix == 3
+        assert sub.choices([[4, 1, 0], [0, 2, 3]]).tolist() == [[4, 4, 4, 2, 0], [0, 2, 3, 2, 3]]
+        assert sub.index([[4, 1, 0], [0, 2, 3]]).tolist() == [4 * 15 + 1 * 5, 2 * 5 + 3]
+
+    def test_checks_digit_rows(self):
+        sub = Subspace(SearchSpaceSpec(3, 6), (0, 1), {2: 4})
+        for bad in ([1, 2], [[1, 2, 3]], [[1]], [[[1, 2]]]):
+            with pytest.raises(ValueError, match="shape"):
+                sub.index(bad)
+            with pytest.raises(ValueError, match="shape"):
+                sub.choices(bad)
+        for bad in ([[0, 6]], [[-1, 0]]):
+            with pytest.raises(ValueError, match="outside"):
+                sub.index(bad)
+            with pytest.raises(ValueError, match="outside"):
+                sub.choices(bad)
 
 
 class TestSegmentPlan:
