@@ -40,9 +40,9 @@ from .search_engine import (
     ScoredArchitecture,
     SearchConfig,
     constraint_select,
+    iter_search_rounds,
     reverify,
     run_round,
-    run_search,
 )
 from .search_space import (
     Architecture,

@@ -52,6 +52,8 @@ class MeasuredSimilarity:
             raise ValueError(f"floor must be in (0, 1], got {self.floor}")
         if self.min_pairs < 2:
             raise ValueError(f"min_pairs must be >= 2, got {self.min_pairs}")
+        if not self.fallback_weight > 0:
+            raise ValueError(f"fallback weight must be positive, got {self.fallback_weight}")
 
 
 SimilarityMode = Union[AssignedSimilarity, MeasuredSimilarity]

@@ -186,7 +186,7 @@ def _parse_search(
     )
     values["similarity"] = _parse_similarity(values["similarity"], f"{path}.similarity")
     gcn_path = f"{path}.gcn"
-    gcn_values = _read(values["gcn"], gcn_path, _defaults(GcnConfig, ("seed",)))
+    gcn_values = _read(values["gcn"], gcn_path, _defaults(GcnConfig))
     values["gcn"] = _build(GcnConfig, gcn_path, **gcn_values)
     return _build(
         SearchConfig, path, plan=plan, seed=seed, initial_architecture=initial, **values
@@ -274,7 +274,7 @@ def parse_config(raw: Any) -> RunConfig:
         "search": _values(search, _SEARCH_SKIP)
         | {
             "similarity": {"mode": similarity_mode} | _values(search.similarity),
-            "gcn": _values(search.gcn, ("seed",)),
+            "gcn": _values(search.gcn),
         },
         "simulator": simulator_resolved,
         "cost_model": cost_model_resolved,
@@ -364,14 +364,13 @@ def _cmd_search(args: argparse.Namespace) -> int:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     reports = []
-    final = None
     for result in iter_search_rounds(
         config.space, config.simulator, config.search, config.cost_model
     ):
         _write_round(out, config, result, args.dump_predictions)
         reports.append(result.report)
-        final = result.preserved[0]
-    assert final is not None
+        del result  # free this round's graph and model before the next round starts
+    final = reports[-1].best_selected
     payload = {
         "architecture": final.architecture.to_text(),
         "accuracy": final.accuracy,

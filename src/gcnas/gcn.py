@@ -34,7 +34,6 @@ class GcnConfig:
     lr: float = 0.01
     lr_decay: float = 0.1
     weight_decay: float = 5e-4
-    seed: int = 0
     dtype: str = "float64"
 
     def __post_init__(self) -> None:
@@ -46,6 +45,10 @@ class GcnConfig:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not 0 < self.lr_decay <= 1:
+            raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if np.dtype(self.dtype) not in (np.float32, np.float64):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
@@ -72,12 +75,12 @@ class GcnModel:
         return self.layer_weights[0].shape[0]
 
 
-def init_model(feat_dim: int, config: GcnConfig) -> GcnModel:
+def init_model(feat_dim: int, config: GcnConfig, seed: int) -> GcnModel:
     """Glorot-uniform weights, zero head bias, deterministic in the seed."""
     if feat_dim < 1:
         raise ValueError(f"feat_dim must be >= 1, got {feat_dim}")
     dtype = np.dtype(config.dtype)
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
 
     def glorot(fan_in: int, fan_out: int) -> np.ndarray:
         limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -215,29 +218,35 @@ def loss_and_gradients(
 
 def train(
     graph: ArchGraph,
-    labels: Sequence[tuple[int, float]],
+    labels: tuple[Sequence[int], Sequence[float]],
     config: GcnConfig,
+    seed: int,
 ) -> tuple[GcnModel, list[float]]:
-    """Fit the regressor to (node index, accuracy) labels.
+    """Fit the regressor to ``labels``, a pair of equal-length arrays
+    ``(node_ids, targets)``, from initial weights drawn with ``seed``.
 
     Full-batch Adam on the mean absolute error plus L2 weight decay; the
     learning rate steps down at E/2 and 3E/4. Returns the model and the
     per-epoch training loss (measured before each update).
     """
-    if not labels:
+    node_ids, targets = labels
+    dtype = np.dtype(config.dtype)
+    idx = np.asarray(node_ids, dtype=np.int64)
+    y = np.asarray(targets, dtype=dtype)
+    if idx.ndim != 1 or idx.shape != y.shape:
+        raise ValueError(
+            f"need one target per labeled node, got {idx.shape} ids and {y.shape} targets"
+        )
+    if len(idx) == 0:
         raise ValueError("training needs at least one labeled node")
-    idx = np.asarray([i for i, _ in labels], dtype=np.int64)
     if idx.min() < 0 or idx.max() >= graph.num_nodes:
         raise ValueError(
             f"label node indices must lie in [0, {graph.num_nodes}), "
             f"got range [{idx.min()}, {idx.max()}]"
         )
-    dtype = np.dtype(config.dtype)
-    y = np.asarray([v for _, v in labels], dtype=dtype)
-
     a_hat, propagated = _model_inputs(graph, dtype)
 
-    model = init_model(graph.features.shape[1], config)
+    model = init_model(graph.features.shape[1], config, seed)
     # warm-start the regression offset; Adam's fixed step size would spend
     # most of the schedule crawling from 0 to the label mean otherwise
     model.bias[0] = y.mean()

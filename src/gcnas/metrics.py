@@ -9,20 +9,11 @@ from typing import Sequence
 import numpy as np
 
 
-def _tie_pair_count(values: np.ndarray) -> int:
-    """Number of item pairs sharing the same value."""
-    _, counts = np.unique(values, return_counts=True)
-    return int((counts * (counts - 1) // 2).sum())
-
-
-def _joint_tie_pair_count(x: np.ndarray, y: np.ndarray) -> int:
-    """Number of item pairs tied in both vectors at once."""
-    order = np.lexsort((y, x))
-    xs, ys = x[order], y[order]
-    new_group = np.empty(len(xs), dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (xs[1:] != xs[:-1]) | (ys[1:] != ys[:-1])
-    counts = np.diff(np.flatnonzero(np.append(new_group, True)))
+def _tied_pairs(new_run: np.ndarray) -> int:
+    """Item pairs within runs of equal items of a sorted sequence, given
+    ``new_run[i]``: whether item ``i + 1`` starts a new run."""
+    starts = np.flatnonzero(np.concatenate(([True], new_run, [True])))
+    counts = np.diff(starts)
     return int((counts * (counts - 1) // 2).sum())
 
 
@@ -67,15 +58,17 @@ def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
         raise ValueError("tau undefined: inputs contain NaN")
 
     order = np.lexsort((y, x))
-    ys = y[order]
+    xs, ys = x[order], y[order]
     # after sorting by (x asc, y asc), strict y-descents are exactly the
     # discordant pairs: x-tied pairs are y-sorted, y-tied pairs never descend
-    discordant, _ = _merge_count_inversions(ys)
+    discordant, y_sorted = _merge_count_inversions(ys)
 
+    # the (x, y) order puts x ties, and within them joint ties, in runs
+    new_x = xs[1:] != xs[:-1]
     n0 = n * (n - 1) // 2
-    ties_a = _tie_pair_count(x)
-    ties_b = _tie_pair_count(y)
-    ties_both = _joint_tie_pair_count(x, y)
+    ties_a = _tied_pairs(new_x)
+    ties_b = _tied_pairs(y_sorted[1:] != y_sorted[:-1])
+    ties_both = _tied_pairs(new_x | (ys[1:] != ys[:-1]))
     comparable = n0 - ties_a - ties_b + ties_both
     numerator = comparable - 2 * discordant  # C - D
     denom = math.sqrt((n0 - ties_a) * (n0 - ties_b))

@@ -9,7 +9,6 @@ as a super-cell; after the last round the re-verified top-1 is the result.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
@@ -227,14 +226,12 @@ def run_round(
     normalize_adjacency(graph)
 
     split = config.train_split
-    train_labels = list(zip(node_ids[:split].tolist(), accuracies[:split].tolist()))
     val_ids = node_ids[split:]
     val_accs = accuracies[split:]
 
-    gcn_config = dataclasses.replace(
-        config.gcn, seed=seed_stream(config.seed, "gcn-init", round_index)
-    )
-    model, loss_curve = train(graph, train_labels, gcn_config)
+    labels = (node_ids[:split], accuracies[:split])
+    seed = seed_stream(config.seed, "gcn-init", round_index)
+    model, loss_curve = train(graph, labels, config.gcn, seed)
     predictions = forward(graph, model)
 
     tau_val = kendall_tau(predictions[val_ids], val_accs)
@@ -331,23 +328,10 @@ def iter_search_rounds(
         preserved = result.preserved
         searched.extend(segment)
         yield result
-
-
-def run_search(
-    spec: SearchSpaceSpec,
-    evaluator: Evaluator,
-    config: SearchConfig,
-    cost_model: CostModel | None = None,
-) -> tuple[Architecture, list[RoundReport]]:
-    """Run every segment of the plan in order and return the final
-    re-verified top-1 architecture with the per-round reports."""
-    reports: list[RoundReport] = []
-    final: ScoredArchitecture | None = None
-    for result in iter_search_rounds(spec, evaluator, config, cost_model):
-        reports.append(result.report)
-        final = result.preserved[0]
-    assert final is not None  # plans are non-empty by construction
-    return final.architecture, reports
+        # the next round needs only the preserved candidates; holding this
+        # round's result would keep its graph and model alive while the next
+        # round builds and trains its own
+        del result
 
 
 def constraint_select(

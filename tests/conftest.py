@@ -10,7 +10,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
-from gcnas.evaluator import GroundTruthParams, _interaction_table
+from gcnas.evaluator import Evaluator, GroundTruthParams, _interaction_table
+from gcnas.search_engine import RoundReport, SearchConfig, iter_search_rounds
 from gcnas.search_space import (
     Architecture,
     SearchSpaceSpec,
@@ -305,6 +306,15 @@ def power_iteration_largest_eigenvalue(matrix, iterations: int = 200, seed: int 
         value = float(v @ w)
         v = w / norm
     return value
+
+
+def final_and_reports(
+    spec: SearchSpaceSpec, evaluator: Evaluator, config: SearchConfig
+) -> tuple[Architecture, list[RoundReport]]:
+    """A whole search through the driver: the last round's re-verified top-1
+    architecture and every round's report."""
+    reports = [result.report for result in iter_search_rounds(spec, evaluator, config)]
+    return reports[-1].best_selected.architecture, reports
 
 
 @pytest.fixture(scope="session")

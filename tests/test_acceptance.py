@@ -23,6 +23,7 @@ from conftest import (
     ACC_TRUE,
     TAU_TRUE_VS_A,
     TAU_TRUE_VS_B,
+    final_and_reports,
     power_iteration_largest_eigenvalue,
     tau_brute,
 )
@@ -199,7 +200,7 @@ class TestCriterion5OracleEquivalence:
                 m_samples=36, train_split=30, top_pool=36, k_preserve=1,
                 plan=g.make_segment_plan(spec, [2, 2]), gcn=small_gcn, seed=trial,
             )
-            final, _ = g.run_search(spec, sep_supernet, sep_config)
+            final, _ = final_and_reports(spec, sep_supernet, sep_config)
             expected = tuple(int(c) for c in separable.cell_utility.argmax(axis=1))
             search_hits += final.choices == expected
 
@@ -215,7 +216,7 @@ class TestCriterion5OracleEquivalence:
 
         ok = round_hits == search_hits == constraint_hits == trials
         report("5 (oracle equivalence)", ok,
-               f"run_round {round_hits}/{trials}, run_search {search_hits}/{trials}, "
+               f"run_round {round_hits}/{trials}, search {search_hits}/{trials}, "
                f"constraint_select {constraint_hits}/{trials}")
         assert round_hits == trials
         assert search_hits == trials
@@ -246,7 +247,7 @@ class TestCriterion7Scale:
         assert graph.num_nodes == 279_936
         assert degrees.min() == degrees.max() == 35
 
-        model = g.init_model(57, GcnConfig(dtype="float32", seed=0))
+        model = g.init_model(57, GcnConfig(dtype="float32"), 0)
         t0 = time.perf_counter()
         predictions = g.forward(graph, model)
         forward_seconds = time.perf_counter() - t0
@@ -267,8 +268,8 @@ class TestCriterion8NumericalSuite:
         sub = g.Subspace(spec, (0, 1), {2: 0})  # 16 nodes
         graph = g.build_graph(sub)
         a_hat = g.normalize_adjacency(graph)
-        config = GcnConfig(hidden_dims=(4,), seed=3, dtype="float64")
-        model = g.init_model(graph.features.shape[1], config)
+        config = GcnConfig(hidden_dims=(4,), dtype="float64")
+        model = g.init_model(graph.features.shape[1], config, 3)
         model.bias[0] = 0.4
         # the loss must be locally smooth at the test point: keep relu
         # pre-activations and residuals clear of their kinks by more than the
@@ -391,7 +392,7 @@ class TestCriterion9PreservationAblation:
                     m_samples=180, train_split=150, top_pool=100, k_preserve=k,
                     plan=plan, gcn=gcn, seed=seed,
                 )
-                final, reports = g.run_search(spec, supernet, config)
+                final, reports = final_and_reports(spec, supernet, config)
                 true_acc[k] = g.ground_truth(final, truth)
                 eval_acc[k] = reports[-1].best_selected.accuracy
             truth_wins += true_acc[6] >= true_acc[1]

@@ -239,6 +239,11 @@ class TestMeasuredSimilarity:
         with pytest.raises(ValueError):
             measured_similarity(np.empty((0, 2), dtype=np.int64), np.empty(0), two_free_cells())
 
+    @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan")])
+    def test_non_positive_fallback_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="fallback weight must be positive"):
+            MeasuredSimilarity(fallback_weight=weight)
+
     def test_weights_applied_to_edges(self):
         sub = Subspace(SearchSpaceSpec(2, 6), (0, 1), {})
         samples = self.make_samples(sub, lambda a: 0.5 + 0.01 * a[1])

@@ -1,11 +1,18 @@
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import warnings
+import weakref
+from pathlib import Path
 
 import pytest
 
+import gcnas
+from gcnas import search_engine
 from gcnas.cli import (
     ConfigError,
     load_config,
@@ -194,6 +201,21 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match=r"^\$\.search\.gcn: "):
             parse_config({"search": {"gcn": {"dtype": dtype}}})
 
+    @pytest.mark.parametrize(
+        "raw, path",
+        [
+            ({"gcn": {"lr_decay": -1}}, "$.search.gcn"),
+            ({"gcn": {"lr_decay": 0}}, "$.search.gcn"),
+            ({"gcn": {"lr_decay": 1.5}}, "$.search.gcn"),
+            ({"gcn": {"weight_decay": -0.001}}, "$.search.gcn"),
+            ({"similarity": {"mode": "measured", "fallback_weight": -1}}, "$.search.similarity"),
+            ({"similarity": {"mode": "measured", "fallback_weight": 0}}, "$.search.similarity"),
+        ],
+    )
+    def test_out_of_range_values_name_section(self, raw, path):
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: "):
+            parse_config({"search": raw})
+
     def test_measured_similarity_parse(self):
         config = parse_config(
             {"search": {"similarity": {"mode": "measured", "min_pairs": 5, "floor": 0.05}}}
@@ -274,6 +296,25 @@ class TestSearchCommand:
         assert err[0].startswith("error: round 0: m_samples=20")
         assert err[1:] == ["  search round 0"]
 
+    def test_earlier_rounds_freed_before_the_next_round(self, tiny_config, monkeypatch):
+        path, _ = tiny_config
+        config = json.loads(path.read_text())
+        config["plan"] = [2, 1, 1]
+        path.write_text(json.dumps(config))
+        run_round = search_engine.run_round
+        refs = []
+        alive_at_start = []
+
+        def tracked(*args, **kwargs):
+            alive_at_start.append([ref() is not None for ref in refs])
+            result = run_round(*args, **kwargs)
+            refs.extend((weakref.ref(result.graph), weakref.ref(result.model)))
+            return result
+
+        monkeypatch.setattr(search_engine, "run_round", tracked)
+        assert main(["search", "--config", str(path)]) == 0
+        assert alive_at_start == [[], [False] * 2, [False] * 4]
+
     def test_dump_predictions(self, tiny_config):
         path, out = tiny_config
         main(["search", "--config", str(path), "--dump-predictions"])
@@ -346,3 +387,15 @@ class TestReportFormat:
         original = report_path.read_bytes()
         write_report(report_path, payload)
         assert report_path.read_bytes() == original
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    # scipy.stats takes about a second to import, more than a quarter of the
+    # set-up time of every benchmark workload
+    src = Path(gcnas.__file__).parents[1]
+    path = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+    env = os.environ | {"PYTHONPATH": path}
+    code = "import sys, gcnas.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    assert proc.stdout.strip() == "[]"

@@ -45,22 +45,22 @@ def edgeless_graph(num_nodes: int, feat_dim: int, seed: int = 0) -> ArchGraph:
 
 class TestInitModel:
     def test_default_shapes(self):
-        model = init_model(57, GcnConfig())
+        model = init_model(57, GcnConfig(), 0)
         assert [w.shape for w in model.layer_weights] == [(57, 512), (512, 512)]
         assert model.head.shape == (512,)
         assert model.bias.shape == (1,) and model.bias[0] == 0.0
 
     def test_single_hidden_layer_shapes(self):
-        model = init_model(57, GcnConfig(hidden_dims=(8,)))
+        model = init_model(57, GcnConfig(hidden_dims=(8,)), 0)
         assert [w.shape for w in model.layer_weights] == [(57, 8)]
         assert model.head.shape == (8,)
 
     def test_seed_determinism(self):
-        a = init_model(10, GcnConfig(hidden_dims=(4, 4), seed=3))
-        b = init_model(10, GcnConfig(hidden_dims=(4, 4), seed=3))
+        a = init_model(10, GcnConfig(hidden_dims=(4, 4)), 3)
+        b = init_model(10, GcnConfig(hidden_dims=(4, 4)), 3)
         for x, y in zip(a.params(), b.params()):
             assert (x == y).all()
-        c = init_model(10, GcnConfig(hidden_dims=(4, 4), seed=4))
+        c = init_model(10, GcnConfig(hidden_dims=(4, 4)), 4)
         assert any((x != y).any() for x, y in zip(a.params(), c.params()))
 
     def test_config_validation(self):
@@ -68,6 +68,17 @@ class TestInitModel:
             GcnConfig(hidden_dims=())
         with pytest.raises(ValueError):
             GcnConfig(lr=0.0)
+        GcnConfig(lr_decay=1.0, weight_decay=0.0)  # the closed ends are allowed
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [("lr_decay", 0.0, "lr_decay"), ("lr_decay", -1.0, "lr_decay"),
+         ("lr_decay", 1.5, "lr_decay"), ("lr_decay", float("nan"), "lr_decay"),
+         ("weight_decay", -1e-4, "weight_decay"), ("weight_decay", float("nan"), "weight_decay")],
+    )
+    def test_out_of_range_rates_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            GcnConfig(**{field: value})
         with pytest.raises(ValueError):
             GcnConfig(epochs=0)
         with pytest.raises(TypeError):
@@ -91,7 +102,7 @@ class TestSchedule:
 class TestForward:
     def test_zero_weights_output_bias(self):
         graph = toy_graph()
-        model = init_model(graph.features.shape[1], GcnConfig(hidden_dims=(4, 4)))
+        model = init_model(graph.features.shape[1], GcnConfig(hidden_dims=(4, 4)), 0)
         for w in model.layer_weights:
             w[:] = 0.0
         model.head[:] = 0.0
@@ -102,7 +113,7 @@ class TestForward:
     def test_edgeless_graph_equals_plain_mlp(self):
         graph = edgeless_graph(12, 6)
         normalize_adjacency(graph)
-        model = init_model(6, GcnConfig(hidden_dims=(5, 3), seed=2))
+        model = init_model(6, GcnConfig(hidden_dims=(5, 3)), 2)
         out = forward(graph, model)
         # independent per-row MLP oracle
         x = graph.features.astype(np.float64)
@@ -113,7 +124,7 @@ class TestForward:
 
     def test_permutation_equivariance(self):
         graph = toy_graph(num_free=2, choices=5)
-        model = init_model(graph.features.shape[1], GcnConfig(hidden_dims=(7, 7), seed=1))
+        model = init_model(graph.features.shape[1], GcnConfig(hidden_dims=(7, 7)), 1)
         out = forward(graph, model)
         rng = np.random.default_rng(5)
         perm = rng.permutation(graph.num_nodes)
@@ -134,7 +145,7 @@ class TestForward:
 
     def test_shape_mismatch_errors(self):
         graph = toy_graph()
-        model = init_model(graph.features.shape[1] + 1, GcnConfig(hidden_dims=(4,)))
+        model = init_model(graph.features.shape[1] + 1, GcnConfig(hidden_dims=(4,)), 0)
         with pytest.raises(ValueError):
             forward(graph, model)
 
@@ -151,8 +162,8 @@ class TestGradients:
     @pytest.mark.parametrize("weight_decay", [0.0, 5e-4])
     def test_finite_difference_check(self, weight_decay):
         graph = toy_graph(num_free=2, choices=4)  # 16 nodes
-        config = GcnConfig(hidden_dims=(4,), seed=3, dtype="float64")
-        model = init_model(graph.features.shape[1], config)
+        config = GcnConfig(hidden_dims=(4,), dtype="float64")
+        model = init_model(graph.features.shape[1], config, 3)
         model.bias[0] = 0.3
         # condition the test point away from relu and L1 kinks so central
         # differences see a locally smooth loss
@@ -184,59 +195,66 @@ class TestGradients:
 
 class TestTraining:
     def teacher_labels(self, graph, seed=3):
-        teacher = init_model(graph.features.shape[1], GcnConfig(hidden_dims=(4, 4), seed=seed))
+        teacher = init_model(graph.features.shape[1], GcnConfig(hidden_dims=(4, 4)), seed)
         teacher.bias[0] = 0.5
-        targets = forward(graph, teacher)
-        return [(i, float(targets[i])) for i in range(graph.num_nodes)]
+        return np.arange(graph.num_nodes), forward(graph, teacher)
 
     def test_fits_realizable_labels(self):
         graph = toy_graph(num_free=1, choices=5)  # 5 nodes
         labels = self.teacher_labels(graph)
-        config = GcnConfig(hidden_dims=(4, 4), epochs=400, seed=0, dtype="float64")
-        model, losses = train(graph, labels, config)
+        config = GcnConfig(hidden_dims=(4, 4), epochs=400, dtype="float64")
+        model, losses = train(graph, labels, config, 0)
         assert losses[-1] < 1e-2
 
     def test_loss_decreases(self):
         graph = toy_graph(num_free=2, choices=4)
         rng = np.random.default_rng(0)
-        labels = [(i, float(v)) for i, v in enumerate(0.5 + 0.1 * rng.standard_normal(16))]
-        model, losses = train(graph, labels, GcnConfig(hidden_dims=(4,), epochs=50, seed=1))
+        labels = np.arange(16), 0.5 + 0.1 * rng.standard_normal(16)
+        model, losses = train(graph, labels, GcnConfig(hidden_dims=(4,), epochs=50), 1)
         assert losses[-1] < losses[0]
         assert len(losses) == 50
 
     def test_bitwise_determinism(self):
         graph = toy_graph(num_free=2, choices=4)
         rng = np.random.default_rng(2)
-        labels = [(i, float(v)) for i, v in enumerate(rng.random(16))]
-        config = GcnConfig(hidden_dims=(6, 6), epochs=30, seed=5)
-        m1, l1 = train(graph, labels, config)
-        m2, l2 = train(graph, labels, config)
+        labels = np.arange(16), rng.random(16)
+        config = GcnConfig(hidden_dims=(6, 6), epochs=30)
+        m1, l1 = train(graph, labels, config, 5)
+        m2, l2 = train(graph, labels, config, 5)
         assert l1 == l2
         for a, b in zip(m1.params(), m2.params()):
             assert a.tobytes() == b.tobytes()
 
     def test_empty_labels_error(self):
         with pytest.raises(ValueError):
-            train(toy_graph(), [], GcnConfig(hidden_dims=(4,)))
+            train(toy_graph(), ([], []), GcnConfig(hidden_dims=(4,)), 0)
 
     def test_bad_indices_error(self):
         graph = toy_graph(num_free=1, choices=4)
         with pytest.raises(ValueError):
-            train(graph, [(99, 0.5)], GcnConfig(hidden_dims=(4,)))
+            train(graph, ([99], [0.5]), GcnConfig(hidden_dims=(4,)), 0)
+        with pytest.raises(ValueError, match="must lie in"):
+            train(graph, ([0, -1], [0.5, 0.5]), GcnConfig(hidden_dims=(4,)), 0)
+
+    @pytest.mark.parametrize("ids, targets", [([0, 1, 2], [0.5, 0.6]), ([0], [0.5, 0.6]),
+                                              ([[0, 1]], [[0.5, 0.6]])])
+    def test_ids_and_targets_must_pair_up(self, ids, targets):
+        with pytest.raises(ValueError, match="one target per labeled node"):
+            train(toy_graph(), (ids, targets), GcnConfig(hidden_dims=(4,)), 0)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nonfinite_loss_names_epoch(self):
         graph = toy_graph(num_free=1, choices=4)
         with pytest.raises(RuntimeError, match="epoch 0"):
-            train(graph, [(0, float("inf"))], GcnConfig(hidden_dims=(4,), epochs=3))
+            train(graph, ([0], [float("inf")]), GcnConfig(hidden_dims=(4,), epochs=3), 0)
 
 
 class TestModelInputs:
     def test_cached_per_dtype_with_the_same_bits(self):
         graph = toy_graph(num_free=2, choices=4)
-        labels = [(i, 0.5 + 0.01 * i) for i in range(8)]
-        config = GcnConfig(hidden_dims=(6, 6), epochs=3, seed=4, dtype="float32")
-        model, _ = train(graph, labels, config)
+        labels = np.arange(8), 0.5 + 0.01 * np.arange(8)
+        config = GcnConfig(hidden_dims=(6, 6), epochs=3, dtype="float32")
+        model, _ = train(graph, labels, config, 4)
         f32 = np.dtype(np.float32)
         a_hat, propagated = graph.model_inputs[f32]
         out = forward(graph, model)
@@ -249,7 +267,7 @@ class TestModelInputs:
         assert out.tobytes() == want.tobytes()
         assert out.tobytes() == forward(graph, model).tobytes()
 
-        model64 = init_model(graph.features.shape[1], GcnConfig(hidden_dims=(6, 6), seed=4))
+        model64 = init_model(graph.features.shape[1], GcnConfig(hidden_dims=(6, 6)), 4)
         forward(graph, model64)
         assert list(graph.model_inputs) == [f32, np.dtype(np.float64)]
         normalized = normalize_adjacency(graph)
@@ -261,7 +279,7 @@ class TestModelInputs:
 
 class TestModelIO:
     def test_save_load_roundtrip(self, tmp_path):
-        model = init_model(9, GcnConfig(hidden_dims=(5, 3), seed=8, dtype="float32"))
+        model = init_model(9, GcnConfig(hidden_dims=(5, 3), dtype="float32"), 8)
         model.bias[0] = 0.25
         path = tmp_path / "model.bin"
         save_model(model, path)
@@ -278,7 +296,7 @@ class TestModelIO:
 
     def saved_bytes(self, tmp_path) -> bytes:
         path = tmp_path / "model.bin"
-        save_model(init_model(9, GcnConfig(hidden_dims=(5, 3), dtype="float32")), path)
+        save_model(init_model(9, GcnConfig(hidden_dims=(5, 3), dtype="float32"), 0), path)
         return path.read_bytes()
 
     @pytest.mark.parametrize("cut", [6, 20, -5])

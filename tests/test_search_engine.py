@@ -21,7 +21,6 @@ from gcnas.search_engine import (
     constraint_select,
     reverify,
     run_round,
-    run_search,
 )
 from gcnas.search_space import (
     Architecture,
@@ -30,6 +29,7 @@ from gcnas.search_space import (
     make_segment_plan,
 )
 from gcnas.seeding import seed_stream
+from conftest import final_and_reports
 
 SMALL_GCN = GcnConfig(hidden_dims=(8, 8), epochs=60, dtype="float64")
 
@@ -232,7 +232,7 @@ class TestRunSearch:
             config = exhaustive_config(
                 36, plan=plan, k_preserve=1, seed=seed
             )
-            final, reports = run_search(spec, sn, config)
+            final, reports = final_and_reports(spec, sn, config)
             expected = sn.truth.cell_utility.argmax(axis=1)
             assert final.choices == tuple(int(c) for c in expected)
             assert len(reports) == 2
@@ -245,7 +245,7 @@ class TestRunSearch:
             m_samples=30, train_split=24, top_pool=30, k_preserve=6, plan=plan,
             gcn=SMALL_GCN, seed=1
         )
-        final, reports = run_search(spec, sn, config)
+        final, reports = final_and_reports(spec, sn, config)
         assert [r.round_index for r in reports] == [0, 1, 2]
         assert [r.num_nodes for r in reports] == [36, 36 * 6, 36 * 6]
         # layers finalized in round t never resampled later
@@ -264,8 +264,8 @@ class TestRunSearch:
             m_samples=14, train_split=10, top_pool=10, k_preserve=4, plan=plan,
             gcn=SMALL_GCN, seed=12
         )
-        final1, reports1 = run_search(spec, sn, config)
-        final2, reports2 = run_search(spec, sn, config)
+        final1, reports1 = final_and_reports(spec, sn, config)
+        final2, reports2 = final_and_reports(spec, sn, config)
         assert final1 == final2
         assert [r.best_selected.accuracy for r in reports1] == [
             r.best_selected.accuracy for r in reports2
@@ -274,14 +274,14 @@ class TestRunSearch:
     def test_missing_plan_errors(self):
         spec = SearchSpaceSpec(4, 4)
         with pytest.raises(ValueError, match="plan"):
-            run_search(spec, noiseless_supernet(spec, 0), exhaustive_config(16))
+            final_and_reports(spec, noiseless_supernet(spec, 0), exhaustive_config(16))
 
     def test_round_errors_carry_round_context(self):
         spec = SearchSpaceSpec(4, 4)
         plan = make_segment_plan(spec, [2, 2])
         config = exhaustive_config(300, plan=plan)  # too many samples
         with pytest.raises(ValueError, match="round 0"):
-            run_search(spec, noiseless_supernet(spec, 0), config)
+            final_and_reports(spec, noiseless_supernet(spec, 0), config)
 
     @pytest.mark.parametrize(
         "error",
@@ -299,7 +299,7 @@ class TestRunSearch:
         spec = SearchSpaceSpec(4, 4)
         config = exhaustive_config(16, plan=make_segment_plan(spec, [2, 2]))
         with pytest.raises(type(error)) as info:
-            run_search(spec, Failing(), config)
+            final_and_reports(spec, Failing(), config)
         assert info.value is error
         assert info.value.args == error.args
         assert info.value.__notes__ == ["search round 0"]
@@ -313,8 +313,8 @@ class TestConstraintSelect:
         graph = build_graph(sub)
         normalize_adjacency(graph)
         scores = sn.evaluate_matrix(graph.choice_matrix)
-        labels = [(i, float(scores[i])) for i in range(0, graph.num_nodes, 2)]
-        model, _ = train(graph, labels, SMALL_GCN)
+        labeled = np.arange(0, graph.num_nodes, 2)
+        model, _ = train(graph, (labeled, scores[labeled]), SMALL_GCN, 0)
         cost = CostModel(10.0, np.linspace(1, 60, 24).reshape(4, 6))
         return graph, model, cost, sn
 
