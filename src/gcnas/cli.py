@@ -74,7 +74,7 @@ class _OrNull:
 
 
 _SHAPE_NAMES = {
-    bool: "a boolean", int: "an integer", float: "a number", str: "a string",
+    bool: "a boolean", int: "an integer", float: "a finite number", str: "a string",
     (int,): "a list of integers", (str,): "a list of strings",
 }
 
@@ -84,7 +84,9 @@ def _matches(value: Any, shape: Any) -> bool:
         return isinstance(value, list) and all(_matches(x, shape[0]) for x in value)
     if isinstance(value, bool):
         return shape is bool
-    return isinstance(value, (int, float) if shape is float else shape)
+    if shape is float:  # NaN, +-Infinity and ints past the float range all fail
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, shape)
 
 
 def _require_mapping(value: Any, path: str) -> dict:
@@ -147,7 +149,7 @@ def _build(cls: Callable[..., Any], path: str, *args: Any, **kwargs: Any) -> Any
 
 
 # SearchConfig fields that are set from other parts of the config
-_SEARCH_SKIP = ("plan", "similarity", "gcn", "seed", "initial_architecture")
+_SEARCH_SKIP = ("similarity", "gcn", "seed")
 _SIMILARITY_MODES = {"assigned": AssignedSimilarity, "measured": MeasuredSimilarity}
 
 
@@ -175,9 +177,7 @@ def _parse_similarity(raw: Any, path: str) -> SimilarityMode:
     return _build(cls, path, **values)
 
 
-def _parse_search(
-    raw: Any, plan: SegmentPlan, initial: Architecture, seed: int, path: str
-) -> SearchConfig:
+def _parse_search(raw: Any, seed: int, path: str) -> SearchConfig:
     values = _read(
         raw,
         path,
@@ -188,9 +188,7 @@ def _parse_search(
     gcn_path = f"{path}.gcn"
     gcn_values = _read(values["gcn"], gcn_path, _defaults(GcnConfig))
     values["gcn"] = _build(GcnConfig, gcn_path, **gcn_values)
-    return _build(
-        SearchConfig, path, plan=plan, seed=seed, initial_architecture=initial, **values
-    )
+    return _build(SearchConfig, path, seed=seed, **values)
 
 
 def _parse_simulator(
@@ -223,9 +221,13 @@ def _parse_cost_model(raw: Any, spec: SearchSpaceSpec, path: str) -> tuple[CostM
         return bundled_cost_model(spec), "bundled"
     # fixed_cost has no dataclass default: it precedes the required table
     values = _read(raw, path, {"fixed_cost": 0.0, "cell_cost": None})
+    shape = (spec.num_layers, spec.choices_per_layer)
+    expected = f"{path}.cell_cost: expected a {shape[0]}x{shape[1]} table"
     if not isinstance(values["cell_cost"], list):
-        raise ConfigError(f"{path}.cell_cost: expected an LxO table")
+        raise ConfigError(f"{expected}, got {values['cell_cost']!r}")
     model = _build(CostModel, path, values["fixed_cost"], values["cell_cost"])
+    if model.cell_cost.shape != shape:
+        raise ConfigError(f"{expected}, got shape {model.cell_cost.shape}")
     return model, {"fixed_cost": model.fixed_cost, "cell_cost": model.cell_cost.tolist()}
 
 
@@ -260,7 +262,7 @@ def parse_config(raw: Any) -> RunConfig:
             Architecture.from_text, "$.initial_architecture", top["initial_architecture"]
         )
         _build(space.validate_architecture, "$.initial_architecture", initial)
-    search = _parse_search(top["search"], plan, initial, seed, "$.search")
+    search = _parse_search(top["search"], seed, "$.search")
     simulator, simulator_resolved = _parse_simulator(top["simulator"], space, seed, "$.simulator")
     cost_model, cost_model_resolved = _parse_cost_model(top["cost_model"], space, "$.cost_model")
     similarity_mode = next(
@@ -364,9 +366,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     reports = []
-    for result in iter_search_rounds(
-        config.space, config.simulator, config.search, config.cost_model
-    ):
+    for result in iter_search_rounds(config.space, config.plan, config.simulator, config.search,
+                                     config.cost_model, initial=config.initial_architecture):
         _write_round(out, config, result, args.dump_predictions)
         reports.append(result.report)
         del result  # free this round's graph and model before the next round starts
@@ -417,6 +418,8 @@ def _cmd_round(args: argparse.Namespace) -> int:
 
 
 def _read_csv_column(spec_text: str) -> np.ndarray:
+    """One value per CSV row of ``FILE.csv:COLUMN``, NaN where the cell is
+    missing or not a number (a header, stray text)."""
     path_text, _, column_text = spec_text.rpartition(":")
     if not path_text:
         raise ValueError(f"column spec {spec_text!r} must look like FILE.csv:COLUMN")
@@ -432,21 +435,23 @@ def _read_csv_column(spec_text: str) -> np.ndarray:
     values = []
     with path.open(encoding="utf-8", newline="") as fh:
         for row in csv.reader(fh):
-            if len(row) < column:
-                continue
             try:
                 values.append(float(row[column - 1]))
-            except ValueError:
-                continue  # header or stray text
-    if len(values) < 2:
-        raise ValueError(f"{path}: column {column} has fewer than 2 numeric values")
+            except (IndexError, ValueError):
+                values.append(np.nan)
     return np.asarray(values)
 
 
 def _cmd_tau(args: argparse.Namespace) -> int:
+    """Kendall tau over the rows where both columns hold a number."""
     a = _read_csv_column(args.a)
     b = _read_csv_column(args.b)
-    print(f"{kendall_tau(a, b):.6f}")
+    if len(a) != len(b):
+        raise ValueError(f"{args.a} has {len(a)} rows but {args.b} has {len(b)}")
+    both = ~np.isnan(a) & ~np.isnan(b)
+    if np.count_nonzero(both) < 2:
+        raise ValueError(f"fewer than 2 rows hold a number in both {args.a} and {args.b}")
+    print(f"{kendall_tau(a[both], b[both]):.6f}")
     return 0
 
 

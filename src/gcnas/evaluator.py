@@ -278,8 +278,9 @@ class CostModel:
         table = np.asarray(self.cell_cost, dtype=np.float64)
         if table.ndim != 2:
             raise ValueError(f"cell_cost must be an LxO table, got shape {table.shape}")
-        if self.fixed_cost < 0 or (table < 0).any():
-            raise ValueError("costs must be non-negative")
+        costs = np.append(table, self.fixed_cost)
+        if not ((costs >= 0) & (costs < np.inf)).all():  # NaN fails both
+            raise ValueError("costs must be finite and non-negative")
         table = table.copy()
         table.setflags(write=False)
         object.__setattr__(self, "cell_cost", table)

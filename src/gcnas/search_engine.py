@@ -42,22 +42,24 @@ from .seeding import seed_stream
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """The settings of one round; the driver takes the plan and the start
+    architecture."""
+
     m_samples: int = 2000
     train_split: int = 1800
     top_pool: int = 100
     k_preserve: int = 6
-    plan: SegmentPlan | None = None
     similarity: SimilarityMode = AssignedSimilarity()
     gcn: GcnConfig = GcnConfig()
     seed: int = 0
     constraint_budget: float | None = None
     advance_checkpoints: bool = False
-    initial_architecture: Architecture | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.train_split < self.m_samples:
+        if not 0 < self.train_split <= self.m_samples - 2:
             raise ValueError(
-                f"train_split must lie in (0, m_samples); got {self.train_split} of {self.m_samples}"
+                "train_split must lie in (0, m_samples - 2] to leave at least 2 validation "
+                f"samples; got {self.train_split} of {self.m_samples}"
             )
         if not 1 <= self.k_preserve <= self.top_pool:
             raise ValueError(
@@ -207,11 +209,6 @@ def run_round(
             f"round {round_index}: top_pool={config.top_pool} exceeds the "
             f"{n} nodes of the subspace"
         )
-    if config.m_samples - config.train_split < 2:
-        raise ValueError(
-            f"round {round_index}: need at least 2 validation samples, got "
-            f"{config.m_samples - config.train_split}"
-        )
     if config.constraint_budget is not None and cost_model is None:
         raise ValueError(f"round {round_index}: constraint_budget set but no cost model given")
 
@@ -298,19 +295,19 @@ def round_subspace(
 
 def iter_search_rounds(
     spec: SearchSpaceSpec,
+    plan: SegmentPlan,
     evaluator: Evaluator,
     config: SearchConfig,
     cost_model: CostModel | None = None,
+    initial: Architecture | None = None,
 ) -> Iterator[RoundResult]:
-    """Run the plan's segments in order, yielding each round's result."""
-    plan = config.plan
-    if plan is None:
-        raise ValueError("search config has no segment plan")
+    """Run the plan's segments in order from ``initial`` (the default
+    initial architecture when omitted), yielding each round's result."""
     if plan.num_layers != spec.num_layers:
         raise ValueError(
             f"plan covers {plan.num_layers} layers, space has {spec.num_layers}"
         )
-    initial = config.initial_architecture or default_initial_architecture(spec)
+    initial = initial or default_initial_architecture(spec)
     spec.validate_architecture(initial)
 
     preserved: tuple[ScoredArchitecture, ...] = ()

@@ -107,8 +107,10 @@ def default_initial_architecture(spec: SearchSpaceSpec) -> Architecture:
 
 @dataclass(frozen=True)
 class SuperCell:
-    """A block of already-searched cells collapsed into a single searchable
-    position whose K options are preserved sub-architectures."""
+    """One searchable position: the layers it sets and, per digit, the
+    choices it puts there. Already-searched cells collapse into one whose K
+    candidates are preserved sub-architectures; a free cell ``p`` is
+    ``SuperCell((p,), ((0,), ..., (O-1,)))``."""
 
     positions: tuple[int, ...]
     candidates: tuple[tuple[int, ...], ...]
@@ -132,19 +134,9 @@ class SuperCell:
         if len(set(candidates)) != len(candidates):
             raise ValueError("super-cell candidates must be distinct")
 
-
-@dataclass(frozen=True)
-class Slot:
-    """One searchable position of a subspace in canonical order: the layers
-    it sets and, per digit, the choices it puts there. A free cell ``p`` is
-    ``((p,), ((0,), ..., (O-1,)))``; a super-cell offers its candidates."""
-
-    positions: tuple[int, ...]
-    options: tuple[tuple[int, ...], ...]
-
     @property
     def radix(self) -> int:
-        return len(self.options)
+        return len(self.candidates)
 
 
 @dataclass(frozen=True)
@@ -182,12 +174,12 @@ class Subspace:
                         raise ValueError(f"super-cell candidate entry {c} is outside [0, {O})")
 
     @cached_property
-    def slots(self) -> tuple[Slot, ...]:
-        """Searchable slots sorted by their leading layer index."""
+    def slots(self) -> tuple[SuperCell, ...]:
+        """Searchable positions, free cells included, sorted by their leading
+        layer index."""
         every_choice = tuple((c,) for c in range(self.spec.choices_per_layer))
-        slots = [Slot((p,), every_choice) for p in self.free_positions]
-        slots += [Slot(sc.positions, sc.candidates) for sc in self.super_cells]
-        return tuple(sorted(slots, key=lambda s: s.positions[0]))
+        slots = [SuperCell((p,), every_choice) for p in self.free_positions]
+        return tuple(sorted(slots + list(self.super_cells), key=lambda s: s.positions[0]))
 
     @property
     def node_count(self) -> int:
@@ -204,17 +196,17 @@ class Subspace:
 
     @cached_property
     def _gather(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flat option table and (S+1, L) offsets: the choices of digit rows
+        """Flat candidate table and (S+1, L) offsets: the choices of digit rows
         ``d`` are ``flat[d @ offsets[:-1] + offsets[-1]]``."""
         L = self.spec.num_layers
-        flat = [self.fixed.get(pos, 0) for pos in range(L)]  # then each slot's options, row-major
+        flat = [self.fixed.get(pos, 0) for pos in range(L)]  # then slot candidates, row-major
         offsets = np.zeros((len(self.slots) + 1, L), dtype=np.int64)
         offsets[-1] = np.arange(L)
         for j, slot in enumerate(self.slots):
             width = len(slot.positions)
             offsets[j, slot.positions] = width
             offsets[-1, slot.positions] = len(flat) + np.arange(width)
-            flat += [c for option in slot.options for c in option]
+            flat += [c for cand in slot.candidates for c in cand]
         return np.array(flat, dtype=np.int64), offsets
 
     def _checked(self, digits: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ from gcnas.search_engine import RoundReport, SearchConfig, iter_search_rounds
 from gcnas.search_space import (
     Architecture,
     SearchSpaceSpec,
+    SegmentPlan,
     Subspace,
     SuperCell,
     gray_code_table,
@@ -229,7 +230,7 @@ def extract_digits(subspace: Subspace, arch: Architecture) -> tuple[int, ...]:
     for slot in subspace.slots:
         picked = tuple(arch.choices[p] for p in slot.positions)
         try:
-            digits.append(slot.options.index(picked))
+            digits.append(slot.candidates.index(picked))
         except ValueError:
             raise ValueError(f"choices {picked} at cells {slot.positions} match no option") from None
     return tuple(digits)
@@ -309,11 +310,11 @@ def power_iteration_largest_eigenvalue(matrix, iterations: int = 200, seed: int 
 
 
 def final_and_reports(
-    spec: SearchSpaceSpec, evaluator: Evaluator, config: SearchConfig
+    spec: SearchSpaceSpec, plan: SegmentPlan, evaluator: Evaluator, config: SearchConfig
 ) -> tuple[Architecture, list[RoundReport]]:
     """A whole search through the driver: the last round's re-verified top-1
     architecture and every round's report."""
-    reports = [result.report for result in iter_search_rounds(spec, evaluator, config)]
+    reports = [result.report for result in iter_search_rounds(spec, plan, evaluator, config)]
     return reports[-1].best_selected.architecture, reports
 
 

@@ -198,9 +198,10 @@ class TestCriterion5OracleEquivalence:
             sep_supernet = g.SyntheticSupernet(separable, sigma=0.0, checkpoint_seed=trial)
             sep_config = g.SearchConfig(
                 m_samples=36, train_split=30, top_pool=36, k_preserve=1,
-                plan=g.make_segment_plan(spec, [2, 2]), gcn=small_gcn, seed=trial,
+                gcn=small_gcn, seed=trial,
             )
-            final, _ = final_and_reports(spec, sep_supernet, sep_config)
+            sep_plan = g.make_segment_plan(spec, [2, 2])
+            final, _ = final_and_reports(spec, sep_plan, sep_supernet, sep_config)
             expected = tuple(int(c) for c in separable.cell_utility.argmax(axis=1))
             search_hits += final.choices == expected
 
@@ -390,9 +391,9 @@ class TestCriterion9PreservationAblation:
             for k in (1, 6):
                 config = g.SearchConfig(
                     m_samples=180, train_split=150, top_pool=100, k_preserve=k,
-                    plan=plan, gcn=gcn, seed=seed,
+                    gcn=gcn, seed=seed,
                 )
-                final, reports = final_and_reports(spec, supernet, config)
+                final, reports = final_and_reports(spec, plan, supernet, config)
                 true_acc[k] = g.ground_truth(final, truth)
                 eval_acc[k] = reports[-1].best_selected.accuracy
             truth_wins += true_acc[6] >= true_acc[1]

@@ -20,6 +20,7 @@ from gcnas.cli import (
     parse_config,
     write_report,
 )
+from gcnas.evaluator import CostModel
 from conftest import ACC_SNAPSHOT_A, ACC_SNAPSHOT_B, ACC_TRUE
 
 
@@ -155,6 +156,30 @@ class TestConfigSchema:
         as_int = parse_config(config_with(dotted, 1))
         assert as_int.config_sha256 == parse_config(config_with(dotted, 1.0)).config_sha256
 
+    @pytest.mark.parametrize(
+        "value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "1e400"]
+    )
+    @pytest.mark.parametrize("dotted", FLOAT_KEYS)
+    def test_float_keys_reject_non_finite(self, dotted, value):
+        with pytest.raises(ConfigError) as info:
+            parse_config(config_with(dotted, value))
+        assert str(info.value).startswith(f"$.{dotted}: expected a finite number")
+
+    def test_non_finite_cost_cell_rejected(self):
+        table = [[1.0] * 6 for _ in range(19)]
+        table[4][2] = math.nan
+        with pytest.raises(ConfigError, match=r"^\$\.cost_model: costs must be finite"):
+            parse_config({"cost_model": {"cell_cost": table}})
+        with pytest.raises(ValueError, match="finite"):
+            CostModel(math.inf, [[1.0, 2.0]])
+
+    def test_cost_table_must_be_layers_by_choices(self):
+        raw = {"search_space": {"num_layers": 4, "choices_per_layer": 3},
+               "cost_model": {"cell_cost": [[1.0, 2.0]]}}
+        with pytest.raises(ConfigError, match=r"^\$\.cost_model\.cell_cost: expected a 4x3 table, "
+                                              r"got shape \(1, 2\)"):
+            parse_config(raw)
+
     def test_empty_object_gives_full_defaults(self):
         config = parse_config({})
         assert config.space.num_layers == 19
@@ -210,6 +235,7 @@ class TestConfigSchema:
             ({"gcn": {"weight_decay": -0.001}}, "$.search.gcn"),
             ({"similarity": {"mode": "measured", "fallback_weight": -1}}, "$.search.similarity"),
             ({"similarity": {"mode": "measured", "fallback_weight": 0}}, "$.search.similarity"),
+            ({"m_samples": 10, "train_split": 9}, "$.search"),  # one validation sample
         ],
     )
     def test_out_of_range_values_name_section(self, raw, path):
@@ -255,6 +281,21 @@ class TestTauCommand:
 
     def test_bad_column_spec(self, capsys):
         assert main(["tau", "--a", "file.csv", "--b", "file.csv:2"]) == 1
+
+    def test_pairs_values_by_row(self, tmp_path, capsys):
+        path = tmp_path / "f.csv"
+        path.write_text("a,b\n1,10\n2,n/a\n3,5\nx,40\n5,50\n")
+        assert main(["tau", "--a", f"{path}:1", "--b", f"{path}:2"]) == 0
+        # rows 1, 3 and 5 hold both values: (1, 10), (3, 5), (5, 50)
+        assert capsys.readouterr().out.strip() == "0.333333"
+
+    def test_files_of_different_lengths_exit_1(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("1\n2\n3\n4\n")
+        b.write_text("4\n3\n1\n")
+        assert main(["tau", "--a", f"{a}:1", "--b", f"{b}:1"]) == 1
+        err = capsys.readouterr().err
+        assert "has 4 rows" in err and "has 3" in err
 
 
 class TestSearchCommand:
@@ -314,6 +355,15 @@ class TestSearchCommand:
         monkeypatch.setattr(search_engine, "run_round", tracked)
         assert main(["search", "--config", str(path)]) == 0
         assert alive_at_start == [[], [False] * 2, [False] * 4]
+
+    def test_misshapen_cost_table_fails_before_writing(self, tiny_config, capsys):
+        path, out = tiny_config
+        config = json.loads(path.read_text())
+        config["cost_model"] = {"cell_cost": [[1.0, 2.0]]}
+        path.write_text(json.dumps(config))
+        assert main(["search", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: $.cost_model.cell_cost: expected a 4x4")
+        assert not out.exists()
 
     def test_dump_predictions(self, tiny_config):
         path, out = tiny_config

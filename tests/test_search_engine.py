@@ -59,6 +59,11 @@ class TestSearchConfig:
         with pytest.raises(ValueError):
             SearchConfig(k_preserve=10, top_pool=5)
 
+    def test_at_least_two_validation_samples(self):
+        with pytest.raises(ValueError, match="at least 2 validation samples"):
+            SearchConfig(m_samples=10, train_split=9)
+        assert SearchConfig(m_samples=10, train_split=8).train_split == 8
+
 
 class TestReverify:
     def test_single_candidate(self):
@@ -230,9 +235,9 @@ class TestRunSearch:
         for seed in range(3):
             sn = noiseless_supernet(spec, seed, pair_strength=0.0)
             config = exhaustive_config(
-                36, plan=plan, k_preserve=1, seed=seed
+                36, k_preserve=1, seed=seed
             )
-            final, reports = final_and_reports(spec, sn, config)
+            final, reports = final_and_reports(spec, plan, sn, config)
             expected = sn.truth.cell_utility.argmax(axis=1)
             assert final.choices == tuple(int(c) for c in expected)
             assert len(reports) == 2
@@ -242,10 +247,10 @@ class TestRunSearch:
         plan = make_segment_plan(spec, [2, 2, 2])
         sn = noiseless_supernet(spec, 4)
         config = SearchConfig(
-            m_samples=30, train_split=24, top_pool=30, k_preserve=6, plan=plan,
+            m_samples=30, train_split=24, top_pool=30, k_preserve=6,
             gcn=SMALL_GCN, seed=1
         )
-        final, reports = final_and_reports(spec, sn, config)
+        final, reports = final_and_reports(spec, plan, sn, config)
         assert [r.round_index for r in reports] == [0, 1, 2]
         assert [r.num_nodes for r in reports] == [36, 36 * 6, 36 * 6]
         # layers finalized in round t never resampled later
@@ -261,27 +266,48 @@ class TestRunSearch:
         truth = GroundTruthParams.random(spec, 2)
         sn = SyntheticSupernet(truth, sigma=0.01, checkpoint_seed=8)
         config = SearchConfig(
-            m_samples=14, train_split=10, top_pool=10, k_preserve=4, plan=plan,
+            m_samples=14, train_split=10, top_pool=10, k_preserve=4,
             gcn=SMALL_GCN, seed=12
         )
-        final1, reports1 = final_and_reports(spec, sn, config)
-        final2, reports2 = final_and_reports(spec, sn, config)
+        final1, reports1 = final_and_reports(spec, plan, sn, config)
+        final2, reports2 = final_and_reports(spec, plan, sn, config)
         assert final1 == final2
         assert [r.best_selected.accuracy for r in reports1] == [
             r.best_selected.accuracy for r in reports2
         ]
 
-    def test_missing_plan_errors(self):
+    def test_plan_must_cover_the_space(self):
         spec = SearchSpaceSpec(4, 4)
-        with pytest.raises(ValueError, match="plan"):
-            final_and_reports(spec, noiseless_supernet(spec, 0), exhaustive_config(16))
+        plan = make_segment_plan(SearchSpaceSpec(3, 4), [2, 1])
+        with pytest.raises(ValueError, match="plan covers 3 layers, space has 4"):
+            final_and_reports(spec, plan, noiseless_supernet(spec, 0), exhaustive_config(16))
+
+    @pytest.mark.parametrize("advance", [True, False], ids=["advanced", "fixed"])
+    def test_advance_checkpoints_scores_round_t_on_checkpoint_t(self, advance):
+        spec = SearchSpaceSpec(6, 4)
+        plan = make_segment_plan(spec, [2, 2, 2])
+        sn = SyntheticSupernet(GroundTruthParams.random(spec, 3), sigma=0.01, checkpoint_seed=5)
+        config = SearchConfig(m_samples=14, train_split=10, top_pool=10, k_preserve=3,
+                              gcn=dataclasses.replace(SMALL_GCN, epochs=20), seed=4,
+                              advance_checkpoints=advance)
+        _, reports = final_and_reports(spec, plan, sn, config)
+        checkpoint = sn
+        for t, report in enumerate(reports):
+            if t > 0 and advance:
+                checkpoint = checkpoint.advanced()
+            archs = [p.architecture for p in report.preserved]
+            scores = checkpoint.evaluate_many(archs).tolist()
+            assert [p.accuracy for p in report.preserved] == scores
+            # the noise field differs between checkpoints, so the check above
+            # tells an advanced search from one that stays on the first
+            assert not np.array_equal(sn.evaluate_many(archs), sn.advanced().evaluate_many(archs))
 
     def test_round_errors_carry_round_context(self):
         spec = SearchSpaceSpec(4, 4)
         plan = make_segment_plan(spec, [2, 2])
-        config = exhaustive_config(300, plan=plan)  # too many samples
+        config = exhaustive_config(300)  # too many samples
         with pytest.raises(ValueError, match="round 0"):
-            final_and_reports(spec, noiseless_supernet(spec, 0), config)
+            final_and_reports(spec, plan, noiseless_supernet(spec, 0), config)
 
     @pytest.mark.parametrize(
         "error",
@@ -297,9 +323,9 @@ class TestRunSearch:
                 raise error
 
         spec = SearchSpaceSpec(4, 4)
-        config = exhaustive_config(16, plan=make_segment_plan(spec, [2, 2]))
+        plan = make_segment_plan(spec, [2, 2])
         with pytest.raises(type(error)) as info:
-            final_and_reports(spec, Failing(), config)
+            final_and_reports(spec, plan, Failing(), exhaustive_config(16))
         assert info.value is error
         assert info.value.args == error.args
         assert info.value.__notes__ == ["search round 0"]

@@ -235,7 +235,7 @@ class TestCodec:
         sc = SuperCell((1, 2), ((0, 1), (4, 4), (2, 3)))
         sub = Subspace(SearchSpaceSpec(5, 5), (0, 4), {3: 2}, (sc,))
         assert [s.positions for s in sub.slots] == [(0,), (1, 2), (4,)]
-        assert sub.slots[1].options == sc.candidates and sub.slots[1].radix == 3
+        assert sub.slots[1].candidates == sc.candidates and sub.slots[1].radix == 3
         assert sub.choices([[4, 1, 0], [0, 2, 3]]).tolist() == [[4, 4, 4, 2, 0], [0, 2, 3, 2, 3]]
         assert sub.index([[4, 1, 0], [0, 2, 3]]).tolist() == [4 * 15 + 1 * 5, 2 * 5 + 3]
 
