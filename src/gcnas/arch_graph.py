@@ -69,6 +69,9 @@ class ArchGraph:
     keeps the materialized per-layer choices for cost and oracle lookups.
     Instances are immutable once built; ``normalized`` is filled at most once,
     ``model_inputs`` at most once per model dtype, with (A_hat, A_hat @ X).
+    ``ranked_by`` holds the last model to rank the nodes with their order
+    (descending prediction, stable), ``priced_by`` the last cost model with
+    the cost per node; a model must not be mutated once it has ranked.
     """
 
     subspace: Subspace
@@ -78,6 +81,8 @@ class ArchGraph:
     choice_matrix: np.ndarray
     normalized: sp.csr_matrix | None = None
     model_inputs: dict[np.dtype, tuple[sp.csr_matrix, np.ndarray]] = field(default_factory=dict)
+    ranked_by: tuple[object, np.ndarray] | None = None
+    priced_by: tuple[object, np.ndarray] | None = None
 
 
 def node_index(subspace: Subspace, row: Sequence[int]) -> int:

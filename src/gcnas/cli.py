@@ -225,9 +225,13 @@ def _parse_cost_model(raw: Any, spec: SearchSpaceSpec, path: str) -> tuple[CostM
     expected = f"{path}.cell_cost: expected a {shape[0]}x{shape[1]} table"
     if not isinstance(values["cell_cost"], list):
         raise ConfigError(f"{expected}, got {values['cell_cost']!r}")
+    try:
+        got = np.shape(values["cell_cost"])
+    except ValueError:  # rows of different lengths
+        raise ConfigError(f"{expected}, got rows of different lengths") from None
+    if got != shape:
+        raise ConfigError(f"{expected}, got shape {got}")
     model = _build(CostModel, path, values["fixed_cost"], values["cell_cost"])
-    if model.cell_cost.shape != shape:
-        raise ConfigError(f"{expected}, got shape {model.cell_cost.shape}")
     return model, {"fixed_cost": model.fixed_cost, "cell_cost": model.cell_cost.tolist()}
 
 

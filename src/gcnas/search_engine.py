@@ -148,20 +148,29 @@ def _evaluate(evaluator: Evaluator, archs: Sequence[Architecture]) -> np.ndarray
     return scores
 
 
+def _ranking(graph: ArchGraph, model: GcnModel, scores: np.ndarray | None = None) -> np.ndarray:
+    """Node ids by descending ``model`` prediction (stable), kept on the graph."""
+    if graph.ranked_by is None or graph.ranked_by[0] is not model:
+        scores = forward(graph, model) if scores is None else scores
+        graph.ranked_by = (model, np.argsort(-scores, kind="stable"))
+    return graph.ranked_by[1]
+
+
 def _rank_within_budget(
     graph: ArchGraph,
-    predictions: np.ndarray,
+    order: np.ndarray,
     cost_model: CostModel | None,
     budget: float | None,
     context: str = "",
 ) -> np.ndarray:
-    """Node ids by descending prediction (stable), keeping those whose
-    multiply-add cost is within ``budget``; ``None`` keeps every node.
+    """The ranked node ids ``order`` that a multiply-add ``budget`` allows;
+    ``None`` keeps every node. The cost per node is kept on the graph.
     Raises if no node is within budget, the message prefixed by ``context``."""
-    order = np.argsort(-predictions, kind="stable")
     if budget is None:
         return order
-    cost = flops_many(graph.choice_matrix, cost_model)
+    if graph.priced_by is None or graph.priced_by[0] is not cost_model:
+        graph.priced_by = (cost_model, flops_many(graph.choice_matrix, cost_model))
+    cost = graph.priced_by[1]
     order = order[cost[order] <= budget]
     if len(order) == 0:
         raise ValueError(
@@ -234,10 +243,10 @@ def run_round(
     tau_val = kendall_tau(predictions[val_ids], val_accs)
     reg_score_val = regression_score(predictions[val_ids], val_accs)
 
-    order = _rank_within_budget(
-        graph, predictions, cost_model, config.constraint_budget, f"round {round_index}: "
-    )
-    pool_ids = order[: config.top_pool]
+    pool_ids = _rank_within_budget(
+        graph, _ranking(graph, model, predictions), cost_model, config.constraint_budget,
+        f"round {round_index}: ",
+    )[: config.top_pool]
     pool_archs = [node_architecture(graph, int(i)) for i in pool_ids]
     pool_accs = _evaluate(evaluator, pool_archs)
     pool_rank = _rank_by_accuracy(pool_accs, pool_ids)
@@ -341,7 +350,9 @@ def constraint_select(
 ) -> ScoredArchitecture:
     """Rank all nodes by prediction, keep those within the multiply-add
     budget, re-evaluate the surviving top pool and return the measured
-    argmax."""
-    pool_ids = _rank_within_budget(graph, forward(graph, model), cost_model, budget)[:top_pool]
+    argmax. The ranking and the costs stay on the graph for the next query."""
+    if top_pool < 1:
+        raise ValueError(f"top_pool must be at least 1, got {top_pool}")
+    pool_ids = _rank_within_budget(graph, _ranking(graph, model), cost_model, budget)[:top_pool]
     pool_archs = [node_architecture(graph, int(i)) for i in pool_ids]
     return reverify(pool_archs, evaluator, node_indices=pool_ids.tolist())

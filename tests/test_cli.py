@@ -70,6 +70,9 @@ PINNED_DIGESTS = [
     ),
 ]
 TINY_RESULT_SHA256 = "64a52f849dd629ab28749f020f4c8e53aee43574250c5ed2e561677fdfe59546"
+# the tiny-config constraint.json at --budget 400000000, recorded before the
+# ranking and the costs were kept on the graph between queries
+TINY_CONSTRAINT_SHA256 = "98c8920819ebff8bff5c372d0a304cf44f3a3cd655333461c9eca94e209967b3"
 
 # every leaf key of every section, as a dotted path below $
 LEAF_KEYS = [
@@ -179,6 +182,15 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match=r"^\$\.cost_model\.cell_cost: expected a 4x3 table, "
                                               r"got shape \(1, 2\)"):
             parse_config(raw)
+
+    @pytest.mark.parametrize("table, got", [
+        ([[1, 2], [3]], "rows of different lengths"),
+        ([1] * 19, r"shape \(19,\)"),
+    ], ids=["ragged", "1-d"])
+    def test_cost_table_shape_reported_at_its_key(self, table, got):
+        with pytest.raises(ConfigError, match=r"^\$\.cost_model\.cell_cost: expected a 19x6 "
+                                              rf"table, got {got}$"):
+            parse_config({"cost_model": {"cell_cost": table}})
 
     def test_empty_object_gives_full_defaults(self):
         config = parse_config({})
@@ -412,6 +424,8 @@ class TestOtherCommands:
         payload = json.loads((out / "constraint.json").read_text())
         assert payload["flops"] <= 4e8
         assert payload["budget"] == 4e8
+        digest = hashlib.sha256((out / "constraint.json").read_bytes()).hexdigest()
+        assert digest == TINY_CONSTRAINT_SHA256
 
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2

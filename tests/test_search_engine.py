@@ -15,7 +15,7 @@ from gcnas.evaluator import (
     ground_truth_many,
 )
 from gcnas import search_engine
-from gcnas.gcn import GcnConfig, train
+from gcnas.gcn import GcnConfig, forward, train
 from gcnas.search_engine import (
     SearchConfig,
     constraint_select,
@@ -404,3 +404,77 @@ class TestConstraintSelect:
             selected = constraint_select(graph, model, cost, float(budget), sn, 20)
             idx = selected.node_index
             assert all_cost[idx] <= budget
+
+    @pytest.mark.parametrize("top_pool", [0, -1])
+    def test_top_pool_below_one_rejected(self, top_pool):
+        graph, model, cost, sn = self.setup_round()
+        with pytest.raises(ValueError, match="top_pool"):
+            constraint_select(graph, model, cost, float("inf"), sn, top_pool)
+
+
+def oracle_select(graph, model, cost, budget, evaluator, top_pool) -> int:
+    """The node constraint_select should pick, from the model's own forward
+    pass and the cost model's own costs: the measured argmax of the top pool
+    within budget, ties toward the lowest node id."""
+    order = np.argsort(-forward(graph, model), kind="stable")
+    order = order[flops_many(graph.choice_matrix, cost)[order] <= budget][:top_pool]
+    scores = evaluator.evaluate_matrix(graph.choice_matrix[order])
+    return int(order[np.lexsort((order, -scores))[0]])
+
+
+class TestLookupTable:
+    """constraint_select keeps the node order per model and the costs per
+    cost model on the graph; a different model or cost model replaces them."""
+
+    setup_round = TestConstraintSelect.setup_round
+
+    def test_each_model_ranks_with_its_own_predictions(self):
+        graph, model, cost, sn = self.setup_round(seed=5)
+        # negating the linear head reverses the ranking
+        flipped = dataclasses.replace(model, head=-model.head, bias=-model.bias)
+        budget = float(np.median(flops_many(graph.choice_matrix, cost)))
+        picks = {}
+        for m in (model, flipped, model, flipped):
+            picked = constraint_select(graph, m, cost, budget, sn, 5)
+            assert picked.node_index == oracle_select(graph, m, cost, budget, sn, 5)
+            picks.setdefault(id(m), picked.node_index)
+        assert picks[id(model)] != picks[id(flipped)]
+
+    def test_each_cost_model_prices_with_its_own_costs(self):
+        graph, model, cost, sn = self.setup_round(seed=6)
+        reversed_cost = CostModel(cost.fixed_cost, cost.cell_cost[:, ::-1])
+        budget = float(np.quantile(flops_many(graph.choice_matrix, cost), 0.3))
+        picks = {}
+        for c in (cost, reversed_cost, cost, reversed_cost):
+            picked = constraint_select(graph, model, c, budget, sn, 5)
+            assert picked.node_index == oracle_select(graph, model, c, budget, sn, 5)
+            assert flops_many(graph.choice_matrix[[picked.node_index]], c)[0] <= budget
+            picks.setdefault(id(c), picked.node_index)
+        assert picks[id(cost)] != picks[id(reversed_cost)]
+
+    def test_queries_after_a_round_reuse_its_ranking_and_costs(self, monkeypatch):
+        spec = SearchSpaceSpec(4, 6)
+        sub = full_subspace(spec)
+        sn = noiseless_supernet(spec, 4)
+        cost = CostModel(10.0, np.linspace(1, 60, 24).reshape(4, 6))
+        config = SearchConfig(m_samples=200, train_split=180, top_pool=20, k_preserve=5,
+                              gcn=SMALL_GCN, seed=2)
+        result = run_round(sub, sn, config, cost_model=cost)
+        calls = {"forward": 0, "flops_many": 0}
+
+        def counted(name):
+            inner = getattr(search_engine, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(search_engine, name, counted(name))
+        all_cost = flops_many(result.graph.choice_matrix, cost)
+        for budget in np.quantile(all_cost, [0.2, 0.6, 0.9]):
+            picked = constraint_select(result.graph, result.model, cost, float(budget), sn, 20)
+            assert picked.node_index == oracle_select(
+                result.graph, result.model, cost, float(budget), sn, 20)
+        assert calls == {"forward": 0, "flops_many": 1}
