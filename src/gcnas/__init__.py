@@ -20,7 +20,6 @@ from .evaluator import (
     bundled_cost_model,
     calibrate_sigma,
     flops,
-    ground_truth,
     sample_architectures,
 )
 from .gcn import (

@@ -129,6 +129,12 @@ def _read(raw: Any, path: str, defaults: Mapping[str, Any]) -> dict[str, Any]:
     return values
 
 
+def _check_seed(value: int | None, path: str, low: int = -(2**63)) -> None:
+    """Seeds feed 64-bit seed derivation and noise keys: ``[low, 2**63)``."""
+    if value is not None and not low <= value < 2**63:
+        raise ConfigError(f"{path}: expected an integer in [{low}, {2**63}), got {value}")
+
+
 def _defaults(cls: type, skip: Sequence[str] = ()) -> dict[str, Any]:
     """Field defaults of a dataclass, less the fields that are not config keys."""
     return {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
@@ -206,6 +212,8 @@ def _parse_simulator(
         path,
         supernet_keys | truth_keys | {"truth_seed": _OrNull(int), "checkpoint_seed": _OrNull(int)},
     )
+    _check_seed(values["truth_seed"], f"{path}.truth_seed")
+    _check_seed(values["checkpoint_seed"], f"{path}.checkpoint_seed", low=0)
     if values["truth_seed"] is None:
         values["truth_seed"] = seed_stream(seed, "ground-truth")
     if values["checkpoint_seed"] is None:
@@ -256,6 +264,7 @@ def parse_config(raw: Any) -> RunConfig:
         "search": {}, "simulator": {}, "cost_model": None,
     })
     seed = top["seed"]
+    _check_seed(seed, "$.seed")
     output_dir = Path(top["output_dir"])
     space = _parse_space(top["search_space"], "$.search_space")
     plan = _parse_plan(top["plan"], space, "$.plan")
@@ -500,6 +509,8 @@ def _cmd_consistency(args: argparse.Namespace) -> int:
 
 def _cmd_constraint(args: argparse.Namespace) -> int:
     config = _with_overrides(args)
+    if np.isnan(args.budget):
+        raise ValueError(f"--budget must be a number of multiply-adds, got {args.budget}")
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     result = _single_round(config, args.segment)

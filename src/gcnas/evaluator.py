@@ -116,11 +116,6 @@ def ground_truth_many(choice_matrix: np.ndarray, truth: GroundTruthParams) -> np
     return np.clip(z, 0.0, 1.0)
 
 
-def ground_truth(arch: Architecture, truth: GroundTruthParams) -> float:
-    """Ground-truth accuracy of one architecture, clamped to [0, 1]."""
-    return float(ground_truth_many(_choice_matrix([arch]), truth)[0])
-
-
 def _unit_noise_field(choice_matrix: np.ndarray, checkpoint_seed: int) -> np.ndarray:
     """Standard-normal noise, a pure function of (architecture, checkpoint):
     each architecture hashes to a uniform variate that is pushed through the
@@ -159,6 +154,9 @@ class SyntheticSupernet(Evaluator):
     def __post_init__(self) -> None:
         if self.sigma < 0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
+        # the noise field keys on 64 unsigned bits, advancing derives from 64 signed ones
+        if not 0 <= self.checkpoint_seed < 2**63:
+            raise ValueError(f"checkpoint_seed must lie in [0, 2**63), got {self.checkpoint_seed}")
 
     def evaluate_many(self, archs: Sequence[Architecture]) -> np.ndarray:
         return self.evaluate_matrix(_choice_matrix(archs))

@@ -10,7 +10,7 @@ as a super-cell; after the last round the re-verified top-1 is the result.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -71,7 +71,7 @@ class SearchConfig:
 class ScoredArchitecture:
     architecture: Architecture
     accuracy: float
-    node_index: int | None = None
+    node_index: int
 
     def as_dict(self) -> dict[str, Any]:
         return {"architecture": self.architecture.to_text(), "accuracy": self.accuracy}
@@ -94,21 +94,14 @@ class RoundReport:
     wall_seconds: float
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "round_index": self.round_index,
-            "segment": list(self.segment),
-            "num_nodes": self.num_nodes,
-            "num_train": self.num_train,
-            "num_validation": self.num_validation,
-            "tau_val": self.tau_val,
-            "reg_score_val": self.reg_score_val,
-            "best_sampled": self.best_sampled.as_dict(),
-            "best_selected": self.best_selected.as_dict(),
-            "gcn_top1": self.gcn_top1.as_dict(),
-            "preserved": [p.as_dict() for p in self.preserved],
-            "final_train_loss": self.final_train_loss,
-            "wall_seconds": self.wall_seconds,
-        }
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+
+
+def _plain(value: Any) -> Any:
+    """A report field as JSON data: scored architectures as dicts, tuples as lists."""
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value.as_dict() if isinstance(value, ScoredArchitecture) else value
 
 
 @dataclass
@@ -123,11 +116,6 @@ class RoundResult:
     model: GcnModel
     predictions: np.ndarray
     loss_curve: list[float]
-
-
-def _rank_by_accuracy(accuracies: np.ndarray, node_ids: np.ndarray) -> np.ndarray:
-    """Descending accuracy, ties broken by lowest node index."""
-    return np.lexsort((node_ids, -accuracies))
 
 
 def _evaluate(evaluator: Evaluator, archs: Sequence[Architecture]) -> np.ndarray:
@@ -148,24 +136,29 @@ def _evaluate(evaluator: Evaluator, archs: Sequence[Architecture]) -> np.ndarray
     return scores
 
 
-def _ranking(graph: ArchGraph, model: GcnModel, scores: np.ndarray | None = None) -> np.ndarray:
-    """Node ids by descending ``model`` prediction (stable), kept on the graph."""
+def _best(
+    archs: Sequence[Architecture], node_ids: np.ndarray, accuracies: np.ndarray, k: int = 1
+) -> tuple[ScoredArchitecture, ...]:
+    """The ``k`` best by measured accuracy, highest first; ties go to the
+    lowest node id."""
+    return tuple(
+        ScoredArchitecture(archs[i], float(accuracies[i]), int(node_ids[i]))
+        for i in np.lexsort((node_ids, -accuracies))[:k]
+    )
+
+
+def _ranked_within_budget(
+    graph: ArchGraph, model: GcnModel, cost_model: CostModel | None, budget: float | None,
+    scores: np.ndarray | None = None, context: str = "",
+) -> np.ndarray:
+    """Node ids by descending ``model`` prediction (stable; ``scores`` if the
+    caller has them) that a multiply-add ``budget`` allows; ``None`` keeps every
+    node. The order per model and the cost per node per cost model stay on the
+    graph. Raises if no node is within budget, the message led by ``context``."""
     if graph.ranked_by is None or graph.ranked_by[0] is not model:
         scores = forward(graph, model) if scores is None else scores
         graph.ranked_by = (model, np.argsort(-scores, kind="stable"))
-    return graph.ranked_by[1]
-
-
-def _rank_within_budget(
-    graph: ArchGraph,
-    order: np.ndarray,
-    cost_model: CostModel | None,
-    budget: float | None,
-    context: str = "",
-) -> np.ndarray:
-    """The ranked node ids ``order`` that a multiply-add ``budget`` allows;
-    ``None`` keeps every node. The cost per node is kept on the graph.
-    Raises if no node is within budget, the message prefixed by ``context``."""
+    order = graph.ranked_by[1]
     if budget is None:
         return order
     if graph.priced_by is None or graph.priced_by[0] is not cost_model:
@@ -181,20 +174,13 @@ def _rank_within_budget(
 
 
 def reverify(
-    candidates: Sequence[Architecture],
-    evaluator: Evaluator,
-    node_indices: Sequence[int] | None = None,
+    candidates: Sequence[Architecture], evaluator: Evaluator, node_indices: Sequence[int]
 ) -> ScoredArchitecture:
     """Evaluate each candidate once under the current checkpoint and return
-    the measured argmax; ties break toward the lowest node index (or the
-    earliest candidate when indices are not given)."""
+    the best: the highest measured accuracy, ties to the lowest node index."""
     if not candidates:
         raise ValueError("reverify needs a non-empty candidate list")
-    ids = np.arange(len(candidates)) if node_indices is None else np.asarray(node_indices)
-    accuracies = _evaluate(evaluator, list(candidates))
-    best = _rank_by_accuracy(accuracies, ids)[0]
-    node = None if node_indices is None else int(ids[best])
-    return ScoredArchitecture(candidates[best], float(accuracies[best]), node)
+    return _best(candidates, np.asarray(node_indices), _evaluate(evaluator, list(candidates)))[0]
 
 
 def run_round(
@@ -243,24 +229,13 @@ def run_round(
     tau_val = kendall_tau(predictions[val_ids], val_accs)
     reg_score_val = regression_score(predictions[val_ids], val_accs)
 
-    pool_ids = _rank_within_budget(
-        graph, _ranking(graph, model, predictions), cost_model, config.constraint_budget,
-        f"round {round_index}: ",
+    pool_ids = _ranked_within_budget(
+        graph, model, cost_model, config.constraint_budget, predictions, f"round {round_index}: "
     )[: config.top_pool]
     pool_archs = [node_architecture(graph, int(i)) for i in pool_ids]
     pool_accs = _evaluate(evaluator, pool_archs)
-    pool_rank = _rank_by_accuracy(pool_accs, pool_ids)
-
-    k = min(config.k_preserve, len(pool_ids))
-    preserved = tuple(
-        ScoredArchitecture(pool_archs[i], float(pool_accs[i]), int(pool_ids[i]))
-        for i in pool_rank[:k]
-    )
+    preserved = _best(pool_archs, pool_ids, pool_accs, config.k_preserve)
     gcn_top1 = ScoredArchitecture(pool_archs[0], float(pool_accs[0]), int(pool_ids[0]))
-    best_sampled_at = _rank_by_accuracy(accuracies, node_ids)[0]
-    best_sampled = ScoredArchitecture(
-        archs[best_sampled_at], float(accuracies[best_sampled_at]), int(node_ids[best_sampled_at])
-    )
 
     report = RoundReport(
         round_index=round_index,
@@ -270,7 +245,7 @@ def run_round(
         num_validation=len(val_ids),
         tau_val=tau_val,
         reg_score_val=reg_score_val,
-        best_sampled=best_sampled,
+        best_sampled=_best(archs, node_ids, accuracies)[0],
         best_selected=preserved[0],
         gcn_top1=gcn_top1,
         preserved=preserved,
@@ -353,6 +328,8 @@ def constraint_select(
     argmax. The ranking and the costs stay on the graph for the next query."""
     if top_pool < 1:
         raise ValueError(f"top_pool must be at least 1, got {top_pool}")
-    pool_ids = _rank_within_budget(graph, _ranking(graph, model), cost_model, budget)[:top_pool]
+    if np.isnan(budget):
+        raise ValueError(f"budget must be a number of multiply-adds, got {budget}")
+    pool_ids = _ranked_within_budget(graph, model, cost_model, budget)[:top_pool]
     pool_archs = [node_architecture(graph, int(i)) for i in pool_ids]
     return reverify(pool_archs, evaluator, node_indices=pool_ids.tolist())

@@ -73,6 +73,22 @@ TINY_RESULT_SHA256 = "64a52f849dd629ab28749f020f4c8e53aee43574250c5ed2e561677fdf
 # the tiny-config constraint.json at --budget 400000000, recorded before the
 # ranking and the costs were kept on the graph between queries
 TINY_CONSTRAINT_SHA256 = "98c8920819ebff8bff5c372d0a304cf44f3a3cd655333461c9eca94e209967b3"
+# the tiny-config round reports less wall_seconds, re-serialized with sorted
+# keys; recorded before the round, reverify and the budget query shared one
+# selection path
+TINY_ROUND_SHA256 = {
+    0: "3a3619f6ffc8be3296489d39002b55bd1891ff3ff1b642fafa5ca2f93ff46a3d",
+    1: "238c12578aeaa8d8515ff52b39bebaff286790c054d1b2c4e4856fc0bfc8c888",
+}
+# (dotted key, lowest or highest accepted value, the value one past it)
+SEED_BOUNDS = [
+    ("seed", -(2**63), -(2**63) - 1),
+    ("seed", 2**63 - 1, 2**63),
+    ("simulator.truth_seed", -(2**63), -(2**63) - 1),
+    ("simulator.truth_seed", 2**63 - 1, 2**63),
+    ("simulator.checkpoint_seed", 0, -1),
+    ("simulator.checkpoint_seed", 2**63 - 1, 2**63),
+]
 
 # every leaf key of every section, as a dotted path below $
 LEAF_KEYS = [
@@ -122,6 +138,15 @@ class TestConfigSchema:
         path, out = tiny_config
         assert main(["search", "--config", str(path), "--out", str(out)]) == 0
         assert hashlib.sha256((out / "result.json").read_bytes()).hexdigest() == TINY_RESULT_SHA256
+
+    def test_pinned_round_report_digests(self, tiny_config):
+        path, out = tiny_config
+        assert main(["search", "--config", str(path)]) == 0
+        for t, digest in TINY_ROUND_SHA256.items():
+            report = json.loads((out / f"round_{t}.json").read_text())
+            del report["wall_seconds"]  # the one field that varies by run
+            data = json.dumps(report, sort_keys=True).encode()
+            assert hashlib.sha256(data).hexdigest() == digest
 
     def test_output_dir_is_not_hashed(self):
         dirs = ("a", "b/c", "gcnas-output")
@@ -253,6 +278,13 @@ class TestConfigSchema:
     def test_out_of_range_values_name_section(self, raw, path):
         with pytest.raises(ConfigError, match=f"^{re.escape(path)}: "):
             parse_config({"search": raw})
+
+    @pytest.mark.parametrize("dotted, inside, outside", SEED_BOUNDS)
+    def test_seed_ranges(self, dotted, inside, outside):
+        assert parse_config(config_with(dotted, inside))
+        with pytest.raises(ConfigError) as info:
+            parse_config(config_with(dotted, outside))
+        assert str(info.value).startswith(f"$.{dotted}: expected an integer in [")
 
     def test_measured_similarity_parse(self):
         config = parse_config(
@@ -433,6 +465,48 @@ class TestOtherCommands:
     def test_missing_config_file(self, capsys):
         assert main(["search", "--config", "does-not-exist.json"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestSeedsOutOfRange:
+    """Each seed bound, and the value one past it, through the command line."""
+
+    @staticmethod
+    def run(tiny_config, raw: dict, *extra: str) -> int:
+        path, _ = tiny_config
+        path.write_text(json.dumps(json.loads(path.read_text()) | raw))
+        return main(["consistency", "--config", str(path), "--n", "20", *extra])
+
+    @pytest.mark.parametrize("dotted, inside, outside", SEED_BOUNDS)
+    def test_in_config(self, tiny_config, capsys, dotted, inside, outside):
+        section, _, key = dotted.rpartition(".")
+        nest = (lambda v: {section: {key: v}}) if section else (lambda v: {key: v})
+        assert self.run(tiny_config, nest(inside)) == 0
+        assert self.run(tiny_config, nest(outside)) == 1
+        assert capsys.readouterr().err.startswith(f"error: $.{dotted}: expected an integer")
+
+    @pytest.mark.parametrize("inside, outside", [(-(2**63), -(2**63) - 1), (2**63 - 1, 2**64)])
+    def test_seed_flag(self, tiny_config, capsys, inside, outside):
+        assert self.run(tiny_config, {}, "--seed", str(inside)) == 0
+        assert self.run(tiny_config, {}, "--seed", str(outside)) == 1
+        assert capsys.readouterr().err.startswith("error: $.seed: expected an integer")
+
+
+class TestConstraintBudget:
+    def test_nan_rejected_before_the_round(self, tiny_config, capsys, monkeypatch):
+        path, out = tiny_config
+        monkeypatch.setattr(search_engine, "train", lambda *a: pytest.fail("trained"))
+        assert main(["constraint", "--config", str(path), "--budget", "nan"]) == 1
+        assert "--budget must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("budget, code", [("inf", 0), ("-inf", 1)])
+    def test_infinite_budgets(self, tiny_config, capsys, budget, code):
+        path, out = tiny_config
+        assert main(["constraint", "--config", str(path), f"--budget={budget}"]) == code
+        if code:
+            assert "no architecture within budget -inf" in capsys.readouterr().err
+        else:
+            assert json.loads((out / "constraint.json").read_text())["budget"] == math.inf
 
 
 class TestReportFormat:

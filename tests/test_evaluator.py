@@ -11,13 +11,13 @@ from gcnas.evaluator import (
     calibrate_sigma,
     flops,
     flops_many,
-    ground_truth,
     ground_truth_many,
     sample_architectures,
     sample_choice_matrix,
     _noise_field,
 )
 from gcnas.metrics import kendall_tau
+from gcnas.seeding import seed_stream
 from gcnas.search_space import Architecture, SearchSpaceSpec, default_space
 from conftest import ground_truth_reference, sample_architectures_reference
 
@@ -38,8 +38,8 @@ class TestGroundTruth:
     def test_zero_utilities_flat_surface(self):
         spec = SearchSpaceSpec(5, 4)
         truth = flat_truth(spec)
-        assert ground_truth(Architecture((0, 1, 2, 3, 0)), truth) == 0.8
-        assert ground_truth(Architecture((3, 3, 3, 3, 3)), truth) == 0.8
+        assert ground_truth_many(np.array([[0, 1, 2, 3, 0]]), truth)[0] == 0.8
+        assert ground_truth_many(np.array([[3, 3, 3, 3, 3]]), truth)[0] == 0.8
 
     def test_additivity_of_single_utility_bump(self):
         spec = SearchSpaceSpec(4, 6)
@@ -49,12 +49,14 @@ class TestGroundTruth:
         bumped_utility[0, 3] += delta
         bumped = dataclasses.replace(base_truth, cell_utility=bumped_utility)
         for choices in [(3, 0, 0, 0), (3, 5, 1, 2)]:
-            arch = Architecture(choices)
-            assert ground_truth(arch, bumped) == pytest.approx(
-                ground_truth(arch, base_truth) + delta
+            row = np.array([choices])
+            assert ground_truth_many(row, bumped)[0] == pytest.approx(
+                ground_truth_many(row, base_truth)[0] + delta
             )
-        untouched = Architecture((2, 5, 1, 2))
-        assert ground_truth(untouched, bumped) == ground_truth(untouched, base_truth)
+        untouched = np.array([[2, 5, 1, 2]])
+        assert (
+            ground_truth_many(untouched, bumped)[0] == ground_truth_many(untouched, base_truth)[0]
+        )
 
     def test_separable_argmax_matches_percell_argmax(self):
         spec = SearchSpaceSpec(4, 6)
@@ -77,7 +79,7 @@ class TestGroundTruth:
     def test_clamped_to_unit_interval(self):
         spec = SearchSpaceSpec(3, 4)
         truth = GroundTruthParams(0.99, np.full((3, 4), 0.05), 0.0, 0)
-        assert ground_truth(Architecture((0, 0, 0)), truth) == 1.0
+        assert ground_truth_many(np.array([[0, 0, 0]]), truth)[0] == 1.0
 
 
 class TestSyntheticSupernet:
@@ -147,6 +149,24 @@ class TestSyntheticSupernet:
         truth = flat_truth(SearchSpaceSpec(3, 4), base=0.99)
         sn = SyntheticSupernet(truth, a=1.0, b=0.5, sigma=0.0)
         assert sn.evaluate(Architecture((0, 0, 0))) == 1.0
+
+
+class TestSeedRanges:
+    @pytest.mark.parametrize("seed", [-(2**63) - 1, 2**63, 2**64])
+    def test_seed_stream_names_root_seed(self, seed):
+        with pytest.raises(ValueError, match=f"root_seed must lie in .*got {seed}"):
+            seed_stream(seed, "label")
+
+    def test_seed_stream_bounds(self):
+        assert seed_stream(-(2**63), "label") != seed_stream(2**63 - 1, "label")
+
+    @pytest.mark.parametrize("seed", [-1, 2**63])
+    def test_supernet_names_checkpoint_seed(self, seed):
+        truth = flat_truth(SearchSpaceSpec(3, 4))
+        with pytest.raises(ValueError, match=f"checkpoint_seed must lie in .*got {seed}"):
+            SyntheticSupernet(truth, checkpoint_seed=seed)
+        edge = SyntheticSupernet(truth, checkpoint_seed=2**63 - 1)
+        assert edge.advanced().evaluate_matrix(np.zeros((1, 3), dtype=np.int64)).shape == (1,)
 
 
 class TestCalibration:

@@ -11,7 +11,6 @@ from gcnas.evaluator import (
     GroundTruthParams,
     SyntheticSupernet,
     flops_many,
-    ground_truth,
     ground_truth_many,
 )
 from gcnas import search_engine
@@ -27,6 +26,7 @@ from gcnas.search_space import (
     SearchSpaceSpec,
     full_subspace,
     make_segment_plan,
+    sample_uniform,
 )
 from gcnas.seeding import seed_stream
 from conftest import final_and_reports
@@ -70,13 +70,13 @@ class TestReverify:
         spec = SearchSpaceSpec(4, 6)
         sn = noiseless_supernet(spec, 0)
         arch = Architecture((1, 2, 3, 4))
-        picked = reverify([arch], sn)
+        picked = reverify([arch], sn, [0])
         assert picked.architecture == arch
         assert picked.accuracy == sn.evaluate(arch)
 
     def test_empty_error(self):
         with pytest.raises(ValueError):
-            reverify([], noiseless_supernet(SearchSpaceSpec(2, 4), 0))
+            reverify([], noiseless_supernet(SearchSpaceSpec(2, 4), 0), [])
 
     def test_ties_break_to_lowest_node_index(self):
         spec = SearchSpaceSpec(3, 4)
@@ -96,10 +96,56 @@ class TestReverify:
         rng = np.random.default_rng(1)
         archs = [Architecture(tuple(rng.integers(0, 6, 4))) for _ in range(64)]
         noisy_scores = noisy.evaluate_many(archs)
-        true_scores = np.array([ground_truth(a, truth) for a in archs])
+        true_scores = np.array([ground_truth_many(np.array([a.choices]), truth)[0] for a in archs])
         assert int(np.argmax(noisy_scores)) != int(np.argmax(true_scores))
         picked = reverify(archs, clean, node_indices=list(range(len(archs))))
         assert picked.architecture == archs[int(np.argmax(true_scores))]
+
+
+class TestTiesGoToTheLowestNodeId:
+    """A flat ground truth without noise scores every node alike, so each
+    selection falls to its tie rule."""
+
+    spec = SearchSpaceSpec(3, 4)
+    config = SearchConfig(m_samples=30, train_split=24, top_pool=12, k_preserve=5,
+                          gcn=SMALL_GCN, seed=4)
+
+    @pytest.fixture(autouse=True)
+    def constant_scores_have_no_tau(self, monkeypatch):
+        # the validation tau and R^2 are undefined on constant scores, and no
+        # selection reads them
+        for name in ("kendall_tau", "regression_score"):
+            monkeypatch.setattr(search_engine, name, lambda *a: 0.0)
+
+    def flat_round(self):
+        flat = GroundTruthParams(0.8, np.zeros((3, 4)), 0.0, 0)
+        sn = SyntheticSupernet(flat, sigma=0.0)
+        sub = full_subspace(self.spec)
+        return sub, sn, run_round(sub, sn, self.config)
+
+    def test_round_preserves_the_lowest_ids_of_its_pool(self):
+        _, _, result = self.flat_round()
+        pool = np.argsort(-result.predictions, kind="stable")[: self.config.top_pool]
+        preserved = [p.node_index for p in result.preserved]
+        assert preserved == sorted(pool.tolist())[: self.config.k_preserve]
+        assert result.report.best_selected.node_index == preserved[0] == pool.min()
+        assert result.report.gcn_top1.node_index == pool[0]
+
+    def test_best_sampled_is_the_lowest_sampled_id(self):
+        sub, _, result = self.flat_round()
+        digits = sample_uniform(sub, self.config.m_samples,
+                                seed_stream(self.config.seed, "sample", 0))
+        assert result.report.best_sampled.node_index == sub.index(digits).min()
+
+    def test_constraint_select_returns_the_lowest_id_of_its_pool(self):
+        _, sn, result = self.flat_round()
+        cost = CostModel(10.0, np.linspace(1, 12, 12).reshape(3, 4))
+        all_cost = flops_many(result.graph.choice_matrix, cost)
+        budget = float(np.median(all_cost))
+        order = np.argsort(-result.predictions, kind="stable")
+        pool = order[all_cost[order] <= budget][:6]
+        picked = constraint_select(result.graph, result.model, cost, budget, sn, 6)
+        assert picked.node_index == pool.min()
 
 
 class TestRunRound:
@@ -184,7 +230,7 @@ class TestRunRound:
             run_round(full_subspace(spec), evaluator, config)
         with pytest.raises(ValueError, match=pool_message):
             reverify([Architecture((0, 0, i)) for i in range(4)] + [Architecture((1, 0, 0))],
-                     evaluator)
+                     evaluator, [0, 1, 2, 3, 16])
 
     @pytest.mark.parametrize("score", [float("nan"), float("inf"), -0.1])
     def test_non_finite_or_negative_scores_rejected(self, score):
@@ -193,7 +239,7 @@ class TestRunRound:
                 return score
 
         with pytest.raises(ValueError, match="not a finite value in"):
-            reverify([Architecture((0,))], Constant())
+            reverify([Architecture((0,))], Constant(), [0])
 
     def test_measured_similarity_round(self):
         # the sampled evaluations seed the similarity table; sparse statistics
@@ -404,6 +450,12 @@ class TestConstraintSelect:
             selected = constraint_select(graph, model, cost, float(budget), sn, 20)
             idx = selected.node_index
             assert all_cost[idx] <= budget
+
+    def test_nan_budget_rejected_before_ranking(self, monkeypatch):
+        graph, model, cost, sn = self.setup_round()
+        monkeypatch.setattr(search_engine, "forward", lambda *a: pytest.fail("ranked"))
+        with pytest.raises(ValueError, match="budget must be a number.*nan"):
+            constraint_select(graph, model, cost, float("nan"), sn, 10)
 
     @pytest.mark.parametrize("top_pool", [0, -1])
     def test_top_pool_below_one_rejected(self, top_pool):
