@@ -37,6 +37,7 @@ from .metrics import kendall_tau
 from .search_engine import (
     RoundResult,
     SearchConfig,
+    check_budget,
     constraint_select,
     iter_search_rounds,
     round_subspace,
@@ -46,6 +47,7 @@ from .search_space import (
     Architecture,
     SearchSpaceSpec,
     SegmentPlan,
+    Subspace,
     default_initial_architecture,
     default_space,
     make_segment_plan,
@@ -343,12 +345,19 @@ def _provenance(config: RunConfig) -> dict[str, Any]:
 
 
 def _dump_predictions(path: Path, result: RoundResult) -> None:
+    """One "architecture,predicted_score" row per node, in the bytes of
+    Python's default CSV dialect: CRLF line ends, and the architecture quoted
+    only when it holds a comma, that is, with more than one layer."""
+    choices = result.graph.choice_matrix
+    digits = [str(c) for c in range(result.graph.subspace.spec.choices_per_layer)]
+    quote = '"' if choices.shape[1] > 1 else ""
+    rows = [
+        f"{quote}{','.join([digits[c] for c in row])}{quote},{score:.6f}\r\n"
+        for row, score in zip(choices.tolist(), result.predictions.tolist())
+    ]
     with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["architecture", "predicted_score"])
-        for i in range(result.graph.num_nodes):
-            arch = ",".join(str(c) for c in result.graph.choice_matrix[i])
-            writer.writerow([arch, f"{result.predictions[i]:.6f}"])
+        fh.write("architecture,predicted_score\r\n")
+        fh.writelines(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -400,16 +409,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _single_round(config: RunConfig, segment_index: int) -> RoundResult:
+def _segment_subspace(config: RunConfig, segment_index: int) -> Subspace:
     segments = config.plan.segments
     if not 0 <= segment_index < len(segments):
         raise ValueError(
             f"segment index {segment_index} outside [0, {len(segments)}) of the plan"
         )
     # a single round searches its segment with every other layer fixed
-    subspace = round_subspace(config.space, segments[segment_index], (), (),
-                              config.initial_architecture)
-    return run_round(subspace, config.simulator, config.search, segment_index, config.cost_model)
+    return round_subspace(config.space, segments[segment_index], (), (),
+                          config.initial_architecture)
 
 
 def _cmd_round(args: argparse.Namespace) -> int:
@@ -417,7 +425,8 @@ def _cmd_round(args: argparse.Namespace) -> int:
     config = _with_overrides(args)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    result = _single_round(config, args.segment)
+    result = run_round(_segment_subspace(config, args.segment), config.simulator, config.search,
+                       args.segment, config.cost_model)
     _write_round(out, config, result, args.lookup_table)
     t = result.report.round_index
     if args.lookup_table:
@@ -511,9 +520,11 @@ def _cmd_constraint(args: argparse.Namespace) -> int:
     config = _with_overrides(args)
     if np.isnan(args.budget):
         raise ValueError(f"--budget must be a number of multiply-adds, got {args.budget}")
+    subspace = _segment_subspace(config, args.segment)
+    check_budget(subspace, config.cost_model, args.budget)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    result = _single_round(config, args.segment)
+    result = run_round(subspace, config.simulator, config.search, args.segment, config.cost_model)
     selected = constraint_select(result.graph, result.model, config.cost_model, args.budget,
                                  config.simulator, config.search.top_pool)
     payload = {

@@ -16,6 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .arch_graph import ArchGraph, normalize_adjacency
 
@@ -114,48 +115,107 @@ def _model_inputs(graph: ArchGraph, dtype: np.dtype) -> tuple[sp.csr_matrix, np.
     return graph.model_inputs[dtype]
 
 
-def _forward_cached(
-    a_hat: sp.csr_matrix, propagated_input: np.ndarray, model: GcnModel
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Forward pass reusing the precomputed A_hat @ X; returns the output and
-    the post-relu activations of every layer."""
-    activations: list[np.ndarray] = []
-    h = np.maximum(propagated_input @ model.layer_weights[0], 0)
-    activations.append(h)
-    for w in model.layer_weights[1:]:
-        h = np.maximum(a_hat @ (h @ w), 0)
-        activations.append(h)
-    out = a_hat @ (h @ model.head) + model.bias[0]
-    return out, activations
+def _propagate(a_hat: sp.csr_matrix, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a_hat @ m`` written into ``out``, with the same bits: SciPy's own CSR
+    kernel for that product, which adds into its output, run on ``out``
+    zeroed. ``m`` is a vector or a matrix with one row per column of
+    ``a_hat``; ``out`` is C-contiguous, of ``a_hat``'s dtype and the product's
+    shape."""
+    rows, cols = a_hat.shape
+    if not (
+        m.dtype == out.dtype == a_hat.dtype
+        and m.shape[0] == cols
+        and out.shape == (rows, *m.shape[1:])
+        and out.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"cannot write a ({rows}, {cols}) {a_hat.dtype} matrix times a {m.shape} {m.dtype} "
+            f"array into a {out.shape} {out.dtype} buffer"
+        )
+    out.fill(0)
+    if m.ndim == 1 or m.shape[1] == 1:  # SciPy multiplies a one-column matrix as a vector
+        _sparsetools.csr_matvec(
+            rows, cols, a_hat.indptr, a_hat.indices, a_hat.data, m.ravel(), out.ravel()
+        )
+    else:
+        _sparsetools.csr_matvecs(
+            rows, cols, m.shape[1], a_hat.indptr, a_hat.indices, a_hat.data, m.ravel(), out.ravel()
+        )
+    return out
 
 
-def _gradients(
-    a_hat: sp.csr_matrix,
-    propagated_input: np.ndarray,
-    model: GcnModel,
-    activations: list[np.ndarray],
-    out_grad: np.ndarray,
-    weight_decay: float,
-) -> list[np.ndarray]:
-    """Gradients of the loss w.r.t. every parameter, ordered like
-    ``model.params()``. The L1 subgradient arrives via ``out_grad``; the
-    L2 weight-decay term is added to all weights but not the bias."""
-    u = a_hat @ out_grad
-    h_last = activations[-1]
-    g_head = h_last.T @ u + weight_decay * model.head
-    g_bias = np.array([out_grad.sum()], dtype=model.bias.dtype)
-    d_h = np.outer(u, model.head)
-    grads_w: list[np.ndarray] = [np.empty(0)] * len(model.layer_weights)
-    for layer in range(len(model.layer_weights) - 1, -1, -1):
-        d_z = d_h * (activations[layer] > 0)
-        if layer == 0:
-            g_w = propagated_input.T @ d_z
-        else:
-            q = a_hat @ d_z
-            g_w = activations[layer - 1].T @ q
-            d_h = q @ model.layer_weights[layer].T
-        grads_w[layer] = g_w + weight_decay * model.layer_weights[layer]
-    return [*grads_w, g_head, g_bias]
+class _Workspace:
+    """Every array a pass of ``model`` computes over the graph's nodes,
+    allocated once and overwritten by each pass, so a training epoch
+    allocates nothing the size of the graph. Each pass reads the model's
+    weights as they are at that call.
+
+    Per layer of width h, (n, h) arrays for the post-ReLU activations and,
+    past the first layer, for ``H W`` before propagation, which the backward
+    pass reuses for ``A_hat dZ``; (n,) vectors for the head's input and the
+    output. With ``backward``, also per layer the ReLU mask and the
+    activation gradient, the output gradient and ``A_hat`` times it, and one
+    gradient array per parameter.
+    """
+
+    def __init__(
+        self, a_hat: sp.csr_matrix, propagated_input: np.ndarray, model: GcnModel, backward: bool
+    ) -> None:
+        self.a_hat = a_hat
+        self.propagated_input = propagated_input
+        self.model = model
+        n = a_hat.shape[0]
+        dtype = model.head.dtype
+        widths = [w.shape[1] for w in model.layer_weights]
+        self.acts = [np.empty((n, h), dtype) for h in widths]
+        self.products = [np.empty((n, h), dtype) for h in widths[1:]]
+        self.head_input = np.empty(n, dtype)
+        self.out = np.empty(n, dtype)
+        if backward:
+            self.masks = [np.empty((n, h), bool) for h in widths]
+            self.d_acts = [np.empty((n, h), dtype) for h in widths]
+            self.out_grad = np.empty(n, dtype)
+            self.u = np.empty(n, dtype)
+            self.grads = [np.empty_like(p) for p in model.params()]
+
+    def forward(self) -> np.ndarray:
+        """The output for every node; the activations stay in ``acts``."""
+        model = self.model
+        np.matmul(self.propagated_input, model.layer_weights[0], out=self.acts[0])
+        np.maximum(self.acts[0], 0, out=self.acts[0])
+        for layer in range(1, len(self.acts)):
+            hw = self.products[layer - 1]
+            np.matmul(self.acts[layer - 1], model.layer_weights[layer], out=hw)
+            h = _propagate(self.a_hat, hw, self.acts[layer])
+            np.maximum(h, 0, out=h)
+        np.matmul(self.acts[-1], model.head, out=self.head_input)
+        _propagate(self.a_hat, self.head_input, self.out)
+        self.out += model.bias[0]
+        return self.out
+
+    def gradients(self, weight_decay: float) -> list[np.ndarray]:
+        """Gradients of the loss w.r.t. every parameter, ordered like
+        ``model.params()``, after :meth:`forward` at the same weights. The L1
+        subgradient arrives in ``out_grad``; the L2 weight-decay term is
+        added to all weights but not the bias."""
+        model = self.model
+        *grads_w, g_head, g_bias = self.grads
+        u = _propagate(self.a_hat, self.out_grad, self.u)
+        np.matmul(self.acts[-1].T, u, out=g_head)
+        g_head += weight_decay * model.head
+        g_bias[0] = self.out_grad.sum()
+        np.multiply(u[:, None], model.head, out=self.d_acts[-1])
+        for layer in range(len(self.acts) - 1, -1, -1):
+            d_z = self.d_acts[layer]
+            np.multiply(d_z, np.greater(self.acts[layer], 0, out=self.masks[layer]), out=d_z)
+            if layer == 0:
+                np.matmul(self.propagated_input.T, d_z, out=grads_w[0])
+            else:
+                q = _propagate(self.a_hat, d_z, self.products[layer - 1])
+                np.matmul(self.acts[layer - 1].T, q, out=grads_w[layer])
+                np.matmul(q, model.layer_weights[layer].T, out=self.d_acts[layer - 1])
+            grads_w[layer] += weight_decay * model.layer_weights[layer]
+        return self.grads
 
 
 def forward(graph: ArchGraph, model: GcnModel) -> np.ndarray:
@@ -166,8 +226,7 @@ def forward(graph: ArchGraph, model: GcnModel) -> np.ndarray:
             f"graph features have dimension {graph.features.shape[1]}, "
             f"model expects {model.feat_dim}"
         )
-    out, _ = _forward_cached(*_model_inputs(graph, dtype), model)
-    return out
+    return _Workspace(*_model_inputs(graph, dtype), model, backward=False).forward()
 
 
 def _steps(
@@ -182,19 +241,21 @@ def _steps(
     labeled nodes ``idx`` and its (sub)gradients, ordered like
     ``model.params()``, for the model's weights as they are at that call.
 
-    A generator rather than a function so that one step's arrays stay alive
-    until the next step has computed its own, as in a loop body; freeing them
-    at every return made the allocator hand pages back and fault them in
-    again, about 7% of an epoch at 7,776 nodes, 32-wide, float32.
+    The steps share one workspace, allocated at the first ``next()``: each
+    step writes every array over the graph's nodes into it, and the
+    gradients it yields are workspace arrays, valid until the next
+    ``next()``. So no step allocates what the allocator would hand back to
+    the system and fault in again at the next step.
     """
+    workspace = _Workspace(a_hat, propagated_input, model, backward=True)
     inv_n = y.dtype.type(1.0 / len(idx))
     while True:
-        out, activations = _forward_cached(a_hat, propagated_input, model)
+        out = workspace.forward()
         residual = out[idx] - y
         loss = float(np.abs(residual).mean())
-        out_grad = np.zeros(len(out), dtype=y.dtype)
-        np.add.at(out_grad, idx, np.sign(residual) * inv_n)
-        yield loss, _gradients(a_hat, propagated_input, model, activations, out_grad, weight_decay)
+        workspace.out_grad.fill(0)
+        np.add.at(workspace.out_grad, idx, np.sign(residual) * inv_n)
+        yield loss, workspace.gradients(weight_decay)
 
 
 def loss_and_gradients(

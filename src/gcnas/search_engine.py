@@ -166,11 +166,32 @@ def _ranked_within_budget(
     cost = graph.priced_by[1]
     order = order[cost[order] <= budget]
     if len(order) == 0:
-        raise ValueError(
-            f"{context}no architecture within budget {budget:g}; "
-            f"minimum achievable cost is {cost.min():g}"
-        )
+        raise _over_budget(budget, cost.min(), context)
     return order
+
+
+def _over_budget(budget: float, minimum: float, context: str) -> ValueError:
+    return ValueError(
+        f"{context}no architecture within budget {budget:g}; "
+        f"minimum achievable cost is {minimum:g}"
+    )
+
+
+def check_budget(
+    subspace: Subspace, cost_model: CostModel, budget: float, context: str = ""
+) -> None:
+    """Raise, as the ranking would, if no node of ``subspace`` is within the
+    multiply-add ``budget``; known before anything is sampled, because a
+    node's cost is a sum over its layers, so the cheapest node takes each
+    slot's cheapest candidate."""
+    table = cost_model.cell_cost
+    cheapest = [
+        min(range(slot.radix), key=lambda d: table[slot.positions, slot.candidates[d]].sum())
+        for slot in subspace.slots
+    ]
+    minimum = flops_many(subspace.choices(np.array([cheapest])), cost_model)[0]
+    if not budget >= minimum:
+        raise _over_budget(budget, minimum, context)
 
 
 def reverify(
@@ -204,8 +225,10 @@ def run_round(
             f"round {round_index}: top_pool={config.top_pool} exceeds the "
             f"{n} nodes of the subspace"
         )
-    if config.constraint_budget is not None and cost_model is None:
-        raise ValueError(f"round {round_index}: constraint_budget set but no cost model given")
+    if config.constraint_budget is not None:
+        if cost_model is None:
+            raise ValueError(f"round {round_index}: constraint_budget set but no cost model given")
+        check_budget(subspace, cost_model, config.constraint_budget, f"round {round_index}: ")
 
     digits = sample_uniform(
         subspace, config.m_samples, seed_stream(config.seed, "sample", round_index)

@@ -11,6 +11,16 @@ import scipy.sparse as sp
 from hypothesis import strategies as st
 
 from gcnas.evaluator import Evaluator, GroundTruthParams, _interaction_table
+from gcnas.gcn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
+    GcnConfig,
+    GcnModel,
+    _model_inputs,
+    init_model,
+    learning_rate_at,
+)
 from gcnas.search_engine import RoundReport, SearchConfig, iter_search_rounds
 from gcnas.search_space import (
     Architecture,
@@ -307,6 +317,84 @@ def power_iteration_largest_eigenvalue(matrix, iterations: int = 200, seed: int 
         value = float(v @ w)
         v = w / norm
     return value
+
+
+def forward_reference(
+    a_hat: sp.csr_matrix, propagated_input: np.ndarray, model: GcnModel
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The GCN forward pass with a fresh array per product: the output and
+    every layer's post-relu activations; the reference for the workspace
+    pass in gcnas.gcn."""
+    activations: list[np.ndarray] = []
+    h = np.maximum(propagated_input @ model.layer_weights[0], 0)
+    activations.append(h)
+    for w in model.layer_weights[1:]:
+        h = np.maximum(a_hat @ (h @ w), 0)
+        activations.append(h)
+    out = a_hat @ (h @ model.head) + model.bias[0]
+    return out, activations
+
+
+def gradients_reference(
+    a_hat: sp.csr_matrix,
+    propagated_input: np.ndarray,
+    model: GcnModel,
+    activations: list[np.ndarray],
+    out_grad: np.ndarray,
+    weight_decay: float,
+) -> list[np.ndarray]:
+    """Hand-derived gradients with a fresh array per product, ordered like
+    ``model.params()``."""
+    u = a_hat @ out_grad
+    g_head = activations[-1].T @ u + weight_decay * model.head
+    g_bias = np.array([out_grad.sum()], dtype=model.bias.dtype)
+    d_h = np.outer(u, model.head)
+    grads_w: list[np.ndarray] = [np.empty(0)] * len(model.layer_weights)
+    for layer in range(len(model.layer_weights) - 1, -1, -1):
+        d_z = d_h * (activations[layer] > 0)
+        if layer == 0:
+            g_w = propagated_input.T @ d_z
+        else:
+            q = a_hat @ d_z
+            g_w = activations[layer - 1].T @ q
+            d_h = q @ model.layer_weights[layer].T
+        grads_w[layer] = g_w + weight_decay * model.layer_weights[layer]
+    return [*grads_w, g_head, g_bias]
+
+
+def train_reference(graph, labels, config: GcnConfig, seed: int) -> tuple[GcnModel, list[float]]:
+    """Full-batch Adam on the mean absolute error, every epoch allocating its
+    own arrays; the reference for gcnas.gcn.train."""
+    dtype = np.dtype(config.dtype)
+    idx = np.asarray(labels[0], dtype=np.int64)
+    y = np.asarray(labels[1], dtype=dtype)
+    a_hat, propagated = _model_inputs(graph, dtype)
+    model = init_model(graph.features.shape[1], config, seed)
+    model.bias[0] = y.mean()
+    params = model.params()
+    moment1 = [np.zeros_like(p) for p in params]
+    moment2 = [np.zeros_like(p) for p in params]
+    inv_n = dtype.type(1.0 / len(idx))
+    losses: list[float] = []
+    for epoch in range(config.epochs):
+        out, activations = forward_reference(a_hat, propagated, model)
+        residual = out[idx] - y
+        losses.append(float(np.abs(residual).mean()))
+        out_grad = np.zeros(len(out), dtype=dtype)
+        np.add.at(out_grad, idx, np.sign(residual) * inv_n)
+        grads = gradients_reference(
+            a_hat, propagated, model, activations, out_grad, config.weight_decay
+        )
+        lr = learning_rate_at(epoch, config)
+        bias_fix1 = 1.0 - ADAM_BETA1 ** (epoch + 1)
+        bias_fix2 = 1.0 - ADAM_BETA2 ** (epoch + 1)
+        for p, g, m1, m2 in zip(params, grads, moment1, moment2):
+            m1 *= ADAM_BETA1
+            m1 += (1 - ADAM_BETA1) * g
+            m2 *= ADAM_BETA2
+            m2 += (1 - ADAM_BETA2) * g * g
+            p -= lr * (m1 / bias_fix1) / (np.sqrt(m2 / bias_fix2) + ADAM_EPS)
+    return model, losses
 
 
 def final_and_reports(

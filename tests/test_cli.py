@@ -9,6 +9,7 @@ import warnings
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gcnas
@@ -20,7 +21,7 @@ from gcnas.cli import (
     parse_config,
     write_report,
 )
-from gcnas.evaluator import CostModel
+from gcnas.evaluator import CostModel, flops_many
 from conftest import ACC_SNAPSHOT_A, ACC_SNAPSHOT_B, ACC_TRUE
 
 
@@ -80,6 +81,14 @@ TINY_ROUND_SHA256 = {
     0: "3a3619f6ffc8be3296489d39002b55bd1891ff3ff1b642fafa5ca2f93ff46a3d",
     1: "238c12578aeaa8d8515ff52b39bebaff286790c054d1b2c4e4856fc0bfc8c888",
 }
+# the tiny-config --dump-predictions tables per round, and the table of a
+# 1-layer, 16-choice space, all written with csv.writer before the rows were
+# joined by hand
+TINY_PREDICTIONS_SHA256 = {
+    0: "d98e2d916963fa5f9b66f8ca7710234f82191bf062e82a9e41c412ee2ff53f44",
+    1: "dfa19b8d6d1a7099238e5dc5ba48b6cdb94fa4b8f18987798895af510c3897ef",
+}
+ONE_LAYER_PREDICTIONS_SHA256 = "bc87c58bd23da2f36c8585bc0731caf53c8046dac87471552e00538f83232de0"
 # (dotted key, lowest or highest accepted value, the value one past it)
 SEED_BOUNDS = [
     ("seed", -(2**63), -(2**63) - 1),
@@ -415,6 +424,20 @@ class TestSearchCommand:
         lines = (out / "predictions_round_0.csv").read_text().splitlines()
         assert lines[0] == "architecture,predicted_score"
         assert len(lines) == 1 + 16
+        for t, digest in TINY_PREDICTIONS_SHA256.items():
+            data = (out / f"predictions_round_{t}.csv").read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_dump_predictions_of_one_layer(self, tiny_config):
+        path, out = tiny_config
+        config = json.loads(path.read_text())
+        config["search_space"] = {"num_layers": 1, "choices_per_layer": 16}
+        del config["plan"]
+        path.write_text(json.dumps(config))
+        assert main(["predict", "--config", str(path)]) == 0
+        data = (out / "predictions_round_0.csv").read_bytes()
+        assert data.startswith(b"architecture,predicted_score\r\n0,0.")  # unquoted
+        assert hashlib.sha256(data).hexdigest() == ONE_LAYER_PREDICTIONS_SHA256
 
 
 class TestOtherCommands:
@@ -497,6 +520,27 @@ class TestConstraintBudget:
         monkeypatch.setattr(search_engine, "train", lambda *a: pytest.fail("trained"))
         assert main(["constraint", "--config", str(path), "--budget", "nan"]) == 1
         assert "--budget must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", [math.inf, 1.0])
+    def test_budget_below_every_node_fails_before_the_round(
+        self, tiny_config, capsys, monkeypatch, below
+    ):
+        path, out = tiny_config
+        config = load_config(path)
+        subspace = search_engine.round_subspace(
+            config.space, config.plan.segments[0], (), (), config.initial_architecture
+        )
+        every_node = subspace.choices(subspace.digits(np.arange(subspace.node_count)))
+        minimum = float(flops_many(every_node, config.cost_model).min())
+        monkeypatch.setattr(search_engine, "sample_uniform", lambda *a: pytest.fail("sampled"))
+        monkeypatch.setattr(search_engine, "train", lambda *a: pytest.fail("trained"))
+        budget = minimum - below
+        assert main(["constraint", "--config", str(path), f"--budget={budget!r}"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: no architecture within budget {budget:g}; "
+            f"minimum achievable cost is {minimum:g}\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize("budget, code", [("inf", 0), ("-inf", 1)])

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from gcnas.arch_graph import ArchGraph, build_graph, normalize_adjacency
 from gcnas.gcn import (
     GcnConfig,
     GcnModel,
-    _forward_cached,
+    _model_inputs,
+    _propagate,
+    _steps,
     forward,
     init_model,
     learning_rate_at,
@@ -19,6 +22,7 @@ from gcnas.gcn import (
     write_loss_curve,
 )
 from gcnas.search_space import SearchSpaceSpec, Subspace
+from conftest import forward_reference, gradients_reference, train_reference
 
 
 def toy_graph(num_free: int = 2, choices: int = 4, seed: int = 0) -> ArchGraph:
@@ -263,7 +267,7 @@ class TestModelInputs:
         assert graph.model_inputs[f32][0] is a_hat and graph.model_inputs[f32][1] is propagated
         # the same bits as casting and propagating afresh
         cast = normalize_adjacency(graph).astype(np.float32)
-        want, _ = _forward_cached(cast, cast @ graph.features, model)
+        want, _ = forward_reference(cast, cast @ graph.features, model)
         assert out.tobytes() == want.tobytes()
         assert out.tobytes() == forward(graph, model).tobytes()
 
@@ -275,6 +279,85 @@ class TestModelInputs:
             assert np.shares_memory(a.indices, normalized.indices)
             assert np.shares_memory(a.indptr, normalized.indptr)
         assert np.shares_memory(graph.model_inputs[np.dtype(np.float64)][0].data, normalized.data)
+
+
+class TestPropagate:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(), (1,), (7,)])
+    def test_same_bits_as_the_sparse_product(self, dtype, shape):
+        graph = toy_graph(num_free=3, choices=5)  # 125 nodes
+        a_hat, _ = _model_inputs(graph, np.dtype(dtype))
+        rng = np.random.default_rng(1)
+        out = np.empty((graph.num_nodes, *shape), dtype)
+        for _ in range(2):  # the second product lands in the first one's dirty buffer
+            m = rng.standard_normal((graph.num_nodes, *shape)).astype(dtype)
+            assert _propagate(a_hat, m, out) is out
+            assert np.array_equal(out, a_hat @ m)
+
+    @pytest.mark.parametrize(
+        "m_shape, out_shape, out_dtype",
+        [((16, 3), (16, 3), np.float64), ((15, 3), (16, 3), np.float32),
+         ((16, 3), (16, 2), np.float32), ((16,), (16, 1), np.float32)],
+    )
+    def test_mismatched_buffer_rejected(self, m_shape, out_shape, out_dtype):
+        a_hat, _ = _model_inputs(toy_graph(), np.dtype(np.float32))
+        with pytest.raises(ValueError, match="cannot write"):
+            _propagate(a_hat, np.ones(m_shape, np.float32), np.zeros(out_shape, out_dtype))
+
+    def test_non_contiguous_buffer_rejected(self):
+        a_hat, _ = _model_inputs(toy_graph(), np.dtype(np.float64))
+        out = np.zeros((3, 16)).T
+        with pytest.raises(ValueError, match="cannot write"):
+            _propagate(a_hat, np.ones((16, 3)), out)
+
+
+class TestSameBitsAsFreshArrays:
+    """The workspace pass against the reference that allocates every array."""
+
+    @pytest.mark.parametrize("hidden, dtype", [((32, 32), "float32"), ((6, 5), "float64"),
+                                               ((4, 1), "float32"), ((3,), "float64")])
+    def test_train_forward_and_gradients(self, hidden, dtype):
+        graph = toy_graph(num_free=4, choices=4)  # 256 nodes
+        rng = np.random.default_rng(6)
+        ids = rng.choice(graph.num_nodes, 60, replace=False)
+        ids[1] = ids[0]  # a repeated label
+        labels = ids, 0.5 + 0.1 * rng.standard_normal(60)
+        config = GcnConfig(hidden_dims=hidden, epochs=24, dtype=dtype)
+        model, losses = train(graph, labels, config, 3)
+        want_model, want_losses = train_reference(graph, labels, config, 3)
+        assert losses == want_losses
+        for got, want in zip(model.params(), want_model.params()):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+        a_hat, propagated = _model_inputs(graph, np.dtype(dtype))
+        out, activations = forward_reference(a_hat, propagated, model)
+        assert forward(graph, model).tobytes() == out.tobytes()
+        idx = ids[:5]  # ids[0] == ids[1]
+        y = (out[idx] - np.array([0.2, -0.1, 0.3, -0.4, 0.5])).astype(dtype)
+        loss, grads = loss_and_gradients(graph, model, idx, y, 5e-4)
+        residual = out[idx] - y
+        out_grad = np.zeros_like(out)
+        np.add.at(out_grad, idx, np.sign(residual) * np.dtype(dtype).type(1 / len(idx)))
+        want = gradients_reference(a_hat, propagated, model, activations, out_grad, 5e-4)
+        assert loss == float(np.abs(residual).mean())
+        for got, expected in zip(grads, want):
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    def test_a_step_allocates_less_than_one_activation(self):
+        graph = toy_graph(num_free=4, choices=5)  # 625 nodes
+        config = GcnConfig(hidden_dims=(32, 32), dtype="float64")
+        model = init_model(graph.features.shape[1], config, 0)
+        a_hat, propagated = _model_inputs(graph, np.dtype(np.float64))
+        idx = np.arange(0, graph.num_nodes, 3)
+        steps = _steps(a_hat, propagated, model, idx, np.full(len(idx), 0.5), 5e-4)
+        next(steps)  # allocates the workspace
+        tracemalloc.start()
+        try:
+            next(steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < graph.num_nodes * 32 * 8
 
 
 class TestModelIO:

@@ -1,8 +1,11 @@
 import dataclasses
 import errno
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcnas.arch_graph import build_graph, normalize_adjacency
 from gcnas.evaluator import (
@@ -17,6 +20,7 @@ from gcnas import search_engine
 from gcnas.gcn import GcnConfig, forward, train
 from gcnas.search_engine import (
     SearchConfig,
+    check_budget,
     constraint_select,
     reverify,
     run_round,
@@ -29,7 +33,7 @@ from gcnas.search_space import (
     sample_uniform,
 )
 from gcnas.seeding import seed_stream
-from conftest import final_and_reports
+from conftest import final_and_reports, subspaces
 
 SMALL_GCN = GcnConfig(hidden_dims=(8, 8), epochs=60, dtype="float64")
 
@@ -442,6 +446,33 @@ class TestConstraintSelect:
         )
         with pytest.raises(ValueError, match="cost model"):
             run_round(sub, noiseless_supernet(spec, 0), config)
+
+    @settings(max_examples=40, deadline=None)
+    @given(subspaces(), st.integers(0, 2**32 - 1))
+    def test_check_budget_knows_the_cheapest_node(self, sub, seed):
+        spec = sub.spec
+        rng = np.random.default_rng(seed)
+        table = rng.uniform(0, 9, (spec.num_layers, spec.choices_per_layer))
+        cost = CostModel(float(rng.uniform(0, 5)), table)
+        minimum = flops_many(sub.choices(sub.digits(np.arange(sub.node_count))), cost).min()
+        check_budget(sub, cost, minimum)
+        for budget in (np.nextafter(minimum, -np.inf), -np.inf):
+            message = (f"round 2: no architecture within budget {budget:g}; "
+                       f"minimum achievable cost is {minimum:g}")
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check_budget(sub, cost, budget, "round 2: ")
+
+    def test_run_round_budget_below_every_node_fails_before_sampling(self, monkeypatch):
+        spec = SearchSpaceSpec(3, 4)
+        cost = CostModel(10.0, np.linspace(1, 12, 12).reshape(3, 4))
+        config = SearchConfig(
+            m_samples=30, train_split=24, top_pool=10, k_preserve=2,
+            gcn=SMALL_GCN, constraint_budget=10.0 + 1 + 5 + 9 - 0.5,
+        )
+        monkeypatch.setattr(search_engine, "sample_uniform", lambda *a: pytest.fail("sampled"))
+        with pytest.raises(ValueError, match="^round 0: no architecture within budget 24.5; "
+                                             "minimum achievable cost is 25$"):
+            run_round(full_subspace(spec), noiseless_supernet(spec, 0), config, cost_model=cost)
 
     def test_output_always_within_budget(self):
         graph, model, cost, sn = self.setup_round(seed=7)
