@@ -6,7 +6,6 @@ from .arch_graph import (
     MeasuredSimilarity,
     SimilarityMode,
     build_graph,
-    dump_graph,
     measured_similarity,
     node_architecture,
     node_index,
@@ -23,13 +22,10 @@ from .evaluator import (
     sample_architectures,
 )
 from .gcn import (
-    CI_GCN_CONFIG,
     GcnConfig,
     GcnModel,
     forward,
     init_model,
-    load_model,
-    save_model,
     train,
 )
 from .metrics import kendall_tau, regression_score

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
@@ -33,7 +32,7 @@ class AssignedSimilarity:
     weight: float = ASSIGNED_WEIGHT
 
     def __post_init__(self) -> None:
-        if self.weight <= 0:
+        if not self.weight > 0:
             raise ValueError(f"assigned weight must be positive, got {self.weight}")
 
 
@@ -192,19 +191,3 @@ def normalize_adjacency(graph: ArchGraph) -> sp.csr_matrix:
 def node_architecture(graph: ArchGraph, index: int) -> Architecture:
     """Materialized architecture of one node."""
     return Architecture(tuple(int(c) for c in graph.choice_matrix[index]))
-
-
-def dump_graph(graph: ArchGraph, path_prefix: str | Path) -> tuple[Path, Path]:
-    """Write the edge list as ``<prefix>.edges.txt`` ("u v w" per line,
-    u < v, canonically ordered) and the feature matrix as a binary
-    ``<prefix>.features.npy`` sidecar."""
-    prefix = Path(path_prefix)
-    edges_path = prefix.with_name(prefix.name + ".edges.txt")
-    features_path = prefix.with_name(prefix.name + ".features.npy")
-    # the upper triangle of a canonical CSR comes out in (u, v) order
-    coo = sp.triu(graph.adjacency, k=1).tocoo()
-    with edges_path.open("w", encoding="utf-8") as fh:
-        for u, v, w in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{u} {v} {w:.9g}\n")
-    np.save(features_path, graph.features)
-    return edges_path, features_path

@@ -1,8 +1,10 @@
 """Command-line entry point and JSON configuration.
 
 All experiments are driven by one JSON config; every omitted key falls back
-to the default search setup (19-cell, 6-choice space, 7/6/6 segment plan,
-2000 samples per round with an 1800/200 split, K=6, 600-epoch regressor).
+to the default of the class that takes the value (``SearchConfig``,
+``GcnConfig``, the similarity modes, ``SyntheticSupernet``,
+``GroundTruthParams.random``, ``default_space()``); the segment plan's
+default is set in ``_parse_plan``.
 Reports are JSON with floats at 6 decimal places; the search result record
 is byte-identical across runs with the same config and seed.
 """

@@ -152,7 +152,7 @@ class SyntheticSupernet(Evaluator):
     checkpoint_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ValueError(f"sigma must be non-negative, got {self.sigma}")
         # the noise field keys on 64 unsigned bits, advancing derives from 64 signed ones
         if not 0 <= self.checkpoint_seed < 2**63:

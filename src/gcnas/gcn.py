@@ -8,11 +8,9 @@ learning-rate schedule; gradients are hand-derived (no autodiff framework).
 
 from __future__ import annotations
 
-import math
-import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,9 +21,6 @@ from .arch_graph import ArchGraph, normalize_adjacency
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-_MODEL_MAGIC = b"GCNM"
-_MODEL_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -42,7 +37,7 @@ class GcnConfig:
         object.__setattr__(self, "hidden_dims", dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"hidden_dims must be non-empty positive widths, got {dims}")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
@@ -52,11 +47,6 @@ class GcnConfig:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if np.dtype(self.dtype) not in (np.float32, np.float64):
             raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
-
-
-#: reduced-width profile for CI runs; search quality tracks the full-width
-#: default closely on desk-scale spaces
-CI_GCN_CONFIG = GcnConfig(hidden_dims=(32, 32), dtype="float32")
 
 
 @dataclass
@@ -193,11 +183,24 @@ class _Workspace:
         self.out += model.bias[0]
         return self.out
 
-    def gradients(self, weight_decay: float) -> list[np.ndarray]:
-        """Gradients of the loss w.r.t. every parameter, ordered like
-        ``model.params()``, after :meth:`forward` at the same weights. The L1
-        subgradient arrives in ``out_grad``; the L2 weight-decay term is
-        added to all weights but not the bias."""
+    def step(
+        self, idx: np.ndarray, y: np.ndarray, weight_decay: float
+    ) -> tuple[float, list[np.ndarray]]:
+        """One training step at the model's current weights: the mean
+        absolute error over the labeled nodes ``idx`` and its (sub)gradients,
+        ordered like ``model.params()``. The L2 weight-decay term is added to
+        the gradients of all weights but not the bias, and not to the loss.
+
+        The gradients are workspace arrays, valid until the next step, so no
+        step allocates what the allocator would hand back to the system and
+        fault in again at the next one.
+        """
+        out = self.forward()
+        residual = out[idx] - y
+        loss = float(np.abs(residual).mean())
+        self.out_grad.fill(0)
+        np.add.at(self.out_grad, idx, np.sign(residual) * y.dtype.type(1.0 / len(idx)))
+
         model = self.model
         *grads_w, g_head, g_bias = self.grads
         u = _propagate(self.a_hat, self.out_grad, self.u)
@@ -215,7 +218,7 @@ class _Workspace:
                 np.matmul(self.acts[layer - 1].T, q, out=grads_w[layer])
                 np.matmul(q, model.layer_weights[layer].T, out=self.d_acts[layer - 1])
             grads_w[layer] += weight_decay * model.layer_weights[layer]
-        return self.grads
+        return loss, self.grads
 
 
 def forward(graph: ArchGraph, model: GcnModel) -> np.ndarray:
@@ -227,35 +230,6 @@ def forward(graph: ArchGraph, model: GcnModel) -> np.ndarray:
             f"model expects {model.feat_dim}"
         )
     return _Workspace(*_model_inputs(graph, dtype), model, backward=False).forward()
-
-
-def _steps(
-    a_hat: sp.csr_matrix,
-    propagated_input: np.ndarray,
-    model: GcnModel,
-    idx: np.ndarray,
-    y: np.ndarray,
-    weight_decay: float,
-) -> Iterator[tuple[float, list[np.ndarray]]]:
-    """Training steps: each ``next()`` gives the mean absolute error over the
-    labeled nodes ``idx`` and its (sub)gradients, ordered like
-    ``model.params()``, for the model's weights as they are at that call.
-
-    The steps share one workspace, allocated at the first ``next()``: each
-    step writes every array over the graph's nodes into it, and the
-    gradients it yields are workspace arrays, valid until the next
-    ``next()``. So no step allocates what the allocator would hand back to
-    the system and fault in again at the next step.
-    """
-    workspace = _Workspace(a_hat, propagated_input, model, backward=True)
-    inv_n = y.dtype.type(1.0 / len(idx))
-    while True:
-        out = workspace.forward()
-        residual = out[idx] - y
-        loss = float(np.abs(residual).mean())
-        workspace.out_grad.fill(0)
-        np.add.at(workspace.out_grad, idx, np.sign(residual) * inv_n)
-        yield loss, workspace.gradients(weight_decay)
 
 
 def loss_and_gradients(
@@ -274,7 +248,8 @@ def loss_and_gradients(
     dtype = model.layer_weights[0].dtype
     idx = np.asarray(node_indices, dtype=np.int64)
     y = np.asarray(targets, dtype=dtype)
-    return next(_steps(*_model_inputs(graph, dtype), model, idx, y, weight_decay))
+    workspace = _Workspace(*_model_inputs(graph, dtype), model, backward=True)
+    return workspace.step(idx, y, weight_decay)
 
 
 def train(
@@ -317,8 +292,9 @@ def train(
     moment2 = [np.zeros_like(p) for p in params]
 
     losses: list[float] = []
-    steps = _steps(a_hat, propagated, model, idx, y, config.weight_decay)
-    for epoch, (loss, grads) in zip(range(config.epochs), steps):
+    workspace = _Workspace(a_hat, propagated, model, backward=True)
+    for epoch in range(config.epochs):
+        loss, grads = workspace.step(idx, y, config.weight_decay)
         lr = learning_rate_at(epoch, config)
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite training loss at epoch {epoch}")
@@ -334,56 +310,6 @@ def train(
             m2 += (1 - ADAM_BETA2) * g * g
             p -= lr * (m1 / bias_fix1) / (np.sqrt(m2 / bias_fix2) + ADAM_EPS)
     return model, losses
-
-
-def save_model(model: GcnModel, path: str | Path) -> None:
-    """Versioned binary dump: shapes plus row-major 32-bit weights."""
-    arrays = model.params()
-    with Path(path).open("wb") as fh:
-        fh.write(_MODEL_MAGIC)
-        fh.write(struct.pack("<II", _MODEL_VERSION, len(arrays)))
-        for arr in arrays:
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-
-
-def load_model(path: str | Path) -> GcnModel:
-    """Read a :func:`save_model` file; a truncated file, trailing bytes or
-    array shapes that do not form a model raise ``ValueError`` naming the
-    path."""
-    data = Path(path).read_bytes()
-    if data[:4] != _MODEL_MAGIC:
-        raise ValueError(f"{path}: not a model file")
-    offset = 4
-
-    def take(nbytes: int) -> bytes:
-        nonlocal offset
-        if offset + nbytes > len(data):
-            raise ValueError(f"{path}: truncated model file ({len(data)} bytes)")
-        offset += nbytes
-        return data[offset - nbytes : offset]
-
-    version, count = struct.unpack("<II", take(8))
-    if version != _MODEL_VERSION:
-        raise ValueError(f"{path}: unsupported model version {version}")
-    arrays: list[np.ndarray] = []
-    for _ in range(count):
-        (ndim,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
-        size = math.prod(shape)
-        arrays.append(np.frombuffer(take(4 * size), dtype="<f4").reshape(shape).astype(np.float32))
-    if offset != len(data):
-        raise ValueError(f"{path}: {len(data) - offset} trailing bytes after the last array")
-    if len(arrays) < 3:
-        raise ValueError(f"{path}: expected at least 3 arrays, found {len(arrays)}")
-    *weights, head, bias = arrays
-    chained = all(w.ndim == 2 for w in weights) and all(
-        a.shape[1] == b.shape[0] for a, b in zip(weights, weights[1:])
-    )
-    if not (chained and head.shape == (weights[-1].shape[1],) and bias.shape == (1,)):
-        raise ValueError(f"{path}: inconsistent array shapes {[a.shape for a in arrays]}")
-    return GcnModel(weights, head, bias)
 
 
 def write_loss_curve(losses: Sequence[float], path: str | Path) -> None:

@@ -13,7 +13,6 @@ from gcnas.arch_graph import (
     AssignedSimilarity,
     MeasuredSimilarity,
     build_graph,
-    dump_graph,
     measured_similarity,
     node_architecture,
     node_index,
@@ -79,6 +78,11 @@ class TestBuildGraph:
     def test_assigned_weight_on_every_edge(self):
         graph = build_graph(two_free_cells())
         assert np.allclose(graph.adjacency.data, ASSIGNED)
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan")])
+    def test_non_positive_assigned_weight_rejected(self, weight):
+        with pytest.raises(ValueError, match="assigned weight must be positive"):
+            AssignedSimilarity(weight)
 
     def test_degree_formula_with_supercells(self):
         sc = SuperCell((0, 1), ((0, 0), (1, 5), (2, 2)))
@@ -285,18 +289,3 @@ class TestNormalizeAdjacency:
     def test_cached(self):
         graph = build_graph(two_free_cells())
         assert normalize_adjacency(graph) is normalize_adjacency(graph)
-
-
-class TestDumpGraph:
-    def test_files_and_canonical_order(self, tmp_path):
-        graph = build_graph(two_free_cells())
-        edges_path, features_path = dump_graph(graph, tmp_path / "g")
-        lines = edges_path.read_text().splitlines()
-        assert len(lines) == 180
-        rows = [tuple(line.split()) for line in lines]
-        parsed = [(int(u), int(v)) for u, v, _ in rows]
-        assert parsed == sorted(parsed)
-        assert all(u < v for u, v in parsed)
-        assert all(float(w) == pytest.approx(ASSIGNED) for _, _, w in rows)
-        features = np.load(features_path)
-        assert features.shape == graph.features.shape

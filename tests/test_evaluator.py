@@ -150,6 +150,11 @@ class TestSyntheticSupernet:
         sn = SyntheticSupernet(truth, a=1.0, b=0.5, sigma=0.0)
         assert sn.evaluate(Architecture((0, 0, 0))) == 1.0
 
+    @pytest.mark.parametrize("sigma", [-0.01, float("nan")])
+    def test_negative_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must be non-negative"):
+            SyntheticSupernet(flat_truth(SearchSpaceSpec(3, 4)), sigma=sigma)
+
 
 class TestSeedRanges:
     @pytest.mark.parametrize("seed", [-(2**63) - 1, 2**63, 2**64])

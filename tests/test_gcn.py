@@ -1,4 +1,3 @@
-import re
 import tracemalloc
 
 import numpy as np
@@ -8,16 +7,13 @@ import scipy.sparse as sp
 from gcnas.arch_graph import ArchGraph, build_graph, normalize_adjacency
 from gcnas.gcn import (
     GcnConfig,
-    GcnModel,
     _model_inputs,
     _propagate,
-    _steps,
+    _Workspace,
     forward,
     init_model,
     learning_rate_at,
-    load_model,
     loss_and_gradients,
-    save_model,
     train,
     write_loss_curve,
 )
@@ -76,7 +72,8 @@ class TestInitModel:
 
     @pytest.mark.parametrize(
         "field, value, message",
-        [("lr_decay", 0.0, "lr_decay"), ("lr_decay", -1.0, "lr_decay"),
+        [("lr", float("nan"), "lr"),
+         ("lr_decay", 0.0, "lr_decay"), ("lr_decay", -1.0, "lr_decay"),
          ("lr_decay", 1.5, "lr_decay"), ("lr_decay", float("nan"), "lr_decay"),
          ("weight_decay", -1e-4, "weight_decay"), ("weight_decay", float("nan"), "weight_decay")],
     )
@@ -149,8 +146,10 @@ class TestForward:
 
     def test_shape_mismatch_errors(self):
         graph = toy_graph()
-        model = init_model(graph.features.shape[1] + 1, GcnConfig(hidden_dims=(4,)), 0)
-        with pytest.raises(ValueError):
+        width = graph.features.shape[1]
+        model = init_model(width + 1, GcnConfig(hidden_dims=(4,)), 0)
+        message = f"graph features have dimension {width}, model expects {width + 1}"
+        with pytest.raises(ValueError, match=message):
             forward(graph, model)
 
 
@@ -349,69 +348,19 @@ class TestSameBitsAsFreshArrays:
         model = init_model(graph.features.shape[1], config, 0)
         a_hat, propagated = _model_inputs(graph, np.dtype(np.float64))
         idx = np.arange(0, graph.num_nodes, 3)
-        steps = _steps(a_hat, propagated, model, idx, np.full(len(idx), 0.5), 5e-4)
-        next(steps)  # allocates the workspace
+        y = np.full(len(idx), 0.5)
+        workspace = _Workspace(a_hat, propagated, model, backward=True)
+        workspace.step(idx, y, 5e-4)
         tracemalloc.start()
         try:
-            next(steps)
+            workspace.step(idx, y, 5e-4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < graph.num_nodes * 32 * 8
 
 
-class TestModelIO:
-    def test_save_load_roundtrip(self, tmp_path):
-        model = init_model(9, GcnConfig(hidden_dims=(5, 3), dtype="float32"), 8)
-        model.bias[0] = 0.25
-        path = tmp_path / "model.bin"
-        save_model(model, path)
-        loaded = load_model(path)
-        assert len(loaded.layer_weights) == 2
-        for a, b in zip(model.params(), loaded.params()):
-            assert a.astype(np.float32) == pytest.approx(b)
-
-    def test_rejects_garbage(self, tmp_path):
-        path = tmp_path / "bad.bin"
-        path.write_bytes(b"not a model")
-        with pytest.raises(ValueError):
-            load_model(path)
-
-    def saved_bytes(self, tmp_path) -> bytes:
-        path = tmp_path / "model.bin"
-        save_model(init_model(9, GcnConfig(hidden_dims=(5, 3), dtype="float32"), 0), path)
-        return path.read_bytes()
-
-    @pytest.mark.parametrize("cut", [6, 20, -5])
-    def test_truncated_file_names_path(self, tmp_path, cut):
-        path = tmp_path / "cut.bin"
-        path.write_bytes(self.saved_bytes(tmp_path)[:cut])
-        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated")):
-            load_model(path)
-
-    def test_trailing_bytes_name_path(self, tmp_path):
-        path = tmp_path / "long.bin"
-        path.write_bytes(self.saved_bytes(tmp_path) + b"\0\0\0")
-        with pytest.raises(ValueError, match=re.escape(f"{path}: 3 trailing bytes")):
-            load_model(path)
-
-    @pytest.mark.parametrize(
-        "weights, head, bias",
-        [
-            ([np.ones(9)], np.ones(9), np.ones(1)),  # 1-D layer weight
-            ([np.ones((9, 5)), np.ones((4, 3))], np.ones(3), np.ones(1)),  # layers do not chain
-            ([np.ones((9, 8))], np.ones((8, 1)), np.ones(1)),  # 2-D head
-            ([np.ones((9, 8))], np.ones(7), np.ones(1)),  # head narrower than the last layer
-            ([np.ones((9, 8))], np.ones(8), np.ones(3)),  # bias of three
-            ([np.ones((9, 8))], np.ones(8), np.ones((1, 1))),  # 2-D bias
-        ],
-    )
-    def test_inconsistent_shapes_name_path(self, tmp_path, weights, head, bias):
-        path = tmp_path / "shapes.bin"
-        save_model(GcnModel(weights, head, bias), path)
-        with pytest.raises(ValueError, match=re.escape(f"{path}: inconsistent array shapes")):
-            load_model(path)
-
+class TestLossCurve:
     def test_loss_curve_format(self, tmp_path):
         path = tmp_path / "loss.csv"
         write_loss_curve([0.5, 0.25], path)
