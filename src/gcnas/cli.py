@@ -34,7 +34,7 @@ from .evaluator import (
     sample_architectures,  # unused here; kept bound so the benchmark tracer can wrap it
     sample_choice_matrix,
 )
-from .gcn import GcnConfig, write_loss_curve
+from .gcn import GcnConfig
 from .metrics import kendall_tau
 from .search_engine import (
     RoundResult,
@@ -144,12 +144,6 @@ def _defaults(cls: type, skip: Sequence[str] = ()) -> dict[str, Any]:
     return {f.name: f.default for f in dataclasses.fields(cls) if f.name not in skip}
 
 
-def _values(obj: Any, skip: Sequence[str] = ()) -> dict[str, Any]:
-    """Field values of a constructed dataclass, less the fields that are not
-    config keys."""
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in skip}
-
-
 def _build(cls: Callable[..., Any], path: str, *args: Any, **kwargs: Any) -> Any:
     """``cls(*args, **kwargs)``, its validation errors reported at ``path``."""
     try:
@@ -158,17 +152,15 @@ def _build(cls: Callable[..., Any], path: str, *args: Any, **kwargs: Any) -> Any
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-# SearchConfig fields that are set from other parts of the config
-_SEARCH_SKIP = ("similarity", "gcn", "seed")
 _SIMILARITY_MODES = {"assigned": AssignedSimilarity, "measured": MeasuredSimilarity}
 
 
-def _parse_space(raw: Any, path: str) -> SearchSpaceSpec:
-    default = _values(default_space())
+def _parse_space(raw: Any, path: str) -> tuple[SearchSpaceSpec, dict[str, Any]]:
+    default = dataclasses.asdict(default_space())
     values = _read(raw, path, default | {"choice_labels": _OrNull((str,))})
     if values == default | {"choice_labels": None}:
         values = default  # null labels of a 19x6 space are the default labels
-    return _build(SearchSpaceSpec, path, **values)
+    return _build(SearchSpaceSpec, path, **values), values
 
 
 def _parse_plan(sizes: list[int] | None, spec: SearchSpaceSpec, path: str) -> SegmentPlan:
@@ -177,28 +169,31 @@ def _parse_plan(sizes: list[int] | None, spec: SearchSpaceSpec, path: str) -> Se
     return _build(make_segment_plan, path, spec, sizes)
 
 
-def _parse_similarity(raw: Any, path: str) -> SimilarityMode:
+def _parse_similarity(raw: Any, path: str) -> tuple[SimilarityMode, dict[str, Any]]:
     mode = _require_mapping(raw, path).get("mode", "assigned")
     cls = _SIMILARITY_MODES.get(mode) if isinstance(mode, str) else None
     if cls is None:
         raise ConfigError(f'{path}.mode: expected "assigned" or "measured", got {mode!r}')
     values = _read(raw, path, {"mode": mode} | _defaults(cls))
-    del values["mode"]
-    return _build(cls, path, **values)
+    return _build(cls, path, **{k: v for k, v in values.items() if k != "mode"}), values
 
 
-def _parse_search(raw: Any, seed: int, path: str) -> SearchConfig:
+def _parse_search(raw: Any, seed: int, path: str) -> tuple[SearchConfig, dict[str, Any]]:
+    # the seed is the config's own; similarity and gcn are objects read below
     values = _read(
         raw,
         path,
-        _defaults(SearchConfig, _SEARCH_SKIP)
+        _defaults(SearchConfig, ("seed",))
         | {"constraint_budget": _OrNull(float), "similarity": {}, "gcn": {}},
     )
-    values["similarity"] = _parse_similarity(values["similarity"], f"{path}.similarity")
+    similarity, values["similarity"] = _parse_similarity(values["similarity"], f"{path}.similarity")
     gcn_path = f"{path}.gcn"
-    gcn_values = _read(values["gcn"], gcn_path, _defaults(GcnConfig))
-    values["gcn"] = _build(GcnConfig, gcn_path, **gcn_values)
-    return _build(SearchConfig, path, seed=seed, **values)
+    values["gcn"] = _read(values["gcn"], gcn_path, _defaults(GcnConfig))
+    gcn = _build(GcnConfig, gcn_path, **values["gcn"])
+    search = _build(
+        SearchConfig, path, seed=seed, **values | {"similarity": similarity, "gcn": gcn}
+    )
+    return search, values
 
 
 def _parse_simulator(
@@ -261,7 +256,10 @@ class RunConfig:
 
 
 def parse_config(raw: Any) -> RunConfig:
-    """Validate a raw JSON object and resolve every default."""
+    """Validate a raw JSON object and resolve every default.
+
+    ``config_sha256`` hashes the values each section's reader returned, with
+    every default filled in and ``output_dir`` left out."""
     top = _read(raw, "$", {
         "seed": _defaults(SearchConfig)["seed"], "output_dir": "gcnas-output",
         "search_space": {}, "plan": _OrNull((int,)), "initial_architecture": _OrNull(str),
@@ -270,7 +268,7 @@ def parse_config(raw: Any) -> RunConfig:
     seed = top["seed"]
     _check_seed(seed, "$.seed")
     output_dir = Path(top["output_dir"])
-    space = _parse_space(top["search_space"], "$.search_space")
+    space, space_resolved = _parse_space(top["search_space"], "$.search_space")
     plan = _parse_plan(top["plan"], space, "$.plan")
     if top["initial_architecture"] is None:
         initial = default_initial_architecture(space)
@@ -279,22 +277,15 @@ def parse_config(raw: Any) -> RunConfig:
             Architecture.from_text, "$.initial_architecture", top["initial_architecture"]
         )
         _build(space.validate_architecture, "$.initial_architecture", initial)
-    search = _parse_search(top["search"], seed, "$.search")
+    search, search_resolved = _parse_search(top["search"], seed, "$.search")
     simulator, simulator_resolved = _parse_simulator(top["simulator"], space, seed, "$.simulator")
     cost_model, cost_model_resolved = _parse_cost_model(top["cost_model"], space, "$.cost_model")
-    similarity_mode = next(
-        m for m, cls in _SIMILARITY_MODES.items() if isinstance(search.similarity, cls)
-    )
     resolved = {
         "seed": seed,
-        "search_space": _values(space),
+        "search_space": space_resolved,
         "plan": [len(seg) for seg in plan.segments],
         "initial_architecture": initial.to_text(),
-        "search": _values(search, _SEARCH_SKIP)
-        | {
-            "similarity": {"mode": similarity_mode} | _values(search.similarity),
-            "gcn": _values(search.gcn),
-        },
+        "search": search_resolved,
         "simulator": simulator_resolved,
         "cost_model": cost_model_resolved,
     }
@@ -340,6 +331,14 @@ def write_report(path: Path, payload: dict) -> None:
     report reproduces the same bytes."""
     text = json.dumps(_round_floats(payload), indent=2, sort_keys=True)
     path.write_text(text + "\n", encoding="utf-8")
+
+
+def write_loss_curve(losses: Sequence[float], path: Path) -> None:
+    """CSV loss curve, one "epoch,loss" row per epoch."""
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write("epoch,loss\n")
+        for epoch, loss in enumerate(losses):
+            fh.write(f"{epoch},{loss:.6f}\n")
 
 
 def _provenance(config: RunConfig) -> dict[str, Any]:

@@ -205,23 +205,26 @@ def sample_architectures(spec: SearchSpaceSpec, n: int, seed: int) -> list[Archi
     return [Architecture(tuple(row)) for row in sample_choice_matrix(spec, n, seed).tolist()]
 
 
+#: the two-checkpoint Kendall-tau window ``calibrate_sigma`` bisects into
+CALIBRATION_TARGET = (0.50, 0.60)
+#: bisection steps ``calibrate_sigma`` takes before it gives up
+CALIBRATION_STEPS = 60
+
+
 def calibrate_sigma(
     supernet: SyntheticSupernet,
     spec: SearchSpaceSpec,
     n_archs: int = 10_000,
     seed: int = 0,
-    target: tuple[float, float] = (0.50, 0.60),
-    max_iterations: int = 60,
 ) -> tuple[float, float]:
     """Bisect the noise scale until the Kendall-tau between two checkpoints'
-    rankings of ``n_archs`` sampled architectures lands in ``target``.
+    rankings of ``n_archs`` sampled architectures lands in
+    ``CALIBRATION_TARGET``.
 
     Returns (sigma, achieved tau). Larger sigma always lowers the
     two-checkpoint agreement, so plain bisection converges.
     """
-    lo_t, hi_t = target
-    if not 0.0 < lo_t < hi_t < 1.0:
-        raise ValueError(f"target window must satisfy 0 < lo < hi < 1, got {target}")
+    lo_t, hi_t = CALIBRATION_TARGET
     if n_archs < 2:
         raise ValueError(f"n_archs must be >= 2 to rank two checkpoints, got {n_archs}")
     matrix = sample_choice_matrix(spec, n_archs, seed_stream(seed, "calibration-sample"))
@@ -246,7 +249,7 @@ def calibrate_sigma(
             raise RuntimeError("calibration failed to bracket the target window")
         tau = tau_at(hi)
     sigma = hi
-    for _ in range(max_iterations):
+    for _ in range(CALIBRATION_STEPS):
         mid = 0.5 * (lo + hi)
         tau = tau_at(mid)
         sigma = mid
@@ -258,7 +261,7 @@ def calibrate_sigma(
             hi = mid
     else:
         raise RuntimeError(
-            f"calibration did not reach tau in [{lo_t}, {hi_t}] after {max_iterations} "
+            f"calibration did not reach tau in [{lo_t}, {hi_t}] after {CALIBRATION_STEPS} "
             f"iterations; last sigma={sigma:.6g}, tau={tau:.4f}"
         )
     return sigma, tau

@@ -9,7 +9,6 @@ learning-rate schedule; gradients are hand-derived (no autodiff framework).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -232,26 +231,6 @@ def forward(graph: ArchGraph, model: GcnModel) -> np.ndarray:
     return _Workspace(*_model_inputs(graph, dtype), model, backward=False).forward()
 
 
-def loss_and_gradients(
-    graph: ArchGraph,
-    model: GcnModel,
-    node_indices: Sequence[int],
-    targets: Sequence[float],
-    weight_decay: float = 0.0,
-) -> tuple[float, list[np.ndarray]]:
-    """Mean absolute error over the labeled nodes and its (sub)gradients,
-    computed by the same step that :func:`train` takes every epoch.
-
-    The returned loss excludes the decay term; the returned gradients include
-    it (0.5 * weight_decay * ||W||^2 per weight array, bias excluded).
-    """
-    dtype = model.layer_weights[0].dtype
-    idx = np.asarray(node_indices, dtype=np.int64)
-    y = np.asarray(targets, dtype=dtype)
-    workspace = _Workspace(*_model_inputs(graph, dtype), model, backward=True)
-    return workspace.step(idx, y, weight_decay)
-
-
 def train(
     graph: ArchGraph,
     labels: tuple[Sequence[int], Sequence[float]],
@@ -310,11 +289,3 @@ def train(
             m2 += (1 - ADAM_BETA2) * g * g
             p -= lr * (m1 / bias_fix1) / (np.sqrt(m2 / bias_fix2) + ADAM_EPS)
     return model, losses
-
-
-def write_loss_curve(losses: Sequence[float], path: str | Path) -> None:
-    """CSV loss curve, one "epoch,loss" row per epoch."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        fh.write("epoch,loss\n")
-        for epoch, loss in enumerate(losses):
-            fh.write(f"{epoch},{loss:.6f}\n")

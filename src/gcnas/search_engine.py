@@ -136,6 +136,20 @@ def _evaluate(evaluator: Evaluator, archs: Sequence[Architecture]) -> np.ndarray
     return scores
 
 
+def _check_validation_scores(
+    accuracies: np.ndarray, train_split: int, evaluator: Evaluator, context: str
+) -> None:
+    """Raise if the scores past ``train_split``, the validation set, are all
+    equal: their tau against any prediction is undefined, and the round would
+    find that out only after training."""
+    val = accuracies[train_split:]
+    if (val == val[0]).all():
+        raise ValueError(
+            f"{context}the {len(val)} validation scores past train_split={train_split} are all "
+            f"{float(val[0])!r} under {type(evaluator).__name__}; validation tau is undefined"
+        )
+
+
 def _best(
     archs: Sequence[Architecture], node_ids: np.ndarray, accuracies: np.ndarray, k: int = 1
 ) -> tuple[ScoredArchitecture, ...]:
@@ -236,6 +250,7 @@ def run_round(
     node_ids = np.array([node_index(subspace, row) for row in digits], dtype=np.int64)
     archs = [materialize(subspace, row) for row in digits]
     accuracies = _evaluate(evaluator, archs)
+    _check_validation_scores(accuracies, config.train_split, evaluator, f"round {round_index}: ")
 
     graph = build_graph(subspace, config.similarity, samples=(digits, accuracies))
     normalize_adjacency(graph)

@@ -81,9 +81,6 @@ class Architecture:
     def __post_init__(self) -> None:
         object.__setattr__(self, "choices", tuple(int(c) for c in self.choices))
 
-    def __len__(self) -> int:
-        return len(self.choices)
-
     def to_text(self) -> str:
         """Comma-joined decimal choice indices, e.g. ``"1,3,0,5"``."""
         return ",".join(str(c) for c in self.choices)

@@ -2,14 +2,20 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import itertools
+import json
 import math
+from typing import Any, Sequence
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import strategies as st
 
+from gcnas import cli
+from gcnas.arch_graph import ArchGraph
 from gcnas.evaluator import Evaluator, GroundTruthParams, _interaction_table
 from gcnas.gcn import (
     ADAM_BETA1,
@@ -18,6 +24,7 @@ from gcnas.gcn import (
     GcnConfig,
     GcnModel,
     _model_inputs,
+    _Workspace,
     init_model,
     learning_rate_at,
 )
@@ -395,6 +402,57 @@ def train_reference(graph, labels, config: GcnConfig, seed: int) -> tuple[GcnMod
             m2 += (1 - ADAM_BETA2) * g * g
             p -= lr * (m1 / bias_fix1) / (np.sqrt(m2 / bias_fix2) + ADAM_EPS)
     return model, losses
+
+
+def loss_and_gradients(
+    graph: ArchGraph,
+    model: GcnModel,
+    node_indices: Sequence[int],
+    targets: Sequence[float],
+    weight_decay: float = 0.0,
+) -> tuple[float, list[np.ndarray]]:
+    """Mean absolute error over the labeled nodes and its (sub)gradients,
+    computed by the same step that ``gcnas.gcn.train`` takes every epoch.
+
+    The returned loss excludes the decay term; the returned gradients include
+    it (0.5 * weight_decay * ||W||^2 per weight array, bias excluded).
+    """
+    dtype = model.layer_weights[0].dtype
+    idx = np.asarray(node_indices, dtype=np.int64)
+    y = np.asarray(targets, dtype=dtype)
+    workspace = _Workspace(*_model_inputs(graph, dtype), model, backward=True)
+    return workspace.step(idx, y, weight_decay)
+
+
+def _fields(obj: Any, skip: Sequence[str] = ()) -> dict[str, Any]:
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.name not in skip}
+
+
+def config_digest_reference(raw: dict) -> str:
+    """``config_sha256`` of a raw config, its record rebuilt from the fields of
+    the parsed objects, the similarity mode found from its class; the
+    reference for the record ``parse_config`` builds from the values its
+    section readers returned. The simulator and cost-model sections come
+    from their readers, whose values the objects do not keep."""
+    config = cli.parse_config(raw)
+    search = config.search
+    mode = next(m for m, cls in cli._SIMILARITY_MODES.items() if isinstance(search.similarity, cls))
+    _, simulator = cli._parse_simulator(
+        raw.get("simulator", {}), config.space, config.seed, "$.simulator"
+    )
+    _, cost_model = cli._parse_cost_model(raw.get("cost_model"), config.space, "$.cost_model")
+    record = {
+        "seed": config.seed,
+        "search_space": _fields(config.space),
+        "plan": [len(seg) for seg in config.plan.segments],
+        "initial_architecture": config.initial_architecture.to_text(),
+        "search": _fields(search, ("similarity", "gcn", "seed"))
+        | {"similarity": {"mode": mode} | _fields(search.similarity), "gcn": _fields(search.gcn)},
+        "simulator": simulator,
+        "cost_model": cost_model,
+    }
+    text = json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def final_and_reports(

@@ -15,7 +15,7 @@ import pytest
 
 import gcnas as g
 from gcnas.evaluator import flops_many, ground_truth_many
-from gcnas.gcn import GcnConfig, loss_and_gradients
+from gcnas.gcn import GcnConfig
 from gcnas.seeding import seed_stream
 from conftest import (
     ACC_SNAPSHOT_A,
@@ -24,6 +24,7 @@ from conftest import (
     TAU_TRUE_VS_A,
     TAU_TRUE_VS_B,
     final_and_reports,
+    loss_and_gradients,
     power_iteration_largest_eigenvalue,
     tau_brute,
 )

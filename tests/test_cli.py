@@ -22,7 +22,7 @@ from gcnas.cli import (
     write_report,
 )
 from gcnas.evaluator import CostModel, flops_many
-from conftest import ACC_SNAPSHOT_A, ACC_SNAPSHOT_B, ACC_TRUE
+from conftest import ACC_SNAPSHOT_A, ACC_SNAPSHOT_B, ACC_TRUE, config_digest_reference
 
 
 @pytest.fixture
@@ -122,6 +122,28 @@ FLOAT_KEYS = [
     "cost_model.fixed_cost",
 ]
 MEASURED_KEYS = ("min_pairs", "floor", "fallback_weight")
+# a valid non-default value for every leaf key but output_dir. config_with
+# puts measured mode beside the measured keys and a cell table beside
+# cost_model.fixed_cost; those two configs are the ones of
+# search.similarity.mode and cost_model.cell_cost, so a digest unlike every
+# other one shows that the key itself is hashed
+NON_DEFAULTS = {
+    "seed": 5, "plan": [10, 9], "initial_architecture": ",".join("0" * 19),
+    "search_space.num_layers": 5, "search_space.choices_per_layer": 4,
+    "search_space.choice_labels": ["a", "b", "c", "d", "e", "f"],
+    "search.m_samples": 2001, "search.train_split": 1700, "search.top_pool": 50,
+    "search.k_preserve": 3, "search.advance_checkpoints": True,
+    "search.constraint_budget": 4e8,
+    "search.similarity.mode": "measured", "search.similarity.weight": 0.5,
+    "search.similarity.min_pairs": 10, "search.similarity.floor": 0.05,
+    "search.similarity.fallback_weight": 0.5,
+    "search.gcn.hidden_dims": [32, 32], "search.gcn.epochs": 40, "search.gcn.lr": 0.02,
+    "search.gcn.lr_decay": 0.5, "search.gcn.weight_decay": 0.0, "search.gcn.dtype": "float32",
+    "simulator.a": 0.9, "simulator.b": 0.1, "simulator.sigma": 0.0, "simulator.base": 0.7,
+    "simulator.utility_amplitude": 0.02, "simulator.pair_strength": 0.0,
+    "simulator.truth_seed": 1, "simulator.checkpoint_seed": 1,
+    "cost_model.fixed_cost": 5.0, "cost_model.cell_cost": [[1.0] * 6] * 19,
+}
 
 
 def config_with(dotted: str, value) -> dict:
@@ -156,6 +178,38 @@ class TestConfigSchema:
             del report["wall_seconds"]  # the one field that varies by run
             data = json.dumps(report, sort_keys=True).encode()
             assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_every_leaf_but_output_dir_is_hashed(self):
+        assert list(NON_DEFAULTS) == [k for k in LEAF_KEYS if k != "output_dir"]
+        digests = [parse_config(config_with(k, v)).config_sha256 for k, v in NON_DEFAULTS.items()]
+        digests.append(parse_config({}).config_sha256)
+        assert len(set(digests)) == len(digests)
+
+    @pytest.mark.parametrize("dotted", NON_DEFAULTS)
+    def test_digest_matches_the_record_of_the_parsed_objects(self, dotted):
+        raw = config_with(dotted, NON_DEFAULTS[dotted])
+        assert parse_config(raw).config_sha256 == config_digest_reference(raw)
+
+    def test_initial_architecture_starts_round_0(self, tiny_config):
+        path, out = tiny_config
+        config = json.loads(path.read_text())
+        path.write_text(json.dumps(config | {"initial_architecture": "3,2,1,0"}))
+        assert main(["search", "--config", str(path)]) == 0
+        # plan [2, 2]: round 0 searches layers 0 and 1, layers 2 and 3 stay
+        round0 = json.loads((out / "round_0.json").read_text())
+        assert round0["best_sampled"]["architecture"].endswith(",1,0")
+        assert all(p["architecture"].endswith(",1,0") for p in round0["preserved"])
+        result = json.loads((out / "result.json").read_text())
+        assert result["config_sha256"] != parse_config(config).config_sha256
+
+    @pytest.mark.parametrize("text, message", [
+        ("1,x,1", "malformed architecture string '1,x,1'"),
+        ("1,1", "architecture has 2 cells, space has 19"),
+        (",".join(["1"] * 18 + ["6"]), r"choice 6 at cell 18 is outside \[0, 6\)"),
+    ], ids=["malformed", "wrong-length", "out-of-range"])
+    def test_bad_initial_architecture_named(self, text, message):
+        with pytest.raises(ConfigError, match=rf"^\$\.initial_architecture: {message}"):
+            parse_config({"initial_architecture": text})
 
     def test_output_dir_is_not_hashed(self):
         dirs = ("a", "b/c", "gcnas-output")
@@ -465,6 +519,13 @@ class TestOtherCommands:
         assert caught == []
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+    def test_segment_outside_the_plan_exits_1(self, tiny_config, capsys):
+        path, _ = tiny_config
+        assert main(["round", "--config", str(path), "--segment", "2"]) == 1
+        assert capsys.readouterr().err == (
+            "error: segment index 2 outside [0, 2) of the plan\n"
+        )
 
     def test_round_and_predict(self, tiny_config):
         path, out = tiny_config

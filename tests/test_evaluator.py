@@ -3,7 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gcnas import evaluator
 from gcnas.evaluator import (
+    CALIBRATION_TARGET,
     CostModel,
     GroundTruthParams,
     SyntheticSupernet,
@@ -196,6 +198,43 @@ class TestCalibration:
         sn = SyntheticSupernet(GroundTruthParams.random(spec, 0))
         with pytest.raises(ValueError, match=f"n_archs must be >= 2.*got {n}"):
             calibrate_sigma(sn, spec, n_archs=n)
+
+    @staticmethod
+    def slope(a: float) -> tuple[SearchSpaceSpec, SyntheticSupernet, float]:
+        """A 4x4 space whose truth varies by about 1e-6 around 0.5, scored at
+        slope ``a`` around the same 0.5 (no clipping), and the spread of the
+        truth over all 256 architectures, which a 256-architecture
+        calibration sample sees; the noise scale is measured in that spread."""
+        spec = SearchSpaceSpec(4, 4)
+        truth = GroundTruthParams.random(spec, 0, base=0.5, utility_amplitude=1e-6,
+                                         pair_strength=0.0)
+        spread = float(ground_truth_many(all_archs_matrix(spec), truth).std())
+        return spec, SyntheticSupernet(truth, a=a, b=0.5 - 0.5 * a, checkpoint_seed=3), spread
+
+    @pytest.mark.parametrize(
+        "a, low, high",
+        [(0.5, 0.0, 0.5), (1.5, 0.5, 1.0), (3.0, 1.0, 2.0)],
+        ids=["upper-end-down", "lower-end-up", "bracket-doubled"],
+    )
+    def test_bisection_moves_each_end(self, a, low, high):
+        # the first midpoint, half the spread, agrees too little at slope 0.5
+        # and too much at 1.5; at slope 3 even the whole spread agrees too much
+        spec, sn, spread = self.slope(a)
+        sigma, tau = calibrate_sigma(sn, spec, n_archs=spec.size)
+        assert CALIBRATION_TARGET[0] <= tau <= CALIBRATION_TARGET[1]
+        assert low * spread < sigma < high * spread
+
+    def test_target_out_of_reach_fails_to_bracket(self):
+        # at slope 1e4 noise 1000 times the spread still leaves tau above 0.9
+        spec, sn, _ = self.slope(1e4)
+        with pytest.raises(RuntimeError, match="failed to bracket the target window"):
+            calibrate_sigma(sn, spec, n_archs=spec.size)
+
+    def test_bisection_out_of_steps(self, monkeypatch):
+        spec, sn, _ = self.slope(0.5)
+        monkeypatch.setattr(evaluator, "CALIBRATION_STEPS", 1)
+        with pytest.raises(RuntimeError, match=r"did not reach tau in \[0\.5, 0\.6\] after 1 "):
+            calibrate_sigma(sn, spec, n_archs=spec.size)
 
     def test_pinned_result(self):
         # literals recorded at an earlier commit: calibration output must

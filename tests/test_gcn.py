@@ -13,12 +13,11 @@ from gcnas.gcn import (
     forward,
     init_model,
     learning_rate_at,
-    loss_and_gradients,
     train,
-    write_loss_curve,
 )
+from gcnas.cli import write_loss_curve
 from gcnas.search_space import SearchSpaceSpec, Subspace
-from conftest import forward_reference, gradients_reference, train_reference
+from conftest import forward_reference, gradients_reference, loss_and_gradients, train_reference
 
 
 def toy_graph(num_free: int = 2, choices: int = 4, seed: int = 0) -> ArchGraph:

@@ -116,10 +116,11 @@ class TestTiesGoToTheLowestNodeId:
 
     @pytest.fixture(autouse=True)
     def constant_scores_have_no_tau(self, monkeypatch):
-        # the validation tau and R^2 are undefined on constant scores, and no
-        # selection reads them
+        # the validation tau and R^2 are undefined on constant scores, which a
+        # round rejects before training, and no selection reads them
         for name in ("kendall_tau", "regression_score"):
             monkeypatch.setattr(search_engine, name, lambda *a: 0.0)
+        monkeypatch.setattr(search_engine, "_check_validation_scores", lambda *a: None)
 
     def flat_round(self):
         flat = GroundTruthParams(0.8, np.zeros((3, 4)), 0.0, 0)
@@ -235,6 +236,18 @@ class TestRunRound:
         with pytest.raises(ValueError, match=pool_message):
             reverify([Architecture((0, 0, i)) for i in range(4)] + [Architecture((1, 0, 0))],
                      evaluator, [0, 1, 2, 3, 16])
+
+    def test_constant_validation_scores_rejected_before_training(self, monkeypatch):
+        spec = SearchSpaceSpec(3, 4)
+        flat = SyntheticSupernet(GroundTruthParams(0.8, np.zeros((3, 4)), 0.0, 0), sigma=0.0)
+        config = SearchConfig(m_samples=30, train_split=24, top_pool=12, k_preserve=5,
+                              gcn=SMALL_GCN)
+        monkeypatch.setattr(search_engine, "build_graph", lambda *a, **k: pytest.fail("built"))
+        monkeypatch.setattr(search_engine, "train", lambda *a: pytest.fail("trained"))
+        with pytest.raises(ValueError, match=r"^round 0: the 6 validation scores past "
+                                             r"train_split=24 are all 0\.81\d* under "
+                                             r"SyntheticSupernet; validation tau is undefined$"):
+            run_round(full_subspace(spec), flat, config)
 
     @pytest.mark.parametrize("score", [float("nan"), float("inf"), -0.1])
     def test_non_finite_or_negative_scores_rejected(self, score):
