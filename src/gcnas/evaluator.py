@@ -98,12 +98,23 @@ def _interaction_table(truth: GroundTruthParams) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, (L, L, O, O))
 
 
-def ground_truth_many(choice_matrix: np.ndarray, truth: GroundTruthParams) -> np.ndarray:
-    """Vectorized ground truth for an (n, L) matrix of choice indices."""
+def _choice_indices(choice_matrix: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """``choice_matrix`` as (n, L) int64 indices into the rows of an (L, O)
+    per-cell ``table``, each checked to lie in [0, O)."""
     c = np.asarray(choice_matrix, dtype=np.int64)
-    L = truth.num_layers
+    L, O = table.shape
     if c.ndim != 2 or c.shape[1] != L:
         raise ValueError(f"expected an (n, {L}) choice matrix, got shape {c.shape}")
+    if c.size and not 0 <= c.min() <= c.max() < O:
+        row, layer = np.argwhere((c < 0) | (c >= O))[0]
+        raise ValueError(f"choice {c[row, layer]} at row {row}, layer {layer} is outside [0, {O})")
+    return c
+
+
+def ground_truth_many(choice_matrix: np.ndarray, truth: GroundTruthParams) -> np.ndarray:
+    """Vectorized ground truth for an (n, L) matrix of choice indices."""
+    c = _choice_indices(choice_matrix, truth.cell_utility)
+    L = truth.num_layers
     z = truth.base + truth.cell_utility[np.arange(L), c].sum(axis=1)
     if truth.pair_strength != 0.0:
         O = truth.choices_per_layer
@@ -313,11 +324,8 @@ def bundled_cost_model(spec: SearchSpaceSpec) -> CostModel:
 
 def flops_many(choice_matrix: np.ndarray, cost_model: CostModel) -> np.ndarray:
     """Vectorized multiply-add counts for an (n, L) choice matrix."""
-    c = np.asarray(choice_matrix, dtype=np.int64)
-    L = cost_model.cell_cost.shape[0]
-    if c.ndim != 2 or c.shape[1] != L:
-        raise ValueError(f"expected an (n, {L}) choice matrix, got shape {c.shape}")
-    return cost_model.fixed_cost + cost_model.cell_cost[np.arange(L), c].sum(axis=1)
+    c = _choice_indices(choice_matrix, cost_model.cell_cost)
+    return cost_model.fixed_cost + cost_model.cell_cost[np.arange(c.shape[1]), c].sum(axis=1)
 
 
 def flops(arch: Architecture, cost_model: CostModel) -> float:

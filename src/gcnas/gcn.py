@@ -137,35 +137,30 @@ class _Workspace:
     """Every array a pass of ``model`` computes over the graph's nodes,
     allocated once and overwritten by each pass, so a training epoch
     allocates nothing the size of the graph. Each pass reads the model's
-    weights as they are at that call.
+    weights as they are at that call. The arrays:
 
-    Per layer of width h, (n, h) arrays for the post-ReLU activations and,
-    past the first layer, for ``H W`` before propagation, which the backward
-    pass reuses for ``A_hat dZ``; (n,) vectors for the head's input and the
-    output. With ``backward``, also per layer the ReLU mask and the
-    activation gradient, the output gradient and ``A_hat`` times it, and one
-    gradient array per parameter.
+    - ``acts``, per layer of width h, the (n, h) post-ReLU activations. The
+      backward pass overwrites each with its gradient once the activation's
+      weight gradient is taken and its ReLU mask saved;
+    - ``products``, past the first layer, the (n, h) ``H W`` before
+      propagation, which the backward pass reuses for ``A_hat dZ``;
+    - ``mask``, n * max width bools, viewed as one layer's ReLU mask at a time;
+    - (n,) vectors for the head's input, the output, the output gradient and
+      ``A_hat`` times it, and one gradient array per parameter.
     """
 
-    def __init__(
-        self, a_hat: sp.csr_matrix, propagated_input: np.ndarray, model: GcnModel, backward: bool
-    ) -> None:
+    def __init__(self, a_hat: sp.csr_matrix, propagated: np.ndarray, model: GcnModel) -> None:
         self.a_hat = a_hat
-        self.propagated_input = propagated_input
+        self.propagated_input = propagated
         self.model = model
         n = a_hat.shape[0]
         dtype = model.head.dtype
         widths = [w.shape[1] for w in model.layer_weights]
         self.acts = [np.empty((n, h), dtype) for h in widths]
         self.products = [np.empty((n, h), dtype) for h in widths[1:]]
-        self.head_input = np.empty(n, dtype)
-        self.out = np.empty(n, dtype)
-        if backward:
-            self.masks = [np.empty((n, h), bool) for h in widths]
-            self.d_acts = [np.empty((n, h), dtype) for h in widths]
-            self.out_grad = np.empty(n, dtype)
-            self.u = np.empty(n, dtype)
-            self.grads = [np.empty_like(p) for p in model.params()]
+        self.mask = np.empty(n * max(widths), bool)
+        self.head_input, self.out, self.out_grad, self.u = (np.empty(n, dtype) for _ in range(4))
+        self.grads = [np.empty_like(p) for p in model.params()]
 
     def forward(self) -> np.ndarray:
         """The output for every node; the activations stay in ``acts``."""
@@ -182,6 +177,9 @@ class _Workspace:
         self.out += model.bias[0]
         return self.out
 
+    def _relu_mask(self, act: np.ndarray) -> np.ndarray:
+        return np.greater(act, 0, out=self.mask[: act.size].reshape(act.shape))
+
     def step(
         self, idx: np.ndarray, y: np.ndarray, weight_decay: float
     ) -> tuple[float, list[np.ndarray]]:
@@ -192,7 +190,8 @@ class _Workspace:
 
         The gradients are workspace arrays, valid until the next step, so no
         step allocates what the allocator would hand back to the system and
-        fault in again at the next one.
+        fault in again at the next one. The step leaves gradients, not
+        activations, in ``acts``.
         """
         out = self.forward()
         residual = out[idx] - y
@@ -206,16 +205,17 @@ class _Workspace:
         np.matmul(self.acts[-1].T, u, out=g_head)
         g_head += weight_decay * model.head
         g_bias[0] = self.out_grad.sum()
-        np.multiply(u[:, None], model.head, out=self.d_acts[-1])
+        mask = self._relu_mask(self.acts[-1])
+        np.multiply(u[:, None], model.head, out=self.acts[-1])
         for layer in range(len(self.acts) - 1, -1, -1):
-            d_z = self.d_acts[layer]
-            np.multiply(d_z, np.greater(self.acts[layer], 0, out=self.masks[layer]), out=d_z)
+            d_z = np.multiply(self.acts[layer], mask, out=self.acts[layer])
             if layer == 0:
                 np.matmul(self.propagated_input.T, d_z, out=grads_w[0])
             else:
                 q = _propagate(self.a_hat, d_z, self.products[layer - 1])
                 np.matmul(self.acts[layer - 1].T, q, out=grads_w[layer])
-                np.matmul(q, model.layer_weights[layer].T, out=self.d_acts[layer - 1])
+                mask = self._relu_mask(self.acts[layer - 1])
+                np.matmul(q, model.layer_weights[layer].T, out=self.acts[layer - 1])
             grads_w[layer] += weight_decay * model.layer_weights[layer]
         return loss, self.grads
 
@@ -228,7 +228,7 @@ def forward(graph: ArchGraph, model: GcnModel) -> np.ndarray:
             f"graph features have dimension {graph.features.shape[1]}, "
             f"model expects {model.feat_dim}"
         )
-    return _Workspace(*_model_inputs(graph, dtype), model, backward=False).forward()
+    return _Workspace(*_model_inputs(graph, dtype), model).forward()
 
 
 def train(
@@ -271,7 +271,7 @@ def train(
     moment2 = [np.zeros_like(p) for p in params]
 
     losses: list[float] = []
-    workspace = _Workspace(a_hat, propagated, model, backward=True)
+    workspace = _Workspace(a_hat, propagated, model)
     for epoch in range(config.epochs):
         loss, grads = workspace.step(idx, y, config.weight_decay)
         lr = learning_rate_at(epoch, config)

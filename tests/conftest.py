@@ -420,7 +420,7 @@ def loss_and_gradients(
     dtype = model.layer_weights[0].dtype
     idx = np.asarray(node_indices, dtype=np.int64)
     y = np.asarray(targets, dtype=dtype)
-    workspace = _Workspace(*_model_inputs(graph, dtype), model, backward=True)
+    workspace = _Workspace(*_model_inputs(graph, dtype), model)
     return workspace.step(idx, y, weight_decay)
 
 

@@ -313,3 +313,30 @@ class TestCostModel:
             CostModel(-1.0, np.zeros((2, 2)))
         with pytest.raises(ValueError):
             CostModel(0.0, np.array([[-1.0, 0.0]]))
+
+
+_RANGE_SPEC = SearchSpaceSpec(3, 4)
+_RANGE_TRUTH = GroundTruthParams.random(_RANGE_SPEC, seed=0)
+CHOICE_SCORERS = {
+    "ground_truth_many": lambda m: ground_truth_many(m, _RANGE_TRUTH),
+    "flops_many": lambda m: flops_many(m, bundled_cost_model(_RANGE_SPEC)),
+    "evaluate_matrix": lambda m: SyntheticSupernet(_RANGE_TRUTH).evaluate_matrix(m),
+}
+
+
+class TestChoiceRange:
+    """Every choice-matrix consumer refuses a choice outside [0, O) instead
+    of wrapping a negative one or failing on an index past the table."""
+
+    @pytest.mark.parametrize("scorer", CHOICE_SCORERS)
+    @pytest.mark.parametrize("choice", [-1, 4])
+    def test_out_of_range_choice_rejected(self, scorer, choice):
+        matrix = np.array([[0, 1, 2], [3, choice, 0]])
+        message = rf"choice {choice} at row 1, layer 1 is outside \[0, 4\)"
+        with pytest.raises(ValueError, match=message):
+            CHOICE_SCORERS[scorer](matrix)
+
+    @pytest.mark.parametrize("scorer", CHOICE_SCORERS)
+    def test_wrong_width_rejected(self, scorer):
+        with pytest.raises(ValueError, match=r"expected an \(n, 3\) choice matrix"):
+            CHOICE_SCORERS[scorer](np.zeros((2, 4), dtype=np.int64))

@@ -312,8 +312,10 @@ class TestPropagate:
 class TestSameBitsAsFreshArrays:
     """The workspace pass against the reference that allocates every array."""
 
+    # widening and three-layer stacks view the mask buffer below its full width
     @pytest.mark.parametrize("hidden, dtype", [((32, 32), "float32"), ((6, 5), "float64"),
-                                               ((4, 1), "float32"), ((3,), "float64")])
+                                               ((4, 1), "float32"), ((3,), "float64"),
+                                               ((3, 7), "float64"), ((5, 8, 2), "float32")])
     def test_train_forward_and_gradients(self, hidden, dtype):
         graph = toy_graph(num_free=4, choices=4)  # 256 nodes
         rng = np.random.default_rng(6)
@@ -348,7 +350,7 @@ class TestSameBitsAsFreshArrays:
         a_hat, propagated = _model_inputs(graph, np.dtype(np.float64))
         idx = np.arange(0, graph.num_nodes, 3)
         y = np.full(len(idx), 0.5)
-        workspace = _Workspace(a_hat, propagated, model, backward=True)
+        workspace = _Workspace(a_hat, propagated, model)
         workspace.step(idx, y, 5e-4)
         tracemalloc.start()
         try:
@@ -357,6 +359,25 @@ class TestSameBitsAsFreshArrays:
         finally:
             tracemalloc.stop()
         assert peak < graph.num_nodes * 32 * 8
+
+    def test_train_allocates_under_two_activations_per_hidden_unit(self):
+        # k, the peak bytes train allocates over n * sum(hidden) * itemsize:
+        # the activations (1), which the backward pass overwrites with their
+        # gradients, the products past the first layer (0.5), the mask
+        # buffer (0.06), the (n,) vectors and the parameter-sized arrays
+        graph = toy_graph(num_free=4, choices=6)  # 1296 nodes
+        config = GcnConfig(hidden_dims=(64, 64), epochs=3, dtype="float64")
+        _model_inputs(graph, np.dtype(np.float64))  # cached on the graph, not train's
+        rng = np.random.default_rng(0)
+        ids = rng.choice(graph.num_nodes, 300, replace=False)
+        labels = ids, 0.5 + 0.1 * rng.standard_normal(300)
+        tracemalloc.start()
+        try:
+            train(graph, labels, config, 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / (graph.num_nodes * 128 * 8) < 1.83
 
 
 class TestLossCurve:
