@@ -84,6 +84,13 @@ class ArchGraph:
     priced_by: tuple[object, np.ndarray] | None = None
 
 
+def check_graph_size(subspace: Subspace, context: str = "") -> None:
+    """Raise, the message led by ``context``, if ``subspace`` is past the node cap."""
+    n = subspace.node_count
+    if n > MAX_GRAPH_NODES:
+        raise ValueError(f"{context}subspace has {n} nodes, exceeding the cap of {MAX_GRAPH_NODES}")
+
+
 def node_index(subspace: Subspace, row: Sequence[int]) -> int:
     """Mixed-radix node id of one digit row."""
     return int(subspace.index(np.asarray(row)[None])[0])
@@ -149,9 +156,8 @@ def build_graph(
     Kronecker sum of the per-slot similarity matrices. Node features are the
     Gray codes of the materialized architectures.
     """
+    check_graph_size(subspace)
     n = subspace.node_count
-    if n > MAX_GRAPH_NODES:
-        raise ValueError(f"subspace has {n} nodes, exceeding the cap of {MAX_GRAPH_NODES}")
     if isinstance(mode, MeasuredSimilarity):
         if samples is None:
             raise ValueError("measured similarity requires evaluation records")

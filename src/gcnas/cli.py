@@ -49,7 +49,6 @@ from .search_space import (
     Architecture,
     SearchSpaceSpec,
     SegmentPlan,
-    Subspace,
     default_initial_architecture,
     default_space,
     make_segment_plan,
@@ -410,33 +409,43 @@ def _cmd_search(args: argparse.Namespace) -> int:
     return 0
 
 
-def _segment_subspace(config: RunConfig, segment_index: int) -> Subspace:
-    segments = config.plan.segments
-    if not 0 <= segment_index < len(segments):
-        raise ValueError(
-            f"segment index {segment_index} outside [0, {len(segments)}) of the plan"
-        )
-    # a single round searches its segment with every other layer fixed
-    return round_subspace(config.space, segments[segment_index], (), (),
-                          config.initial_architecture)
-
-
 def _cmd_round(args: argparse.Namespace) -> int:
-    """``round``, and ``predict``: the same round plus its lookup table."""
+    """One round; ``--dump-predictions`` writes its lookup table, ``--budget`` queries it."""
     config = _with_overrides(args)
+    segments = config.plan.segments
+    if not 0 <= args.segment < len(segments):
+        raise ValueError(f"segment index {args.segment} outside [0, {len(segments)}) of the plan")
+    # a single round searches its segment with every other layer fixed
+    subspace = round_subspace(config.space, segments[args.segment], (), (),
+                              config.initial_architecture)
+    if args.budget is not None:
+        if np.isnan(args.budget):
+            raise ValueError(f"--budget must be a number of multiply-adds, got {args.budget}")
+        check_budget(subspace, config.cost_model, args.budget)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
-    result = run_round(_segment_subspace(config, args.segment), config.simulator, config.search,
-                       args.segment, config.cost_model)
-    _write_round(out, config, result, args.lookup_table)
+    result = run_round(subspace, config.simulator, config.search, args.segment, config.cost_model)
+    _write_round(out, config, result, args.dump_predictions)
     t = result.report.round_index
-    if args.lookup_table:
+    print(f"round {t}: tau_val={result.report.tau_val:.6f} "
+          f"best={result.report.best_selected.architecture.to_text()}")
+    if args.dump_predictions:
         path = out / f"predictions_round_{t}.csv"
         print(f"lookup table with {result.graph.num_nodes} entries written to {path}")
-    else:
-        print(f"round {t}: tau_val={result.report.tau_val:.6f} "
-              f"best={result.report.best_selected.architecture.to_text()}")
-        print(f"reports written to {out}")
+    if args.budget is not None:
+        selected = constraint_select(result.graph, result.model, config.cost_model, args.budget,
+                                     config.simulator, config.search.top_pool)
+        payload = {
+            "architecture": selected.architecture.to_text(),
+            "accuracy": selected.accuracy,
+            "flops": flops(selected.architecture, config.cost_model),
+            "budget": float(args.budget),
+            **_provenance(config),
+        }
+        write_report(out / "constraint.json", payload)
+        print(f"best within budget {args.budget:g}: {selected.architecture.to_text()} "
+              f"({payload['flops']:.0f} multiply-adds)")
+    print(f"reports written to {out}")
     return 0
 
 
@@ -495,6 +504,8 @@ def _cmd_calibrate_sigma(args: argparse.Namespace) -> int:
 
 
 def _cmd_consistency(args: argparse.Namespace) -> int:
+    if args.n < 2:
+        raise ValueError(f"--n must be >= 2 to rank two checkpoints, got {args.n}")
     config = _with_overrides(args)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
@@ -517,30 +528,6 @@ def _cmd_consistency(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_constraint(args: argparse.Namespace) -> int:
-    config = _with_overrides(args)
-    if np.isnan(args.budget):
-        raise ValueError(f"--budget must be a number of multiply-adds, got {args.budget}")
-    subspace = _segment_subspace(config, args.segment)
-    check_budget(subspace, config.cost_model, args.budget)
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    result = run_round(subspace, config.simulator, config.search, args.segment, config.cost_model)
-    selected = constraint_select(result.graph, result.model, config.cost_model, args.budget,
-                                 config.simulator, config.search.top_pool)
-    payload = {
-        "architecture": selected.architecture.to_text(),
-        "accuracy": selected.accuracy,
-        "flops": flops(selected.architecture, config.cost_model),
-        "budget": float(args.budget),
-        **_provenance(config),
-    }
-    write_report(out / "constraint.json", payload)
-    print(f"best within budget {args.budget:g}: {selected.architecture.to_text()} "
-          f"({payload['flops']:.0f} multiply-adds)")
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gcnas",
@@ -559,14 +546,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="write per-round prediction lookup tables")
     p.set_defaults(func=_cmd_search)
 
-    for name, lookup_table, help_text in (
-        ("round", False, "run a single round on one segment"),
-        ("predict", True, "run one round and dump its prediction lookup table"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        common(p)
-        p.add_argument("--segment", type=int, default=0)
-        p.set_defaults(func=_cmd_round, lookup_table=lookup_table)
+    p = sub.add_parser("round", help="run a single round on one segment")
+    common(p)
+    p.add_argument("--segment", type=int, default=0)
+    p.add_argument("--dump-predictions", action="store_true",
+                   help="write the round's prediction lookup table")
+    p.add_argument("--budget", type=float, help="best architecture within this multiply-add budget")
+    p.set_defaults(func=_cmd_round)
 
     p = sub.add_parser("tau", help="Kendall tau of two CSV columns (FILE.csv:COLUMN, 1-based)")
     p.add_argument("--a", required=True)
@@ -586,12 +572,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10_000, help="architectures to sample")
     p.set_defaults(func=_cmd_consistency)
 
-    p = sub.add_parser("constraint", help="select the best architecture within a multiply-add "
-                                          "budget")
-    common(p)
-    p.add_argument("--budget", type=float, required=True)
-    p.add_argument("--segment", type=int, default=0)
-    p.set_defaults(func=_cmd_constraint)
     return parser
 
 

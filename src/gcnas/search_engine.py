@@ -20,6 +20,7 @@ from .arch_graph import (
     AssignedSimilarity,
     SimilarityMode,
     build_graph,
+    check_graph_size,
     node_architecture,
     node_index,
     normalize_adjacency,
@@ -65,6 +66,8 @@ class SearchConfig:
             raise ValueError(
                 f"need 1 <= k_preserve <= top_pool; got k={self.k_preserve}, pool={self.top_pool}"
             )
+        if self.constraint_budget is not None and np.isnan(self.constraint_budget):
+            raise ValueError(f"constraint_budget must be a number, got {self.constraint_budget}")
 
 
 @dataclass(frozen=True)
@@ -163,12 +166,12 @@ def _best(
 
 def _ranked_within_budget(
     graph: ArchGraph, model: GcnModel, cost_model: CostModel | None, budget: float | None,
-    scores: np.ndarray | None = None, context: str = "",
+    scores: np.ndarray | None = None,
 ) -> np.ndarray:
     """Node ids by descending ``model`` prediction (stable; ``scores`` if the
     caller has them) that a multiply-add ``budget`` allows; ``None`` keeps every
     node. The order per model and the cost per node per cost model stay on the
-    graph. Raises if no node is within budget, the message led by ``context``."""
+    graph. Raises if no node is within budget."""
     if graph.ranked_by is None or graph.ranked_by[0] is not model:
         scores = forward(graph, model) if scores is None else scores
         graph.ranked_by = (model, np.argsort(-scores, kind="stable"))
@@ -180,11 +183,11 @@ def _ranked_within_budget(
     cost = graph.priced_by[1]
     order = order[cost[order] <= budget]
     if len(order) == 0:
-        raise _over_budget(budget, cost.min(), context)
+        raise _over_budget(budget, cost.min())
     return order
 
 
-def _over_budget(budget: float, minimum: float, context: str) -> ValueError:
+def _over_budget(budget: float, minimum: float, context: str = "") -> ValueError:
     return ValueError(
         f"{context}no architecture within budget {budget:g}; "
         f"minimum achievable cost is {minimum:g}"
@@ -228,6 +231,7 @@ def run_round(
     """One search round: sample, evaluate, fit the regressor, re-verify the
     predicted top pool and preserve the best K candidates."""
     start = time.perf_counter()
+    check_graph_size(subspace, f"round {round_index}: ")
     n = subspace.node_count
     if config.m_samples > n:
         raise ValueError(
@@ -267,9 +271,8 @@ def run_round(
     tau_val = kendall_tau(predictions[val_ids], val_accs)
     reg_score_val = regression_score(predictions[val_ids], val_accs)
 
-    pool_ids = _ranked_within_budget(
-        graph, model, cost_model, config.constraint_budget, predictions, f"round {round_index}: "
-    )[: config.top_pool]
+    ranked = _ranked_within_budget(graph, model, cost_model, config.constraint_budget, predictions)
+    pool_ids = ranked[: config.top_pool]
     pool_archs = [node_architecture(graph, int(i)) for i in pool_ids]
     pool_accs = _evaluate(evaluator, pool_archs)
     preserved = _best(pool_archs, pool_ids, pool_accs, config.k_preserve)

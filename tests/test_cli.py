@@ -488,7 +488,7 @@ class TestSearchCommand:
         config["search_space"] = {"num_layers": 1, "choices_per_layer": 16}
         del config["plan"]
         path.write_text(json.dumps(config))
-        assert main(["predict", "--config", str(path)]) == 0
+        assert main(["round", "--config", str(path), "--dump-predictions"]) == 0
         data = (out / "predictions_round_0.csv").read_bytes()
         assert data.startswith(b"architecture,predicted_score\r\n0,0.")  # unquoted
         assert hashlib.sha256(data).hexdigest() == ONE_LAYER_PREDICTIONS_SHA256
@@ -520,6 +520,15 @@ class TestOtherCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.parametrize("n", ["1", "0", "-3"])
+    def test_consistency_refuses_too_few_samples_before_writing(self, tiny_config, capsys, n):
+        path, out = tiny_config
+        assert main(["consistency", "--config", str(path), "--n", n]) == 1
+        assert capsys.readouterr().err == (
+            f"error: --n must be >= 2 to rank two checkpoints, got {n}\n"
+        )
+        assert not out.exists()
+
     def test_segment_outside_the_plan_exits_1(self, tiny_config, capsys):
         path, _ = tiny_config
         assert main(["round", "--config", str(path), "--segment", "2"]) == 1
@@ -531,12 +540,12 @@ class TestOtherCommands:
         path, out = tiny_config
         assert main(["round", "--config", str(path), "--segment", "1"]) == 0
         assert (out / "round_1.json").exists()
-        assert main(["predict", "--config", str(path)]) == 0
+        assert main(["round", "--config", str(path), "--dump-predictions"]) == 0
         assert (out / "predictions_round_0.csv").exists()
 
     def test_constraint_respects_budget(self, tiny_config):
         path, out = tiny_config
-        assert main(["constraint", "--config", str(path), "--budget", "400000000"]) == 0
+        assert main(["round", "--config", str(path), "--budget", "400000000"]) == 0
         payload = json.loads((out / "constraint.json").read_text())
         assert payload["flops"] <= 4e8
         assert payload["budget"] == 4e8
@@ -549,6 +558,63 @@ class TestOtherCommands:
     def test_missing_config_file(self, capsys):
         assert main(["search", "--config", "does-not-exist.json"]) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestRoundCommand:
+    """``gcnas round`` is the one command of a single round: ``--dump-predictions``
+    adds the round's lookup table and ``--budget`` one query of it."""
+
+    @staticmethod
+    def round_digest(path: Path) -> str:
+        report = json.loads(path.read_text())
+        del report["wall_seconds"]  # the one field that varies by run
+        return hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+    def test_budget_keeps_the_round_it_trained(self, tiny_config):
+        path, out = tiny_config
+        assert main(["round", "--config", str(path), "--budget", "400000000"]) == 0
+        digest = hashlib.sha256((out / "constraint.json").read_bytes()).hexdigest()
+        assert digest == TINY_CONSTRAINT_SHA256
+        assert self.round_digest(out / "round_0.json") == TINY_ROUND_SHA256[0]
+        assert (out / "loss_round_0.csv").read_text().startswith("epoch,loss\n")
+        assert not (out / "predictions_round_0.csv").exists()
+
+    def test_table_and_budget_together(self, tiny_config, capsys):
+        path, out = tiny_config
+        argv = ["round", "--config", str(path), "--dump-predictions", "--budget", "4e8"]
+        assert main(argv) == 0
+        table = (out / "predictions_round_0.csv").read_bytes()
+        assert hashlib.sha256(table).hexdigest() == TINY_PREDICTIONS_SHA256[0]
+        digest = hashlib.sha256((out / "constraint.json").read_bytes()).hexdigest()
+        assert digest == TINY_CONSTRAINT_SHA256
+        printed = capsys.readouterr().out.splitlines()
+        assert [line.split(" ")[0] for line in printed] == ["round", "lookup", "best", "reports"]
+        assert printed[1].endswith(str(out / "predictions_round_0.csv"))
+        assert printed[3] == f"reports written to {out}"
+
+    @pytest.mark.parametrize("command", ["predict", "constraint"])
+    def test_removed_commands_are_unknown(self, capsys, command):
+        assert main([command, "--budget", "1"]) == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_help_lists_five_commands(self, capsys):
+        assert main(["--help"]) == 0
+        usage = capsys.readouterr().out.splitlines()[0]
+        assert usage.endswith(" {search,round,tau,calibrate-sigma,consistency} ...")
+        for command in ("search", "round", "tau", "calibrate-sigma", "consistency"):
+            assert main([command, "--help"]) == 0
+
+    def test_subspace_past_the_node_cap_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "output_dir": str(tmp_path / "out"),
+            "search_space": {"num_layers": 25, "choices_per_layer": 6},
+            "plan": [25],
+        }))
+        assert main(["round", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: round 0: subspace has {6**25} nodes, exceeding the cap of {6**7}"
+        ]
 
 
 class TestSeedsOutOfRange:
@@ -579,7 +645,7 @@ class TestConstraintBudget:
     def test_nan_rejected_before_the_round(self, tiny_config, capsys, monkeypatch):
         path, out = tiny_config
         monkeypatch.setattr(search_engine, "train", lambda *a: pytest.fail("trained"))
-        assert main(["constraint", "--config", str(path), "--budget", "nan"]) == 1
+        assert main(["round", "--config", str(path), "--budget", "nan"]) == 1
         assert "--budget must be a number" in capsys.readouterr().err
         assert not out.exists()
 
@@ -597,7 +663,7 @@ class TestConstraintBudget:
         monkeypatch.setattr(search_engine, "sample_uniform", lambda *a: pytest.fail("sampled"))
         monkeypatch.setattr(search_engine, "train", lambda *a: pytest.fail("trained"))
         budget = minimum - below
-        assert main(["constraint", "--config", str(path), f"--budget={budget!r}"]) == 1
+        assert main(["round", "--config", str(path), f"--budget={budget!r}"]) == 1
         assert capsys.readouterr().err == (
             f"error: no architecture within budget {budget:g}; "
             f"minimum achievable cost is {minimum:g}\n"
@@ -607,7 +673,7 @@ class TestConstraintBudget:
     @pytest.mark.parametrize("budget, code", [("inf", 0), ("-inf", 1)])
     def test_infinite_budgets(self, tiny_config, capsys, budget, code):
         path, out = tiny_config
-        assert main(["constraint", "--config", str(path), f"--budget={budget}"]) == code
+        assert main(["round", "--config", str(path), f"--budget={budget}"]) == code
         if code:
             assert "no architecture within budget -inf" in capsys.readouterr().err
         else:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcnas.arch_graph import build_graph, normalize_adjacency
+from gcnas.arch_graph import MAX_GRAPH_NODES, build_graph, normalize_adjacency
 from gcnas.evaluator import (
     CostModel,
     Evaluator,
@@ -67,6 +67,11 @@ class TestSearchConfig:
         with pytest.raises(ValueError, match="at least 2 validation samples"):
             SearchConfig(m_samples=10, train_split=9)
         assert SearchConfig(m_samples=10, train_split=8).train_split == 8
+
+    def test_nan_constraint_budget_rejected(self):
+        # the JSON reader refuses NaN; a config built in code must too
+        with pytest.raises(ValueError, match="^constraint_budget must be a number, got nan$"):
+            SearchConfig(constraint_budget=float("nan"))
 
 
 class TestReverify:
@@ -188,6 +193,30 @@ class TestRunRound:
         assert len(report.preserved) == 4
         nodes = [p.node_index for p in report.preserved]
         assert len(set(nodes)) == 4
+
+    @pytest.mark.parametrize("num_layers", [8, 25])
+    def test_subspace_past_the_node_cap_refused_before_sampling(self, monkeypatch, num_layers):
+        # 6^25 is past the int64 range of the sampler; 6^8 would be sampled
+        # and evaluated before the graph build refused it
+        spec = SearchSpaceSpec(num_layers, 6)
+        monkeypatch.setattr(search_engine, "sample_uniform", lambda *a: pytest.fail("sampled"))
+        message = (f"round 0: subspace has {6**num_layers} nodes, "
+                   f"exceeding the cap of {MAX_GRAPH_NODES}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_round(full_subspace(spec), noiseless_supernet(spec, 0), SearchConfig())
+
+    def test_subspace_at_the_node_cap_reaches_sampling(self, monkeypatch):
+        class Sampled(Exception):
+            pass
+
+        def sample(*args):
+            raise Sampled
+
+        spec = SearchSpaceSpec(7, 6)
+        assert full_subspace(spec).node_count == MAX_GRAPH_NODES
+        monkeypatch.setattr(search_engine, "sample_uniform", sample)
+        with pytest.raises(Sampled):
+            run_round(full_subspace(spec), noiseless_supernet(spec, 0), SearchConfig())
 
     def test_config_exceeding_subspace_errors(self):
         spec = SearchSpaceSpec(2, 4)
