@@ -16,6 +16,7 @@ from typing import Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .search_space import Architecture, Subspace, gray_code_table
 
@@ -142,6 +143,42 @@ def measured_similarity(
     return weights
 
 
+def _kronecker_sum(weights: Sequence[np.ndarray]) -> sp.csr_matrix:
+    """The Kronecker sum of the zero-diagonal per-slot matrices, the first
+    slot most significant, as canonical CSR.
+
+    Every row has one entry per other choice of each slot, so the sum is
+    folded as a (nodes, degree) table of sorted columns. The fold runs from
+    the last slot as ``kronsum(A, W) = I (x) A + W (x) I`` does: row ``a*m + i``
+    of the next table holds ``b*m + i`` for each ``b < a``, then row ``i`` of
+    the previous table plus ``a*m``, then ``b*m + i`` for each ``b > a``,
+    with the values ``W[a, b]`` and the previous row's values.
+    """
+    n = math.prod(len(w) for w in weights)
+    degree = sum(len(w) - 1 for w in weights)
+    index_dtype = np.int32 if n * degree < 2**31 else np.int64
+    columns = np.zeros((1, 0), index_dtype)  # the one node of the graph with no slots
+    values = np.zeros((1, 0))
+    for w in reversed(weights):
+        radix, m = len(w), len(columns)
+        own = np.arange(m, dtype=index_dtype)[:, None]
+        step = np.arange(radix, dtype=index_dtype) * m
+        next_columns = np.empty((radix, m, columns.shape[1] + radix - 1), index_dtype)
+        next_values = np.empty(next_columns.shape)
+        for a in range(radix):
+            hi = a + columns.shape[1]
+            np.add(own, step[:a], out=next_columns[a, :, :a])
+            np.add(columns, step[a], out=next_columns[a, :, a:hi])
+            np.add(own, step[a + 1 :], out=next_columns[a, :, hi:])
+            next_values[a, :, :a] = w[a, :a]
+            next_values[a, :, a:hi] = values
+            next_values[a, :, hi:] = w[a, a + 1 :]
+        columns = next_columns.reshape(radix * m, -1)
+        values = next_values.reshape(radix * m, -1)
+    indptr = degree * np.arange(n + 1, dtype=index_dtype)
+    return sp.csr_matrix((values.ravel(), columns.ravel(), indptr), shape=(n, n))
+
+
 def build_graph(
     subspace: Subspace,
     mode: SimilarityMode = AssignedSimilarity(),
@@ -165,12 +202,7 @@ def build_graph(
     else:
         weights = [mode.weight * (1 - np.eye(slot.radix)) for slot in subspace.slots]
 
-    # kronsum(A, W) = I (x) A + W (x) I puts W on the more significant digit,
-    # so fold from the last slot; the 1x1 start is the graph with no slots
-    adjacency = sp.csr_matrix((1, 1))
-    for w in reversed(weights):
-        adjacency = sp.kronsum(adjacency, w, format="csr")
-
+    adjacency = _kronecker_sum(weights)
     spec = subspace.spec
     choice_matrix = subspace.choices(subspace.digits(np.arange(n)))
     gray = gray_code_table(spec.choices_per_layer, spec.bits_per_cell).astype(np.float32)
@@ -185,11 +217,14 @@ def normalize_adjacency(graph: ArchGraph) -> sp.csr_matrix:
     The result is cached on the graph.
     """
     if graph.normalized is None:
-        a_tilde = (graph.adjacency + sp.eye(graph.num_nodes, format="csr")).tocsr()
+        n = graph.num_nodes
+        a_tilde = (graph.adjacency + sp.eye(n, format="csr")).tocsr()
         inv_sqrt = 1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel())
-        # rows, then columns, in place: the roundings of D^(-1/2) applied on each side
-        a_tilde.data *= np.repeat(inv_sqrt, np.diff(a_tilde.indptr))
-        a_tilde.data *= inv_sqrt[a_tilde.indices]
+        # rows, then columns, in place by SciPy's own kernels: the roundings
+        # of D^(-1/2) applied on each side, with no entry-sized temporary
+        arrays = (a_tilde.indptr, a_tilde.indices, a_tilde.data, inv_sqrt)
+        _sparsetools.csr_scale_rows(n, n, *arrays)
+        _sparsetools.csr_scale_columns(n, n, *arrays)
         graph.normalized = a_tilde
     return graph.normalized
 

@@ -40,6 +40,7 @@ from .search_engine import (
     RoundResult,
     SearchConfig,
     check_budget,
+    check_round,
     constraint_select,
     iter_search_rounds,
     round_subspace,
@@ -385,11 +386,13 @@ def _write_round(out: Path, config: RunConfig, result: RoundResult, lookup_table
 
 def _cmd_search(args: argparse.Namespace) -> int:
     config = _with_overrides(args)
+    # the call checks the first round, so a refused search writes nothing
+    rounds = iter_search_rounds(config.space, config.plan, config.simulator, config.search,
+                                config.cost_model, initial=config.initial_architecture)
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     reports = []
-    for result in iter_search_rounds(config.space, config.plan, config.simulator, config.search,
-                                     config.cost_model, initial=config.initial_architecture):
+    for result in rounds:
         _write_round(out, config, result, args.dump_predictions)
         reports.append(result.report)
         del result  # free this round's graph and model before the next round starts
@@ -418,6 +421,7 @@ def _cmd_round(args: argparse.Namespace) -> int:
     # a single round searches its segment with every other layer fixed
     subspace = round_subspace(config.space, segments[args.segment], (), (),
                               config.initial_architecture)
+    check_round(subspace, config.search, args.segment, config.cost_model)
     if args.budget is not None:
         if np.isnan(args.budget):
             raise ValueError(f"--budget must be a number of multiply-adds, got {args.budget}")

@@ -4,6 +4,8 @@ Forward pass: H0 = features, H_{l+1} = relu(A_hat H_l W_l), output =
 A_hat H_last . head + bias, one scalar per node. Training minimizes the mean
 absolute error over labeled nodes with full-batch Adam and a stepped
 learning-rate schedule; gradients are hand-derived (no autodiff framework).
+Each epoch computes only the rows the loss reads: the labeled nodes and
+their neighbourhoods out to the depth of the stack.
 """
 
 from __future__ import annotations
@@ -104,76 +106,116 @@ def _model_inputs(graph: ArchGraph, dtype: np.dtype) -> tuple[sp.csr_matrix, np.
     return graph.model_inputs[dtype]
 
 
-def _propagate(a_hat: sp.csr_matrix, m: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``a_hat @ m`` written into ``out``, with the same bits: SciPy's own CSR
-    kernel for that product, which adds into its output, run on ``out``
-    zeroed. ``m`` is a vector or a matrix with one row per column of
-    ``a_hat``; ``out`` is C-contiguous, of ``a_hat``'s dtype and the product's
-    shape."""
-    rows, cols = a_hat.shape
+def _propagate(a: sp.csr_matrix | sp.csc_matrix, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ m`` written into ``out``, with the same bits: SciPy's own kernel
+    for that product, CSR or CSC by the format of ``a``, which adds into its
+    output, run on ``out`` zeroed. ``m`` is a vector or a matrix with one row
+    per column of ``a``; ``out`` is C-contiguous, of ``a``'s dtype and the
+    product's shape."""
+    rows, cols = a.shape
     if not (
-        m.dtype == out.dtype == a_hat.dtype
+        m.dtype == out.dtype == a.dtype
         and m.shape[0] == cols
         and out.shape == (rows, *m.shape[1:])
         and out.flags.c_contiguous
     ):
         raise ValueError(
-            f"cannot write a ({rows}, {cols}) {a_hat.dtype} matrix times a {m.shape} {m.dtype} "
+            f"cannot write a ({rows}, {cols}) {a.dtype} matrix times a {m.shape} {m.dtype} "
             f"array into a {out.shape} {out.dtype} buffer"
         )
     out.fill(0)
-    if m.ndim == 1 or m.shape[1] == 1:  # SciPy multiplies a one-column matrix as a vector
-        _sparsetools.csr_matvec(
-            rows, cols, a_hat.indptr, a_hat.indices, a_hat.data, m.ravel(), out.ravel()
-        )
+    if a.format == "csr":
+        matvec, matvecs = _sparsetools.csr_matvec, _sparsetools.csr_matvecs
     else:
-        _sparsetools.csr_matvecs(
-            rows, cols, m.shape[1], a_hat.indptr, a_hat.indices, a_hat.data, m.ravel(), out.ravel()
-        )
+        matvec, matvecs = _sparsetools.csc_matvec, _sparsetools.csc_matvecs
+    arrays = (a.indptr, a.indices, a.data)
+    if m.ndim == 1 or m.shape[1] == 1:  # SciPy multiplies a one-column matrix as a vector
+        matvec(rows, cols, *arrays, m.ravel(), out.ravel())
+    else:
+        matvecs(rows, cols, m.shape[1], *arrays, m.ravel(), out.ravel())
     return out
 
 
-class _Workspace:
-    """Every array a pass of ``model`` computes over the graph's nodes,
-    allocated once and overwritten by each pass, so a training epoch
-    allocates nothing the size of the graph. Each pass reads the model's
-    weights as they are at that call. The arrays:
+def _receptive_field(a_hat: sp.csr_matrix, rows: np.ndarray, depth: int) -> list[sp.csr_matrix]:
+    """The operators ``A_hat[R_k, R_{k+1}]`` for ``k < depth``, which a
+    ``depth``-layer pass needs to give the output at the sorted node ids
+    ``rows``: ``R_0 = rows``, ``R_{k+1}`` is the closed neighbourhood of
+    ``R_k`` in ``A_hat``, and ``R_depth`` is every node. Columns are numbered
+    by position in ``R_{k+1}``, which keeps each row's columns in order. While
+    ``R_k`` is every node, the operator is ``A_hat`` itself."""
+    n = a_hat.shape[0]
+    operators = []
+    for k in range(depth):
+        if len(rows) == n:
+            operators.append(a_hat)
+            continue
+        block = a_hat[rows]
+        if k < depth - 1:
+            reached = np.zeros(n, bool)
+            reached[block.indices] = True
+            rows = np.flatnonzero(reached)
+            position = np.cumsum(reached, dtype=block.indices.dtype) - 1
+            block = sp.csr_matrix(
+                (block.data, position[block.indices], block.indptr), (block.shape[0], len(rows))
+            )
+        operators.append(block)
+    return operators
 
-    - ``acts``, per layer of width h, the (n, h) post-ReLU activations. The
-      backward pass overwrites each with its gradient once the activation's
-      weight gradient is taken and its ReLU mask saved;
-    - ``products``, past the first layer, the (n, h) ``H W`` before
-      propagation, which the backward pass reuses for ``A_hat dZ``;
-    - ``mask``, n * max width bools, viewed as one layer's ReLU mask at a time;
-    - (n,) vectors for the head's input, the output, the output gradient and
-      ``A_hat`` times it, and one gradient array per parameter.
+
+class _Workspace:
+    """Every array a pass of ``model`` computes to give the output at the
+    sorted node ids ``rows``, allocated once and overwritten by each pass, so
+    a training epoch allocates nothing the size of the graph. Each pass reads
+    the model's weights as they are at that call.
+
+    Layer 0 runs on every node, because ``A_hat X`` is cached for every node.
+    Of an L-layer stack, layer l > 0 runs ``(A_hat[R, .] H) W`` on the rows R
+    of ``_receptive_field`` at depth ``L - l``, and the head on ``rows``
+    alone. The backward pass multiplies by each operator's transpose, read
+    as CSC from the operator's own arrays. With ``rows`` every node, every
+    operator is ``A_hat`` and nothing is copied. The arrays:
+
+    - ``acts``, per layer of width h, the (rows, h) post-ReLU activations.
+      The backward pass overwrites each with its gradient once the
+      activation's weight gradient is taken and its ReLU mask saved;
+    - ``products``, past the first layer, the propagated input ``A_hat H``
+      of the layer, which the backward pass overwrites with its gradient;
+    - ``mask``, bools for the largest activation, viewed as one layer's ReLU
+      mask at a time;
+    - vectors for the head's input and ``A_hat^T`` times the output
+      gradient, over the head's rows; the output and its gradient over
+      ``rows``; and one gradient array per parameter.
     """
 
-    def __init__(self, a_hat: sp.csr_matrix, propagated: np.ndarray, model: GcnModel) -> None:
-        self.a_hat = a_hat
+    def __init__(
+        self, a_hat: sp.csr_matrix, propagated: np.ndarray, model: GcnModel, rows: np.ndarray
+    ) -> None:
         self.propagated_input = propagated
         self.model = model
-        n = a_hat.shape[0]
         dtype = model.head.dtype
         widths = [w.shape[1] for w in model.layer_weights]
-        self.acts = [np.empty((n, h), dtype) for h in widths]
-        self.products = [np.empty((n, h), dtype) for h in widths[1:]]
-        self.mask = np.empty(n * max(widths), bool)
-        self.head_input, self.out, self.out_grad, self.u = (np.empty(n, dtype) for _ in range(4))
+        # deepest first: operators[l - 1] feeds layer l > 0, operators[-1] the head
+        self.operators = _receptive_field(a_hat, rows, len(widths))[::-1]
+        self.transposed = [a.T for a in self.operators]
+        heights = [len(propagated), *(a.shape[0] for a in self.operators)]
+        self.acts = [np.empty((m, h), dtype) for m, h in zip(heights, widths)]
+        self.products = [np.empty((m, h), dtype) for m, h in zip(heights[1:-1], widths)]
+        self.mask = np.empty(max(a.size for a in self.acts), bool)
+        self.head_input, self.u = np.empty(heights[-2], dtype), np.empty(heights[-2], dtype)
+        self.out, self.out_grad = np.empty(heights[-1], dtype), np.empty(heights[-1], dtype)
         self.grads = [np.empty_like(p) for p in model.params()]
 
     def forward(self) -> np.ndarray:
-        """The output for every node; the activations stay in ``acts``."""
+        """The output at ``rows``; the activations stay in ``acts``."""
         model = self.model
         np.matmul(self.propagated_input, model.layer_weights[0], out=self.acts[0])
         np.maximum(self.acts[0], 0, out=self.acts[0])
         for layer in range(1, len(self.acts)):
-            hw = self.products[layer - 1]
-            np.matmul(self.acts[layer - 1], model.layer_weights[layer], out=hw)
-            h = _propagate(self.a_hat, hw, self.acts[layer])
+            p = _propagate(self.operators[layer - 1], self.acts[layer - 1], self.products[layer - 1])
+            h = np.matmul(p, model.layer_weights[layer], out=self.acts[layer])
             np.maximum(h, 0, out=h)
         np.matmul(self.acts[-1], model.head, out=self.head_input)
-        _propagate(self.a_hat, self.head_input, self.out)
+        _propagate(self.operators[-1], self.head_input, self.out)
         self.out += model.bias[0]
         return self.out
 
@@ -184,14 +226,15 @@ class _Workspace:
         self, idx: np.ndarray, y: np.ndarray, weight_decay: float
     ) -> tuple[float, list[np.ndarray]]:
         """One training step at the model's current weights: the mean
-        absolute error over the labeled nodes ``idx`` and its (sub)gradients,
-        ordered like ``model.params()``. The L2 weight-decay term is added to
-        the gradients of all weights but not the bias, and not to the loss.
+        absolute error over the labeled outputs ``idx``, positions in
+        ``rows``, and its (sub)gradients, ordered like ``model.params()``.
+        The L2 weight-decay term is added to the gradients of all weights
+        but not the bias, and not to the loss.
 
         The gradients are workspace arrays, valid until the next step, so no
         step allocates what the allocator would hand back to the system and
         fault in again at the next one. The step leaves gradients, not
-        activations, in ``acts``.
+        activations, in ``acts`` and ``products``.
         """
         out = self.forward()
         residual = out[idx] - y
@@ -201,7 +244,7 @@ class _Workspace:
 
         model = self.model
         *grads_w, g_head, g_bias = self.grads
-        u = _propagate(self.a_hat, self.out_grad, self.u)
+        u = _propagate(self.transposed[-1], self.out_grad, self.u)
         np.matmul(self.acts[-1].T, u, out=g_head)
         g_head += weight_decay * model.head
         g_bias[0] = self.out_grad.sum()
@@ -212,10 +255,11 @@ class _Workspace:
             if layer == 0:
                 np.matmul(self.propagated_input.T, d_z, out=grads_w[0])
             else:
-                q = _propagate(self.a_hat, d_z, self.products[layer - 1])
-                np.matmul(self.acts[layer - 1].T, q, out=grads_w[layer])
+                p = self.products[layer - 1]
+                np.matmul(p.T, d_z, out=grads_w[layer])
+                d_p = np.matmul(d_z, model.layer_weights[layer].T, out=p)
                 mask = self._relu_mask(self.acts[layer - 1])
-                np.matmul(q, model.layer_weights[layer].T, out=self.acts[layer - 1])
+                _propagate(self.transposed[layer - 1], d_p, self.acts[layer - 1])
             grads_w[layer] += weight_decay * model.layer_weights[layer]
         return loss, self.grads
 
@@ -228,7 +272,8 @@ def forward(graph: ArchGraph, model: GcnModel) -> np.ndarray:
             f"graph features have dimension {graph.features.shape[1]}, "
             f"model expects {model.feat_dim}"
         )
-    return _Workspace(*_model_inputs(graph, dtype), model).forward()
+    rows = np.arange(graph.num_nodes)
+    return _Workspace(*_model_inputs(graph, dtype), model, rows).forward()
 
 
 def train(
@@ -271,9 +316,11 @@ def train(
     moment2 = [np.zeros_like(p) for p in params]
 
     losses: list[float] = []
-    workspace = _Workspace(a_hat, propagated, model)
+    # the loss reads the output at the labeled nodes alone
+    rows, label_rows = np.unique(idx, return_inverse=True)
+    workspace = _Workspace(a_hat, propagated, model, rows)
     for epoch in range(config.epochs):
-        loss, grads = workspace.step(idx, y, config.weight_decay)
+        loss, grads = workspace.step(label_rows, y, config.weight_decay)
         lr = learning_rate_at(epoch, config)
         if not np.isfinite(loss):
             raise RuntimeError(f"non-finite training loss at epoch {epoch}")

@@ -9,6 +9,7 @@ as a super-cell; after the last round the re-verified top-1 is the result.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass, fields
 from typing import Any, Iterator, Sequence
@@ -221,6 +222,31 @@ def reverify(
     return _best(candidates, np.asarray(node_indices), _evaluate(evaluator, list(candidates)))[0]
 
 
+def check_round(
+    subspace: Subspace,
+    config: SearchConfig,
+    round_index: int = 0,
+    cost_model: CostModel | None = None,
+) -> None:
+    """Raise, as ``run_round`` does before it samples, if the round cannot
+    run: the subspace is past the node cap, holds fewer nodes than
+    ``m_samples`` or ``top_pool``, or no node is within the constraint
+    budget. Known from the config alone, so a command checks its first round
+    before it writes anything."""
+    context = f"round {round_index}: "
+    check_graph_size(subspace, context)
+    n = subspace.node_count
+    for name in ("m_samples", "top_pool"):
+        if getattr(config, name) > n:
+            raise ValueError(
+                f"{context}{name}={getattr(config, name)} exceeds the {n} nodes of the subspace"
+            )
+    if config.constraint_budget is not None:
+        if cost_model is None:
+            raise ValueError(f"{context}constraint_budget set but no cost model given")
+        check_budget(subspace, cost_model, config.constraint_budget, context)
+
+
 def run_round(
     subspace: Subspace,
     evaluator: Evaluator,
@@ -231,22 +257,8 @@ def run_round(
     """One search round: sample, evaluate, fit the regressor, re-verify the
     predicted top pool and preserve the best K candidates."""
     start = time.perf_counter()
-    check_graph_size(subspace, f"round {round_index}: ")
+    check_round(subspace, config, round_index, cost_model)
     n = subspace.node_count
-    if config.m_samples > n:
-        raise ValueError(
-            f"round {round_index}: m_samples={config.m_samples} exceeds the "
-            f"{n} nodes of the subspace"
-        )
-    if config.top_pool > n:
-        raise ValueError(
-            f"round {round_index}: top_pool={config.top_pool} exceeds the "
-            f"{n} nodes of the subspace"
-        )
-    if config.constraint_budget is not None:
-        if cost_model is None:
-            raise ValueError(f"round {round_index}: constraint_budget set but no cost model given")
-        check_budget(subspace, cost_model, config.constraint_budget, f"round {round_index}: ")
 
     digits = sample_uniform(
         subspace, config.m_samples, seed_stream(config.seed, "sample", round_index)
@@ -318,6 +330,16 @@ def round_subspace(
     return Subspace(spec, tuple(segment), fixed, super_cells)
 
 
+@contextlib.contextmanager
+def _in_search_round(t: int) -> Iterator[None]:
+    """Note the search round on any exception that escapes."""
+    try:
+        yield
+    except Exception as exc:
+        exc.add_note(f"search round {t}")
+        raise
+
+
 def iter_search_rounds(
     spec: SearchSpaceSpec,
     plan: SegmentPlan,
@@ -327,14 +349,28 @@ def iter_search_rounds(
     initial: Architecture | None = None,
 ) -> Iterator[RoundResult]:
     """Run the plan's segments in order from ``initial`` (the default
-    initial architecture when omitted), yielding each round's result."""
+    initial architecture when omitted), yielding each round's result. The
+    plan, the start architecture and the first round (``check_round``) are
+    checked at the call, before any round runs."""
     if plan.num_layers != spec.num_layers:
         raise ValueError(
             f"plan covers {plan.num_layers} layers, space has {spec.num_layers}"
         )
     initial = initial or default_initial_architecture(spec)
     spec.validate_architecture(initial)
+    with _in_search_round(0):
+        check_round(round_subspace(spec, plan.segments[0], (), (), initial), config, 0, cost_model)
+    return _search_rounds(spec, plan, evaluator, config, cost_model, initial)
 
+
+def _search_rounds(
+    spec: SearchSpaceSpec,
+    plan: SegmentPlan,
+    evaluator: Evaluator,
+    config: SearchConfig,
+    cost_model: CostModel | None,
+    initial: Architecture,
+) -> Iterator[RoundResult]:
     preserved: tuple[ScoredArchitecture, ...] = ()
     searched: list[int] = []
     current = evaluator
@@ -342,11 +378,8 @@ def iter_search_rounds(
         if t > 0 and config.advance_checkpoints:
             current = current.advanced()
         subspace = round_subspace(spec, segment, searched, preserved, initial)
-        try:
+        with _in_search_round(t):
             result = run_round(subspace, current, config, round_index=t, cost_model=cost_model)
-        except Exception as exc:
-            exc.add_note(f"search round {t}")
-            raise
         preserved = result.preserved
         searched.extend(segment)
         yield result

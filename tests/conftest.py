@@ -302,6 +302,17 @@ def hamming_adjacency_reference(subspace: Subspace, weight_of) -> sp.csr_matrix:
     )
 
 
+def kronecker_sum_reference(weights: Sequence[np.ndarray]) -> sp.csr_matrix:
+    """The Kronecker sum of the per-slot matrices folded from the last slot
+    with ``sp.kronsum``, which puts each new slot on the more significant
+    digit; the 1x1 start is the graph with no slots. The reference for the
+    fixed-degree table in build_graph."""
+    adjacency = sp.csr_matrix((1, 1))
+    for w in reversed(weights):
+        adjacency = sp.kronsum(adjacency, w, format="csr")
+    return adjacency
+
+
 def normalize_reference(adjacency: sp.csr_matrix) -> sp.csr_matrix:
     """D^(-1/2) (A + I) D^(-1/2) by two broadcast multiplies; the reference
     for the in-place scaling in normalize_adjacency."""
@@ -329,14 +340,15 @@ def power_iteration_largest_eigenvalue(matrix, iterations: int = 200, seed: int 
 def forward_reference(
     a_hat: sp.csr_matrix, propagated_input: np.ndarray, model: GcnModel
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """The GCN forward pass with a fresh array per product: the output and
-    every layer's post-relu activations; the reference for the workspace
-    pass in gcnas.gcn."""
+    """The GCN forward pass over every node with a fresh array per product,
+    each layer past the first as ``(A_hat H) W``: the output and every
+    layer's post-relu activations; the reference for the workspace pass in
+    gcnas.gcn."""
     activations: list[np.ndarray] = []
     h = np.maximum(propagated_input @ model.layer_weights[0], 0)
     activations.append(h)
     for w in model.layer_weights[1:]:
-        h = np.maximum(a_hat @ (h @ w), 0)
+        h = np.maximum((a_hat @ h) @ w, 0)
         activations.append(h)
     out = a_hat @ (h @ model.head) + model.bias[0]
     return out, activations
@@ -350,9 +362,9 @@ def gradients_reference(
     out_grad: np.ndarray,
     weight_decay: float,
 ) -> list[np.ndarray]:
-    """Hand-derived gradients with a fresh array per product, ordered like
-    ``model.params()``."""
-    u = a_hat @ out_grad
+    """Hand-derived gradients over every node with a fresh array per
+    product, ordered like ``model.params()``."""
+    u = a_hat.T @ out_grad
     g_head = activations[-1].T @ u + weight_decay * model.head
     g_bias = np.array([out_grad.sum()], dtype=model.bias.dtype)
     d_h = np.outer(u, model.head)
@@ -362,9 +374,8 @@ def gradients_reference(
         if layer == 0:
             g_w = propagated_input.T @ d_z
         else:
-            q = a_hat @ d_z
-            g_w = activations[layer - 1].T @ q
-            d_h = q @ model.layer_weights[layer].T
+            g_w = (a_hat @ activations[layer - 1]).T @ d_z
+            d_h = a_hat.T @ (d_z @ model.layer_weights[layer].T)
         grads_w[layer] = g_w + weight_decay * model.layer_weights[layer]
     return [*grads_w, g_head, g_bias]
 
@@ -418,10 +429,10 @@ def loss_and_gradients(
     it (0.5 * weight_decay * ||W||^2 per weight array, bias excluded).
     """
     dtype = model.layer_weights[0].dtype
-    idx = np.asarray(node_indices, dtype=np.int64)
+    rows, label_rows = np.unique(np.asarray(node_indices, dtype=np.int64), return_inverse=True)
     y = np.asarray(targets, dtype=dtype)
-    workspace = _Workspace(*_model_inputs(graph, dtype), model)
-    return workspace.step(idx, y, weight_decay)
+    workspace = _Workspace(*_model_inputs(graph, dtype), model, rows)
+    return workspace.step(label_rows, y, weight_decay)
 
 
 def _fields(obj: Any, skip: Sequence[str] = ()) -> dict[str, Any]:

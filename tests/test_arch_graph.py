@@ -30,6 +30,7 @@ from conftest import (
     cell_hamming,
     gray_encode,
     hamming_adjacency_reference,
+    kronecker_sum_reference,
     measured_similarity_reference,
     normalize_reference,
     power_iteration_largest_eigenvalue,
@@ -192,6 +193,47 @@ class TestKroneckerSumMatchesEdgeList:
         graph = build_graph(sub)
         assert graph.num_nodes == 6**6
         self.check(graph, lambda j, c_a, c_b: ASSIGNED)
+
+
+#: a 1-candidate super-cell is a slot of radix 1, which adds no edge
+ONE_CANDIDATE = Subspace(SearchSpaceSpec(4, 3), (2, 3), {}, (SuperCell((0, 1), ((1, 2),)),))
+
+
+class TestFixedDegreeTable:
+    """build_graph's (nodes, degree) table fold gives the bits of folding the
+    per-slot matrices with ``sp.kronsum``."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(subspaces(), st.booleans(), st.integers(0, 2**32 - 1))
+    @example(ALL_FIXED, False, 0)
+    @example(ALL_FIXED, True, 0)
+    @example(ONE_CANDIDATE, False, 0)
+    @example(ONE_CANDIDATE, True, 1)
+    @example(Subspace(SearchSpaceSpec(2, 3), (), {}, (SuperCell((0, 1), ((1, 2),)),)), False, 0)
+    def test_same_bits_as_kronsum(self, sub, measured, seed):
+        rng = np.random.default_rng(seed)
+        if measured:
+            ids = rng.choice(sub.node_count, min(sub.node_count, 300))
+            samples = sub.digits(ids), rng.random(len(ids))
+            mode = MeasuredSimilarity(min_pairs=2)
+            weights = measured_similarity(*samples, sub, mode)
+            graph = build_graph(sub, mode, samples=samples)
+        else:
+            weight = rng.uniform(1e-3, 10.0)
+            weights = [weight * (1 - np.eye(slot.radix)) for slot in sub.slots]
+            graph = build_graph(sub, AssignedSimilarity(weight))
+        want = kronecker_sum_reference(weights)
+        assert graph.adjacency.shape == want.shape == (sub.node_count,) * 2
+        degree = sum(slot.radix - 1 for slot in sub.slots)
+        assert graph.adjacency.nnz == want.nnz == sub.node_count * degree
+        for name in ("indptr", "indices", "data"):
+            got, expected = getattr(graph.adjacency, name), getattr(want, name)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+        oracle = ArchGraph(sub, sub.node_count, want, graph.features, graph.choice_matrix)
+        normalized = normalize_adjacency(graph)
+        for name in ("indptr", "indices", "data"):
+            got, expected = getattr(normalized, name), getattr(normalize_adjacency(oracle), name)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
 
 
 class TestMeasuredSimilarity:

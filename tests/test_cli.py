@@ -617,6 +617,20 @@ class TestRoundCommand:
         ]
 
 
+    @pytest.mark.parametrize("command", ["search", "round"])
+    def test_refused_run_leaves_no_directory(self, tmp_path, capsys, command):
+        path, out = tmp_path / "config.json", tmp_path / "out"
+        path.write_text(json.dumps({
+            "output_dir": str(out),
+            "search_space": {"num_layers": 25, "choices_per_layer": 6},
+            "plan": [25],
+        }))
+        assert main([command, "--config", str(path)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: round 0: subspace has {6**25} nodes, exceeding the cap of {6**7}"]
+        assert not out.exists()
+
+
 class TestSeedsOutOfRange:
     """Each seed bound, and the value one past it, through the command line."""
 

@@ -3,12 +3,21 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gcnas.arch_graph import ArchGraph, build_graph, normalize_adjacency
+from gcnas.arch_graph import (
+    ArchGraph,
+    AssignedSimilarity,
+    MeasuredSimilarity,
+    build_graph,
+    normalize_adjacency,
+)
 from gcnas.gcn import (
     GcnConfig,
     _model_inputs,
     _propagate,
+    _receptive_field,
     _Workspace,
     forward,
     init_model,
@@ -17,7 +26,13 @@ from gcnas.gcn import (
 )
 from gcnas.cli import write_loss_curve
 from gcnas.search_space import SearchSpaceSpec, Subspace
-from conftest import forward_reference, gradients_reference, loss_and_gradients, train_reference
+from conftest import (
+    forward_reference,
+    gradients_reference,
+    loss_and_gradients,
+    subspaces,
+    train_reference,
+)
 
 
 def toy_graph(num_free: int = 2, choices: int = 4, seed: int = 0) -> ArchGraph:
@@ -286,11 +301,13 @@ class TestPropagate:
         graph = toy_graph(num_free=3, choices=5)  # 125 nodes
         a_hat, _ = _model_inputs(graph, np.dtype(dtype))
         rng = np.random.default_rng(1)
-        out = np.empty((graph.num_nodes, *shape), dtype)
-        for _ in range(2):  # the second product lands in the first one's dirty buffer
-            m = rng.standard_normal((graph.num_nodes, *shape)).astype(dtype)
-            assert _propagate(a_hat, m, out) is out
-            assert np.array_equal(out, a_hat @ m)
+        # the operator as CSR, and a row slice read transposed as CSC
+        for a in (a_hat, a_hat[np.arange(3, 125, 4)].T):
+            out = np.empty((a.shape[0], *shape), dtype)
+            for _ in range(2):  # the second product lands in the first one's dirty buffer
+                m = rng.standard_normal((a.shape[1], *shape)).astype(dtype)
+                assert _propagate(a, m, out) is out
+                assert np.array_equal(out, a @ m)
 
     @pytest.mark.parametrize(
         "m_shape, out_shape, out_dtype",
@@ -309,8 +326,23 @@ class TestPropagate:
             _propagate(a_hat, np.ones((16, 3)), out)
 
 
+def closed_neighbourhood(a_hat: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
+    """Sorted ids of ``rows`` and every node one edge from them, read from
+    the dense matrix."""
+    return np.flatnonzero((a_hat.toarray()[rows] != 0).any(axis=0))
+
+
+def row_slice_bytes(a_hat: sp.csr_matrix, rows: np.ndarray) -> int:
+    """Bytes of ``A_hat[rows, :]`` as CSR: data and column index per entry,
+    one row pointer per row and one more."""
+    nnz = int(np.diff(a_hat.indptr)[rows].sum())
+    return nnz * (a_hat.data.itemsize + a_hat.indices.itemsize) + (len(rows) + 1) * 4
+
+
 class TestSameBitsAsFreshArrays:
-    """The workspace pass against the reference that allocates every array."""
+    """The workspace pass against the reference that allocates every array.
+    With a label on every node the receptive field is the whole graph, every
+    operator is ``A_hat`` itself, and the bits agree."""
 
     # widening and three-layer stacks view the mask buffer below its full width
     @pytest.mark.parametrize("hidden, dtype", [((32, 32), "float32"), ((6, 5), "float64"),
@@ -319,9 +351,8 @@ class TestSameBitsAsFreshArrays:
     def test_train_forward_and_gradients(self, hidden, dtype):
         graph = toy_graph(num_free=4, choices=4)  # 256 nodes
         rng = np.random.default_rng(6)
-        ids = rng.choice(graph.num_nodes, 60, replace=False)
-        ids[1] = ids[0]  # a repeated label
-        labels = ids, 0.5 + 0.1 * rng.standard_normal(60)
+        ids = np.append(rng.permutation(graph.num_nodes), 7)  # node 7 labeled twice
+        labels = ids, 0.5 + 0.1 * rng.standard_normal(len(ids))
         config = GcnConfig(hidden_dims=hidden, epochs=24, dtype=dtype)
         model, losses = train(graph, labels, config, 3)
         want_model, want_losses = train_reference(graph, labels, config, 3)
@@ -332,12 +363,11 @@ class TestSameBitsAsFreshArrays:
         a_hat, propagated = _model_inputs(graph, np.dtype(dtype))
         out, activations = forward_reference(a_hat, propagated, model)
         assert forward(graph, model).tobytes() == out.tobytes()
-        idx = ids[:5]  # ids[0] == ids[1]
-        y = (out[idx] - np.array([0.2, -0.1, 0.3, -0.4, 0.5])).astype(dtype)
-        loss, grads = loss_and_gradients(graph, model, idx, y, 5e-4)
-        residual = out[idx] - y
+        y = (out[ids] - 0.1 * rng.standard_normal(len(ids))).astype(dtype)
+        loss, grads = loss_and_gradients(graph, model, ids, y, 5e-4)
+        residual = out[ids] - y
         out_grad = np.zeros_like(out)
-        np.add.at(out_grad, idx, np.sign(residual) * np.dtype(dtype).type(1 / len(idx)))
+        np.add.at(out_grad, ids, np.sign(residual) * np.dtype(dtype).type(1 / len(ids)))
         want = gradients_reference(a_hat, propagated, model, activations, out_grad, 5e-4)
         assert loss == float(np.abs(residual).mean())
         for got, expected in zip(grads, want):
@@ -348,36 +378,136 @@ class TestSameBitsAsFreshArrays:
         config = GcnConfig(hidden_dims=(32, 32), dtype="float64")
         model = init_model(graph.features.shape[1], config, 0)
         a_hat, propagated = _model_inputs(graph, np.dtype(np.float64))
-        idx = np.arange(0, graph.num_nodes, 3)
-        y = np.full(len(idx), 0.5)
-        workspace = _Workspace(a_hat, propagated, model)
-        workspace.step(idx, y, 5e-4)
+        rows = np.arange(0, graph.num_nodes, 3)
+        label_rows = np.arange(len(rows))
+        y = np.full(len(rows), 0.5)
+        workspace = _Workspace(a_hat, propagated, model, rows)
+        workspace.step(label_rows, y, 5e-4)
         tracemalloc.start()
         try:
-            workspace.step(idx, y, 5e-4)
+            workspace.step(label_rows, y, 5e-4)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < graph.num_nodes * 32 * 8
 
-    def test_train_allocates_under_two_activations_per_hidden_unit(self):
-        # k, the peak bytes train allocates over n * sum(hidden) * itemsize:
-        # the activations (1), which the backward pass overwrites with their
-        # gradients, the products past the first layer (0.5), the mask
-        # buffer (0.06), the (n,) vectors and the parameter-sized arrays
-        graph = toy_graph(num_free=4, choices=6)  # 1296 nodes
-        config = GcnConfig(hidden_dims=(64, 64), epochs=3, dtype="float64")
-        _model_inputs(graph, np.dtype(np.float64))  # cached on the graph, not train's
-        rng = np.random.default_rng(0)
-        ids = rng.choice(graph.num_nodes, 300, replace=False)
-        labels = ids, 0.5 + 0.1 * rng.standard_normal(300)
+    @staticmethod
+    def train_peak(graph, labels, config) -> int:
+        _model_inputs(graph, np.dtype(config.dtype))  # cached on the graph, not train's
         tracemalloc.start()
         try:
             train(graph, labels, config, 0)
-            _, peak = tracemalloc.get_traced_memory()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak / (graph.num_nodes * 128 * 8) < 1.83
+
+    def test_train_allocates_under_two_activations_per_hidden_unit(self):
+        # k, the peak bytes train allocates over n * sum(hidden) * itemsize:
+        # the activations (1), which the backward pass overwrites with their
+        # gradients, the propagated inputs past the first layer (0.5), the
+        # mask buffer (0.06), the (n,) vectors and the parameter-sized
+        # arrays; and the row slices of A_hat that train copies
+        graph = toy_graph(num_free=4, choices=6)  # 1296 nodes
+        config = GcnConfig(hidden_dims=(64, 64), epochs=3, dtype="float64")
+        rng = np.random.default_rng(0)
+        ids = rng.choice(graph.num_nodes, 300, replace=False)
+        labels = ids, 0.5 + 0.1 * rng.standard_normal(300)
+        a_hat = graph.normalized
+        s0 = np.unique(ids)
+        r1 = closed_neighbourhood(a_hat, s0)
+        assert len(r1) > 0.99 * graph.num_nodes
+        unit = graph.num_nodes * 128 * 8
+        slices = row_slice_bytes(a_hat, s0) + row_slice_bytes(a_hat, r1)
+        assert self.train_peak(graph, labels, config) / unit < 1.83 + slices / unit
+
+    def test_sparse_labels_allocate_under_one_activation_per_hidden_unit(self):
+        # 60 labels on 7776 nodes: the layer past the first, its propagated
+        # input and its mask rows cover the labels' closed neighbourhood alone
+        graph = toy_graph(num_free=5, choices=6)
+        config = GcnConfig(hidden_dims=(64, 64), epochs=3, dtype="float64")
+        rng = np.random.default_rng(0)
+        ids = rng.choice(graph.num_nodes, 60, replace=False)
+        labels = ids, 0.5 + 0.1 * rng.standard_normal(60)
+        r1 = closed_neighbourhood(graph.normalized, np.unique(ids))
+        assert 0.15 < len(r1) / graph.num_nodes < 0.21
+        assert self.train_peak(graph, labels, config) / (graph.num_nodes * 128 * 8) < 1.0
+
+
+def relative_error(got: np.ndarray, want: np.ndarray, unit: float) -> float:
+    """The largest difference over the largest entry of ``want``, or over
+    ``unit`` if that is larger."""
+    return float(np.abs(got - want).max()) / max(float(np.abs(want).max()), unit)
+
+
+class TestReceptiveField:
+    """Training on the labels' receptive field against the full graph."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(subspaces(), st.booleans(), st.integers(1, 3), st.sampled_from(["float32", "float64"]),
+           st.integers(0, 2**32 - 1))
+    def test_a_step_matches_the_full_graph(self, sub, measured, depth, dtype, seed):
+        rng = np.random.default_rng(seed)
+        n = sub.node_count
+        if measured:
+            sampled = rng.choice(n, min(n, 200))
+            mode = MeasuredSimilarity(min_pairs=2)
+            graph = build_graph(sub, mode, samples=(sub.digits(sampled), rng.random(len(sampled))))
+        else:
+            graph = build_graph(sub, AssignedSimilarity(rng.uniform(0.1, 1.0)))
+        config = GcnConfig(hidden_dims=tuple(rng.integers(1, 9, depth)), dtype=dtype)
+        model = init_model(graph.features.shape[1], config, seed)
+        ids = rng.choice(n, rng.integers(1, 13))  # repeats allowed
+        y = (0.5 + 0.1 * rng.standard_normal(len(ids))).astype(dtype)
+        loss, grads = loss_and_gradients(graph, model, ids, y, 5e-4)
+
+        a_hat, propagated = _model_inputs(graph, np.dtype(dtype))
+        out, activations = forward_reference(a_hat, propagated, model)
+        residual = out[ids] - y
+        out_grad = np.zeros_like(out)
+        np.add.at(out_grad, ids, np.sign(residual) * np.dtype(dtype).type(1 / len(ids)))
+        want = gradients_reference(a_hat, propagated, model, activations, out_grad, 5e-4)
+        tolerance = 1e-12 if dtype == "float64" else 1e-5
+        want_loss = float(np.abs(residual).mean())
+        assert abs(loss - want_loss) <= tolerance * want_loss
+        for got, expected in zip(grads, want):
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert relative_error(got, expected, 1 / len(ids)) <= tolerance
+
+    def test_operators_are_the_row_slices(self):
+        graph = toy_graph(num_free=4, choices=5)  # 625 nodes
+        a_hat, _ = _model_inputs(graph, np.dtype(np.float32))
+        rows = np.array([0, 3, 3, 311, 624])
+        s0 = np.unique(rows)
+        r1 = closed_neighbourhood(a_hat, s0)
+        r2 = closed_neighbourhood(a_hat, r1)
+        assert len(r1) < len(r2) < graph.num_nodes
+        ops = _receptive_field(a_hat, s0, 3)
+        dense = a_hat.toarray()
+        for op, r, c in zip(ops, (s0, r1, r2), (r1, r2, np.arange(graph.num_nodes))):
+            assert op.format == "csr" and op.has_canonical_format and op.dtype == np.float32
+            assert np.array_equal(op.toarray(), dense[np.ix_(r, c)])
+
+    def test_every_node_copies_nothing(self):
+        graph = toy_graph(num_free=3, choices=4)
+        a_hat, propagated = _model_inputs(graph, np.dtype(np.float64))
+        assert all(op is a_hat for op in _receptive_field(a_hat, np.arange(64), 3))
+        model = init_model(graph.features.shape[1], GcnConfig(hidden_dims=(4, 4, 4)), 0)
+        workspace = _Workspace(a_hat, propagated, model, np.arange(64))
+        assert all(a.shape[0] == 64 for a in workspace.acts)
+        for op in workspace.transposed:
+            assert op.format == "csc" and np.shares_memory(op.data, a_hat.data)
+
+    def test_train_twice_gives_the_same_bytes(self):
+        graph = toy_graph(num_free=5, choices=4)  # 1024 nodes
+        rng = np.random.default_rng(8)
+        ids = rng.choice(graph.num_nodes, 40)
+        labels = ids, 0.5 + 0.1 * rng.standard_normal(40)
+        config = GcnConfig(hidden_dims=(8, 8), epochs=12, dtype="float32")
+        m1, l1 = train(graph, labels, config, 2)
+        m2, l2 = train(graph, labels, config, 2)
+        assert l1 == l2
+        for a, b in zip(m1.params(), m2.params()):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestLossCurve:
