@@ -328,15 +328,16 @@ class TestPropagate:
 
 def closed_neighbourhood(a_hat: sp.csr_matrix, rows: np.ndarray) -> np.ndarray:
     """Sorted ids of ``rows`` and every node one edge from them, read from
-    the dense matrix."""
-    return np.flatnonzero((a_hat.toarray()[rows] != 0).any(axis=0))
+    the dense rows."""
+    return np.flatnonzero((a_hat[rows].toarray() != 0).any(axis=0))
 
 
 def row_slice_bytes(a_hat: sp.csr_matrix, rows: np.ndarray) -> int:
     """Bytes of ``A_hat[rows, :]`` as CSR: data and column index per entry,
     one row pointer per row and one more."""
     nnz = int(np.diff(a_hat.indptr)[rows].sum())
-    return nnz * (a_hat.data.itemsize + a_hat.indices.itemsize) + (len(rows) + 1) * 4
+    index = a_hat.indices.itemsize
+    return nnz * (a_hat.data.itemsize + index) + (len(rows) + 1) * index
 
 
 class TestSameBitsAsFreshArrays:
