@@ -4,8 +4,8 @@ Nodes enumerate every slot-digit row of a subspace in mixed-radix order; an
 undirected edge joins two nodes iff their architectures differ at exactly one
 searchable position (a super-cell counts as one position). Edge weights come
 from either a fixed assigned similarity or a measured, correlation-based
-one, as one similarity matrix per slot; the adjacency is their Kronecker
-sum. The GCN consumes the symmetric renormalized adjacency.
+one, as one similarity matrix per slot, which the graph keeps; the adjacency
+is their Kronecker sum. The GCN consumes the symmetric renormalized adjacency.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ SimilarityMode = Union[AssignedSimilarity, MeasuredSimilarity]
 class ArchGraph:
     """Graph over all nodes of a subspace.
 
-    ``adjacency`` stores both directions of each undirected edge;
-    ``features`` holds the Gray code of each node's fully materialized
+    ``slot_weights`` holds the per-slot similarity matrices, which define
+    the edges; ``features`` holds the Gray code of each node's fully materialized
     architecture (fixed cells included as constant bits); ``choice_matrix``
     keeps the materialized per-layer choices for cost and oracle lookups.
     Instances are immutable once built; ``normalized`` is filled at most once,
@@ -76,7 +76,7 @@ class ArchGraph:
 
     subspace: Subspace
     num_nodes: int
-    adjacency: sp.csr_matrix
+    slot_weights: list[np.ndarray]
     features: np.ndarray
     choice_matrix: np.ndarray
     normalized: sp.csr_matrix | None = None
@@ -84,10 +84,14 @@ class ArchGraph:
     ranked_by: tuple[object, np.ndarray] | None = None
     priced_by: tuple[object, np.ndarray] | None = None
 
+    @property
+    def adjacency(self) -> sp.csr_matrix:
+        """The raw adjacency, rebuilt on every call: for inspection only."""
+        return _kronecker_sum(self.slot_weights) - sp.eye(self.num_nodes, format="csr")
 
-def check_graph_size(subspace: Subspace, context: str = "") -> None:
-    """Raise, the message led by ``context``, if ``subspace`` is past the node cap."""
-    n = subspace.node_count
+
+def check_graph_size(n: int, context: str = "") -> None:
+    """Raise, the message led by ``context``, if ``n`` nodes are past the node cap."""
     if n > MAX_GRAPH_NODES:
         raise ValueError(f"{context}subspace has {n} nodes, exceeding the cap of {MAX_GRAPH_NODES}")
 
@@ -144,21 +148,21 @@ def measured_similarity(
 
 
 def _kronecker_sum(weights: Sequence[np.ndarray]) -> sp.csr_matrix:
-    """The Kronecker sum of the zero-diagonal per-slot matrices, the first
-    slot most significant, as canonical CSR.
+    """``A + I``: the Kronecker sum of the zero-diagonal per-slot matrices,
+    the first slot most significant, plus the identity, as canonical CSR.
 
-    Every row has one entry per other choice of each slot, so the sum is
-    folded as a (nodes, degree) table of sorted columns. The fold runs from
-    the last slot as ``kronsum(A, W) = I (x) A + W (x) I`` does: row ``a*m + i``
-    of the next table holds ``b*m + i`` for each ``b < a``, then row ``i`` of
-    the previous table plus ``a*m``, then ``b*m + i`` for each ``b > a``,
-    with the values ``W[a, b]`` and the previous row's values.
+    Every row has its diagonal and one entry per other choice of each slot,
+    so the sum is folded as a (nodes, degree + 1) table of sorted columns,
+    from the 1x1 identity and the last slot, as ``kronsum(P, W) = I (x) P +
+    W (x) I`` does: row ``a*m + i`` holds ``b*m + i`` for each ``b < a``, then
+    row ``i`` of the previous table plus ``a*m`` (its diagonal 1 included),
+    then ``b*m + i`` for each ``b > a``, with the values ``W[a, b]``.
     """
     n = math.prod(len(w) for w in weights)
-    degree = sum(len(w) - 1 for w in weights)
-    index_dtype = np.int32 if n * degree < 2**31 else np.int64
-    columns = np.zeros((1, 0), index_dtype)  # the one node of the graph with no slots
-    values = np.zeros((1, 0))
+    width = 1 + sum(len(w) - 1 for w in weights)
+    index_dtype = np.int32 if n * width < 2**31 else np.int64
+    columns = np.zeros((1, 1), index_dtype)  # the graph with no slots: one self-looped node
+    values = np.ones((1, 1))
     for w in reversed(weights):
         radix, m = len(w), len(columns)
         own = np.arange(m, dtype=index_dtype)[:, None]
@@ -175,7 +179,7 @@ def _kronecker_sum(weights: Sequence[np.ndarray]) -> sp.csr_matrix:
             next_values[a, :, hi:] = w[a, a + 1 :]
         columns = next_columns.reshape(radix * m, -1)
         values = next_values.reshape(radix * m, -1)
-    indptr = degree * np.arange(n + 1, dtype=index_dtype)
+    indptr = width * np.arange(n + 1, dtype=index_dtype)
     return sp.csr_matrix((values.ravel(), columns.ravel(), indptr), shape=(n, n))
 
 
@@ -189,12 +193,12 @@ def build_graph(
     Edges link every pair of nodes differing in exactly one searchable
     position; weights follow ``mode``, measured ones from ``samples``, the
     (digit rows, accuracies) of evaluated nodes. The graph is the Cartesian
-    product of one weighted complete graph per slot, so its adjacency is the
-    Kronecker sum of the per-slot similarity matrices. Node features are the
-    Gray codes of the materialized architectures.
+    product of one weighted complete graph per slot, so it keeps just the
+    per-slot similarity matrices, which define every edge. Node features are
+    the Gray codes of the materialized architectures.
     """
-    check_graph_size(subspace)
     n = subspace.node_count
+    check_graph_size(n)
     if isinstance(mode, MeasuredSimilarity):
         if samples is None:
             raise ValueError("measured similarity requires evaluation records")
@@ -202,23 +206,22 @@ def build_graph(
     else:
         weights = [mode.weight * (1 - np.eye(slot.radix)) for slot in subspace.slots]
 
-    adjacency = _kronecker_sum(weights)
     spec = subspace.spec
     choice_matrix = subspace.choices(subspace.digits(np.arange(n)))
     gray = gray_code_table(spec.choices_per_layer, spec.bits_per_cell).astype(np.float32)
     features = gray[choice_matrix].reshape(n, spec.feature_dim)
-    return ArchGraph(subspace, n, adjacency, features, choice_matrix)
+    return ArchGraph(subspace, n, weights, features, choice_matrix)
 
 
 def normalize_adjacency(graph: ArchGraph) -> sp.csr_matrix:
     """Symmetric renormalization with self-loops:
     D^(-1/2) (A + I) D^(-1/2), D = diagonal of row sums of A + I.
 
-    The result is cached on the graph.
+    ``A + I`` is folded from the per-slot weights; the result is cached on the graph.
     """
     if graph.normalized is None:
         n = graph.num_nodes
-        a_tilde = (graph.adjacency + sp.eye(n, format="csr")).tocsr()
+        a_tilde = _kronecker_sum(graph.slot_weights)
         inv_sqrt = 1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel())
         # rows, then columns, in place by SciPy's own kernels: the roundings
         # of D^(-1/2) applied on each side, with no entry-sized temporary

@@ -386,7 +386,7 @@ def _write_round(out: Path, config: RunConfig, result: RoundResult, lookup_table
 
 def _cmd_search(args: argparse.Namespace) -> int:
     config = _with_overrides(args)
-    # the call checks the first round, so a refused search writes nothing
+    # the call checks every round it can know of, so a refused search writes nothing
     rounds = iter_search_rounds(config.space, config.plan, config.simulator, config.search,
                                 config.cost_model, initial=config.initial_architecture)
     out = config.output_dir

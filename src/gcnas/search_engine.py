@@ -222,6 +222,24 @@ def reverify(
     return _best(candidates, np.asarray(node_indices), _evaluate(evaluator, list(candidates)))[0]
 
 
+def _later_round_nodes(spec: SearchSpaceSpec, segment: Sequence[int], config: SearchConfig) -> int:
+    """The node count of a round after the first when no constraint budget
+    is set: every preceding round preserves exactly ``k_preserve`` candidates,
+    which form one super-cell beside the segment's free layers."""
+    return spec.choices_per_layer ** len(segment) * config.k_preserve
+
+
+def _check_nodes(n: int, config: SearchConfig, context: str) -> None:
+    """Raise if a round of ``n`` nodes is past the node cap or holds fewer
+    nodes than ``m_samples`` or ``top_pool``."""
+    check_graph_size(n, context)
+    for name in ("m_samples", "top_pool"):
+        if getattr(config, name) > n:
+            raise ValueError(
+                f"{context}{name}={getattr(config, name)} exceeds the {n} nodes of the subspace"
+            )
+
+
 def check_round(
     subspace: Subspace,
     config: SearchConfig,
@@ -234,13 +252,7 @@ def check_round(
     budget. Known from the config alone, so a command checks its first round
     before it writes anything."""
     context = f"round {round_index}: "
-    check_graph_size(subspace, context)
-    n = subspace.node_count
-    for name in ("m_samples", "top_pool"):
-        if getattr(config, name) > n:
-            raise ValueError(
-                f"{context}{name}={getattr(config, name)} exceeds the {n} nodes of the subspace"
-            )
+    _check_nodes(subspace.node_count, config, context)
     if config.constraint_budget is not None:
         if cost_model is None:
             raise ValueError(f"{context}constraint_budget set but no cost model given")
@@ -351,7 +363,9 @@ def iter_search_rounds(
     """Run the plan's segments in order from ``initial`` (the default
     initial architecture when omitted), yielding each round's result. The
     plan, the start architecture and the first round (``check_round``) are
-    checked at the call, before any round runs."""
+    checked at the call, before any round runs, and so are the node counts of
+    the later rounds when no constraint budget is set; with one, a round may
+    preserve fewer candidates, and each later round is checked as it starts."""
     if plan.num_layers != spec.num_layers:
         raise ValueError(
             f"plan covers {plan.num_layers} layers, space has {spec.num_layers}"
@@ -360,6 +374,10 @@ def iter_search_rounds(
     spec.validate_architecture(initial)
     with _in_search_round(0):
         check_round(round_subspace(spec, plan.segments[0], (), (), initial), config, 0, cost_model)
+    if config.constraint_budget is None:
+        for t, segment in enumerate(plan.segments[1:], start=1):
+            with _in_search_round(t):
+                _check_nodes(_later_round_nodes(spec, segment, config), config, f"round {t}: ")
     return _search_rounds(spec, plan, evaluator, config, cost_model, initial)
 
 

@@ -3,7 +3,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -18,10 +17,14 @@ from gcnas.arch_graph import (
     node_index,
     normalize_adjacency,
 )
+from gcnas.evaluator import GroundTruthParams, SyntheticSupernet
+from gcnas.gcn import GcnConfig, forward
+from gcnas.search_engine import SearchConfig, run_round
 from gcnas.search_space import (
     SearchSpaceSpec,
     Subspace,
     SuperCell,
+    full_subspace,
     materialize,
     sample_uniform,
 )
@@ -229,10 +232,9 @@ class TestFixedDegreeTable:
         for name in ("indptr", "indices", "data"):
             got, expected = getattr(graph.adjacency, name), getattr(want, name)
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
-        oracle = ArchGraph(sub, sub.node_count, want, graph.features, graph.choice_matrix)
-        normalized = normalize_adjacency(graph)
+        normalized, oracle = normalize_adjacency(graph), normalize_reference(want)
         for name in ("indptr", "indices", "data"):
-            got, expected = getattr(normalized, name), getattr(normalize_adjacency(oracle), name)
+            got, expected = getattr(normalized, name), getattr(oracle, name)
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
 
 
@@ -305,15 +307,14 @@ class TestNormalizeAdjacency:
         graph = ArchGraph(
             subspace=two_free_cells(),
             num_nodes=1,
-            adjacency=sp.csr_matrix((1, 1)),
+            slot_weights=[],
             features=np.zeros((1, 3), dtype=np.float32),
             choice_matrix=np.zeros((1, 3), dtype=np.int64),
         )
         assert normalize_adjacency(graph).toarray() == pytest.approx(np.array([[1.0]]))
 
     def test_two_nodes_single_unit_edge(self):
-        adjacency = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        graph = ArchGraph(two_free_cells(), 2, adjacency,
+        graph = ArchGraph(two_free_cells(), 2, [np.array([[0.0, 1.0], [1.0, 0.0]])],
                           np.zeros((2, 3), np.float32), np.zeros((2, 3), np.int64))
         expected = np.array([[0.5, 0.5], [0.5, 0.5]])
         assert normalize_adjacency(graph).toarray() == pytest.approx(expected)
@@ -331,3 +332,44 @@ class TestNormalizeAdjacency:
     def test_cached(self):
         graph = build_graph(two_free_cells())
         assert normalize_adjacency(graph) is normalize_adjacency(graph)
+
+
+class TestSlotWeights:
+    """The graph keeps its per-slot weights; ``adjacency`` is rebuilt from
+    them only on request."""
+
+    @pytest.mark.parametrize("mode", [AssignedSimilarity(), MeasuredSimilarity(min_pairs=3)])
+    def test_a_round_never_reads_the_adjacency(self, monkeypatch, mode):
+        def refuse(graph):
+            raise AssertionError("ArchGraph.adjacency read")
+
+        monkeypatch.setattr(ArchGraph, "adjacency", property(refuse))
+        spec = SearchSpaceSpec(3, 4)
+        evaluator = SyntheticSupernet(GroundTruthParams.random(spec, 1), sigma=0.005,
+                                      checkpoint_seed=2)
+        config = SearchConfig(m_samples=40, train_split=32, top_pool=8, k_preserve=3,
+                              similarity=mode, gcn=GcnConfig(hidden_dims=(6, 6), epochs=5), seed=3)
+        result = run_round(full_subspace(spec), evaluator, config)
+        assert forward(result.graph, result.model).tobytes() == result.predictions.tobytes()
+        with pytest.raises(AssertionError, match="adjacency read"):
+            result.graph.adjacency
+
+    def test_only_a_hat_is_held(self):
+        # 6^6 nodes: 8 layers, 6 free; the bytes the graph holds past its
+        # features and choices, and their peak while it is built and normalized
+        sub = Subspace(SearchSpaceSpec(8, 6), tuple(range(6)), {6: 1, 7: 4})
+        tracemalloc.start()
+        try:
+            graph = build_graph(sub)
+            a_hat = normalize_adjacency(graph)
+            held, peak = tracemalloc.get_traced_memory()
+            graph.adjacency.nnz
+            held_after_read = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        node_arrays = graph.features.nbytes + graph.choice_matrix.nbytes
+        a_hat_bytes = a_hat.data.nbytes + a_hat.indices.nbytes + a_hat.indptr.nbytes
+        assert graph.num_nodes == 6**6
+        assert held - node_arrays <= 1.05 * a_hat_bytes
+        assert peak - node_arrays <= 1.25 * a_hat_bytes
+        assert held_after_read - node_arrays <= 1.05 * a_hat_bytes  # the raw matrix is not kept

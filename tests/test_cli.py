@@ -444,6 +444,27 @@ class TestSearchCommand:
         assert err[0].startswith("error: round 0: m_samples=20")
         assert err[1:] == ["  search round 0"]
 
+    @pytest.mark.parametrize("num_layers, plan, message", [
+        (12, [5, 7], f"subspace has {6**7 * 6} nodes, exceeding the cap of {6**7}"),
+        (8, [5, 3], f"m_samples=2000 exceeds the {6**3 * 6} nodes of the subspace"),
+    ])
+    def test_later_round_refused_before_writing(
+        self, tmp_path, capsys, monkeypatch, num_layers, plan, message
+    ):
+        # without a budget, round 1 has O^|segment| x k_preserve nodes
+        path, out = tmp_path / "config.json", tmp_path / "out"
+        path.write_text(json.dumps({
+            "output_dir": str(out),
+            "search_space": {"num_layers": num_layers, "choices_per_layer": 6},
+            "plan": plan,
+            "search": {"gcn": {"hidden_dims": [8, 8], "epochs": 2, "dtype": "float32"}},
+        }))
+        monkeypatch.setattr(search_engine, "train", lambda *a: pytest.fail("round 0 trained"))
+        assert main(["search", "--config", str(path)]) == 1
+        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: round 1: {message}"]
+        assert not out.exists()
+
     def test_earlier_rounds_freed_before_the_next_round(self, tiny_config, monkeypatch):
         path, _ = tiny_config
         config = json.loads(path.read_text())

@@ -51,7 +51,7 @@ def edgeless_graph(num_nodes: int, feat_dim: int, seed: int = 0) -> ArchGraph:
     return ArchGraph(
         subspace=sub,
         num_nodes=num_nodes,
-        adjacency=sp.csr_matrix((num_nodes, num_nodes)),
+        slot_weights=[np.zeros((num_nodes, num_nodes))],
         features=features,
         choice_matrix=np.zeros((num_nodes, 2), dtype=np.int64),
     )
@@ -143,7 +143,8 @@ class TestForward:
         out = forward(graph, model)
         rng = np.random.default_rng(5)
         perm = rng.permutation(graph.num_nodes)
-        # relabel nodes: P A P^T and P X
+        # relabel nodes: P A_hat P^T and P X; a relabelled graph is not a
+        # Kronecker sum, so its normalized operator is given directly
         p = sp.csr_matrix(
             (np.ones(graph.num_nodes), (np.arange(graph.num_nodes), perm)),
             shape=(graph.num_nodes, graph.num_nodes),
@@ -151,11 +152,11 @@ class TestForward:
         permuted = ArchGraph(
             subspace=graph.subspace,
             num_nodes=graph.num_nodes,
-            adjacency=(p @ graph.adjacency @ p.T).tocsr(),
+            slot_weights=graph.slot_weights,
             features=graph.features[perm],
             choice_matrix=graph.choice_matrix[perm],
+            normalized=(p @ graph.normalized @ p.T).tocsr(),
         )
-        normalize_adjacency(permuted)
         assert forward(permuted, model) == pytest.approx(out[perm], abs=1e-9)
 
     def test_shape_mismatch_errors(self):

@@ -20,8 +20,10 @@ from gcnas import search_engine
 from gcnas.gcn import GcnConfig, forward, train
 from gcnas.search_engine import (
     SearchConfig,
+    _later_round_nodes,
     check_budget,
     constraint_select,
+    iter_search_rounds,
     reverify,
     run_round,
 )
@@ -345,6 +347,7 @@ class TestRunSearch:
         final, reports = final_and_reports(spec, plan, sn, config)
         assert [r.round_index for r in reports] == [0, 1, 2]
         assert [r.num_nodes for r in reports] == [36, 36 * 6, 36 * 6]
+        assert [_later_round_nodes(spec, seg, config) for seg in plan.segments[1:]] == [36 * 6] * 2
         # layers finalized in round t never resampled later
         seen: set[int] = set()
         for report in reports:
@@ -393,6 +396,29 @@ class TestRunSearch:
             # the noise field differs between checkpoints, so the check above
             # tells an advanced search from one that stays on the first
             assert not np.array_equal(sn.evaluate_many(archs), sn.advanced().evaluate_many(archs))
+
+    def test_later_rounds_checked_at_the_call_without_a_budget(self):
+        spec = SearchSpaceSpec(4, 4)
+        plan = make_segment_plan(spec, [3, 1])  # round 1: 4 x k_preserve = 12 nodes
+        config = SearchConfig(m_samples=50, train_split=40, top_pool=10, k_preserve=3,
+                              gcn=SMALL_GCN)
+        with pytest.raises(ValueError, match="^round 1: m_samples=50 exceeds the 12 nodes") as info:
+            iter_search_rounds(spec, plan, noiseless_supernet(spec, 0), config)
+        assert info.value.__notes__ == ["search round 1"]
+
+    def test_later_rounds_checked_as_they_start_with_a_budget(self):
+        # a budget may leave fewer than k_preserve candidates, so the count of
+        # a later round is not known at the call
+        spec = SearchSpaceSpec(4, 4)
+        plan = make_segment_plan(spec, [3, 1])
+        config = SearchConfig(m_samples=50, train_split=40, top_pool=10, k_preserve=3,
+                              gcn=dataclasses.replace(SMALL_GCN, epochs=2),
+                              constraint_budget=float("inf"))
+        cost = CostModel(1.0, np.ones((4, 4)))
+        rounds = iter_search_rounds(spec, plan, noiseless_supernet(spec, 0), config, cost)
+        assert next(rounds).report.num_nodes == 64
+        with pytest.raises(ValueError, match="^round 1: m_samples=50 exceeds the 12 nodes"):
+            next(rounds)
 
     def test_round_errors_carry_round_context(self):
         spec = SearchSpaceSpec(4, 4)
