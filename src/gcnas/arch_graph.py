@@ -11,7 +11,7 @@ is their Kronecker sum. The GCN consumes the symmetric renormalized adjacency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -67,8 +67,8 @@ class ArchGraph:
     the edges; ``features`` holds the Gray code of each node's fully materialized
     architecture (fixed cells included as constant bits); ``choice_matrix``
     keeps the materialized per-layer choices for cost and oracle lookups.
-    Instances are immutable once built; ``normalized`` is filled at most once,
-    ``model_inputs`` at most once per model dtype, with (A_hat, A_hat @ X).
+    Instances are immutable once built; ``normalized`` holds A_hat in one
+    dtype, rebuilt when asked for in another, ``propagated`` A_hat @ X beside it.
     ``ranked_by`` holds the last model to rank the nodes with their order
     (descending prediction, stable), ``priced_by`` the last cost model with
     the cost per node; a model must not be mutated once it has ranked.
@@ -80,7 +80,7 @@ class ArchGraph:
     features: np.ndarray
     choice_matrix: np.ndarray
     normalized: sp.csr_matrix | None = None
-    model_inputs: dict[np.dtype, tuple[sp.csr_matrix, np.ndarray]] = field(default_factory=dict)
+    propagated: np.ndarray | None = None
     ranked_by: tuple[object, np.ndarray] | None = None
     priced_by: tuple[object, np.ndarray] | None = None
 
@@ -213,13 +213,14 @@ def build_graph(
     return ArchGraph(subspace, n, weights, features, choice_matrix)
 
 
-def normalize_adjacency(graph: ArchGraph) -> sp.csr_matrix:
+def normalize_adjacency(graph: ArchGraph, dtype: np.dtype = np.float64) -> sp.csr_matrix:
     """Symmetric renormalization with self-loops:
     D^(-1/2) (A + I) D^(-1/2), D = diagonal of row sums of A + I.
 
-    ``A + I`` is folded from the per-slot weights; the result is cached on the graph.
+    ``A + I`` is folded from the per-slot weights and scaled in float64, then
+    cast to ``dtype``; the result is cached on the graph in that dtype alone.
     """
-    if graph.normalized is None:
+    if graph.normalized is None or graph.normalized.dtype != dtype:
         n = graph.num_nodes
         a_tilde = _kronecker_sum(graph.slot_weights)
         inv_sqrt = 1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel())
@@ -228,7 +229,8 @@ def normalize_adjacency(graph: ArchGraph) -> sp.csr_matrix:
         arrays = (a_tilde.indptr, a_tilde.indices, a_tilde.data, inv_sqrt)
         _sparsetools.csr_scale_rows(n, n, *arrays)
         _sparsetools.csr_scale_columns(n, n, *arrays)
-        graph.normalized = a_tilde
+        a_tilde.data = a_tilde.data.astype(dtype, copy=False)
+        graph.normalized, graph.propagated = a_tilde, None
     return graph.normalized
 
 

@@ -97,13 +97,11 @@ def learning_rate_at(epoch: int, config: GcnConfig) -> float:
 
 def _model_inputs(graph: ArchGraph, dtype: np.dtype) -> tuple[sp.csr_matrix, np.ndarray]:
     """A_hat and A_hat @ X in the model dtype; neither depends on the model,
-    so both are cached on the graph. Every dtype's A_hat shares the index
-    arrays of the float64 one."""
-    if dtype not in graph.model_inputs:
-        a = normalize_adjacency(graph)
-        a_hat = sp.csr_matrix((a.data.astype(dtype, copy=False), a.indices, a.indptr), a.shape)
-        graph.model_inputs[dtype] = (a_hat, a_hat @ graph.features.astype(dtype, copy=False))
-    return graph.model_inputs[dtype]
+    so both are cached on the graph."""
+    a_hat = normalize_adjacency(graph, dtype)
+    if graph.propagated is None:
+        graph.propagated = a_hat @ graph.features.astype(dtype, copy=False)
+    return a_hat, graph.propagated
 
 
 def _propagate(a: sp.csr_matrix | sp.csc_matrix, m: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -38,6 +38,20 @@ def _merge_count_inversions(y: np.ndarray) -> tuple[int, np.ndarray]:
     return inv_l + inv_r + cross, np.sort(np.concatenate([left, right]), kind="mergesort")
 
 
+def _paired(a: Sequence[float], b: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
+    """Both score vectors as float64, refused unless they are one-dimensional,
+    of one length and at least 2 items long."""
+    x = np.asarray(a, dtype=np.float64)
+    y = np.asarray(b, dtype=np.float64)
+    if x.ndim != 1 or y.ndim != 1:
+        raise ValueError("inputs must be one-dimensional")
+    if len(x) != len(y):
+        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
+    if len(x) < 2:
+        raise ValueError(f"need at least 2 items, got {len(x)}")
+    return x, y
+
+
 def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
     """Kendall's tau-b between two equal-length score vectors.
 
@@ -45,15 +59,8 @@ def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
     T_a / T_b count pairs tied only in one vector; reduces to the tie-free
     tau (C - D) / (n(n-1)/2) when no values repeat.
     """
-    x = np.asarray(a, dtype=np.float64)
-    y = np.asarray(b, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1:
-        raise ValueError("inputs must be one-dimensional")
-    if len(x) != len(y):
-        raise ValueError(f"length mismatch: {len(x)} vs {len(y)}")
+    x, y = _paired(a, b)
     n = len(x)
-    if n < 2:
-        raise ValueError(f"need at least 2 items, got {n}")
     if np.isnan(x).any() or np.isnan(y).any():
         raise ValueError("tau undefined: inputs contain NaN")
 
@@ -82,14 +89,7 @@ def regression_score(pred: Sequence[float], target: Sequence[float]) -> float:
     of determination of the least-squares linear fit of ``target`` on
     ``pred``; 1 for a perfect affine relation, 0 when ``pred`` carries no
     linear information."""
-    p = np.asarray(pred, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if p.ndim != 1 or t.ndim != 1:
-        raise ValueError("inputs must be one-dimensional")
-    if len(p) != len(t):
-        raise ValueError(f"length mismatch: {len(p)} vs {len(t)}")
-    if len(p) < 2:
-        raise ValueError(f"need at least 2 items, got {len(p)}")
+    p, t = _paired(pred, target)
     pc = p - p.mean()
     tc = t - t.mean()
     ss_tot = float((tc**2).sum())

@@ -281,7 +281,7 @@ def run_round(
     _check_validation_scores(accuracies, config.train_split, evaluator, f"round {round_index}: ")
 
     graph = build_graph(subspace, config.similarity, samples=(digits, accuracies))
-    normalize_adjacency(graph)
+    normalize_adjacency(graph, np.dtype(config.gcn.dtype))
 
     split = config.train_split
     val_ids = node_ids[split:]

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -157,7 +158,10 @@ class TestKroneckerSumMatchesEdgeList:
     def check(self, graph, weight_of):
         want = hamming_adjacency_reference(graph.subspace, weight_of)
         assert_same_csr(graph.adjacency, want)
-        assert_same_csr(normalize_adjacency(graph), normalize_reference(want))
+        oracle = normalize_reference(want)
+        assert_same_csr(normalize_adjacency(graph), oracle)
+        # a float32 operator is the float64 one cast, bit for bit
+        assert_same_csr(normalize_adjacency(graph, np.float32), oracle.astype(np.float32))
 
     @settings(max_examples=60, deadline=None)
     @given(subspaces(), st.floats(1e-3, 10.0))
@@ -232,10 +236,12 @@ class TestFixedDegreeTable:
         for name in ("indptr", "indices", "data"):
             got, expected = getattr(graph.adjacency, name), getattr(want, name)
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
-        normalized, oracle = normalize_adjacency(graph), normalize_reference(want)
-        for name in ("indptr", "indices", "data"):
-            got, expected = getattr(normalized, name), getattr(oracle, name)
-            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+        oracle = normalize_reference(want)
+        for dtype in (np.float64, np.float32):
+            normalized, expected_csr = normalize_adjacency(graph, dtype), oracle.astype(dtype)
+            for name in ("indptr", "indices", "data"):
+                got, expected = getattr(normalized, name), getattr(expected_csr, name)
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
 
 
 class TestMeasuredSimilarity:
@@ -333,6 +339,16 @@ class TestNormalizeAdjacency:
         graph = build_graph(two_free_cells())
         assert normalize_adjacency(graph) is normalize_adjacency(graph)
 
+    def test_held_in_the_dtype_last_asked_for(self):
+        graph = build_graph(two_free_cells())
+        a64 = normalize_adjacency(graph)
+        a32 = normalize_adjacency(graph, np.float32)
+        assert a32.dtype == np.float32 and graph.normalized is a32
+        assert normalize_adjacency(graph, np.dtype("float32")) is a32
+        # back in float64 by a fresh fold, not by widening the float32 data
+        again = normalize_adjacency(graph)
+        assert again.dtype == np.float64 and again.data.tobytes() == a64.data.tobytes()
+
 
 class TestSlotWeights:
     """The graph keeps its per-slot weights; ``adjacency`` is rebuilt from
@@ -373,3 +389,17 @@ class TestSlotWeights:
         assert held - node_arrays <= 1.05 * a_hat_bytes
         assert peak - node_arrays <= 1.25 * a_hat_bytes
         assert held_after_read - node_arrays <= 1.05 * a_hat_bytes  # the raw matrix is not kept
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"floor": 0.0}, "floor must be in (0, 1], got 0.0"),
+        ({"floor": 1.5}, "floor must be in (0, 1], got 1.5"),
+        ({"min_pairs": 1}, "min_pairs must be >= 2, got 1"),
+    ],
+)
+def test_measured_similarity_refusals(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        MeasuredSimilarity(**kwargs)
+    assert type(info.value) is ValueError

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 import weakref
+from argparse import Namespace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ import gcnas
 from gcnas import search_engine
 from gcnas.cli import (
     ConfigError,
+    _cmd_tau,
     load_config,
     main,
     parse_config,
@@ -743,3 +745,28 @@ def test_cli_import_leaves_scipy_stats_out():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True, timeout=120)
     assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "run, error, message",
+    [
+        (lambda csv: parse_config({"search": 5}), ConfigError,
+         "$.search: expected an object, got int"),
+        (lambda csv: parse_config({"search": {"similarity": []}}), ConfigError,
+         "$.search.similarity: expected an object, got list"),
+        (lambda csv: _cmd_tau(Namespace(a=f"{csv}:one", b=f"{csv}:2")), ValueError,
+         "column spec '{csv}:one' has a non-integer column"),
+        (lambda csv: _cmd_tau(Namespace(a=f"{csv}:0", b=f"{csv}:2")), ValueError,
+         "column index must be >= 1, got 0"),
+        (lambda csv: _cmd_tau(Namespace(a=f"{csv}:1", b=f"{csv}:2")), ValueError,
+         "fewer than 2 rows hold a number in both {csv}:1 and {csv}:2"),
+    ],
+    ids=["section", "nested-section", "non-integer-column", "column-0", "one-numeric-row"],
+)
+def test_refusals(tmp_path, run, error, message):
+    # one row of the file holds a number in both columns
+    csv = tmp_path / "scores.csv"
+    csv.write_text("a,b\n1,4\n2,x\n")
+    with pytest.raises(error, match=f"^{re.escape(message.format(csv=csv))}$") as info:
+        run(csv)
+    assert type(info.value) is error

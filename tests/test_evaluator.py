@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -340,3 +341,22 @@ class TestChoiceRange:
     def test_wrong_width_rejected(self, scorer):
         with pytest.raises(ValueError, match=r"expected an \(n, 3\) choice matrix"):
             CHOICE_SCORERS[scorer](np.zeros((2, 4), dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: GroundTruthParams(0.8, np.zeros(6), 0.0, interaction_seed=0),
+         "cell_utility must be an LxO table, got shape (6,)"),
+        (lambda: CostModel(1.0, np.zeros((2, 3, 4))),
+         "cell_cost must be an LxO table, got shape (2, 3, 4)"),
+        (lambda: calibrate_sigma(SyntheticSupernet(flat_truth(SearchSpaceSpec(3, 3))),
+                                 SearchSpaceSpec(3, 3), n_archs=20),
+         "ground truth is constant; two-checkpoint tau cannot be calibrated"),
+    ],
+    ids=["truth-table", "cost-table", "constant-truth"],
+)
+def test_refusals(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        build()
+    assert type(info.value) is ValueError

@@ -268,31 +268,46 @@ class TestTraining:
 
 
 class TestModelInputs:
-    def test_cached_per_dtype_with_the_same_bits(self):
+    def test_cached_in_the_model_dtype_with_the_same_bits(self):
         graph = toy_graph(num_free=2, choices=4)
         labels = np.arange(8), 0.5 + 0.01 * np.arange(8)
         config = GcnConfig(hidden_dims=(6, 6), epochs=3, dtype="float32")
         model, _ = train(graph, labels, config, 4)
         f32 = np.dtype(np.float32)
-        a_hat, propagated = graph.model_inputs[f32]
+        a_hat, propagated = _model_inputs(graph, f32)
         out = forward(graph, model)
         loss_and_gradients(graph, model, [0, 1], [0.5, 0.6])
-        assert list(graph.model_inputs) == [f32]
-        assert graph.model_inputs[f32][0] is a_hat and graph.model_inputs[f32][1] is propagated
-        # the same bits as casting and propagating afresh
-        cast = normalize_adjacency(graph).astype(np.float32)
+        again = _model_inputs(graph, f32)
+        assert again[0] is a_hat and again[1] is propagated
+        assert graph.normalized is a_hat and a_hat.dtype == f32
+        # the same bits as casting a fresh float64 A_hat and propagating
+        cast = normalize_adjacency(toy_graph(num_free=2, choices=4)).astype(np.float32)
         want, _ = forward_reference(cast, cast @ graph.features, model)
         assert out.tobytes() == want.tobytes()
         assert out.tobytes() == forward(graph, model).tobytes()
 
+        # read at float64 afterwards, A_hat is refolded: the bits of a fresh
+        # graph, and nothing of float32 left on the graph
         model64 = init_model(graph.features.shape[1], GcnConfig(hidden_dims=(6, 6)), 4)
-        forward(graph, model64)
-        assert list(graph.model_inputs) == [f32, np.dtype(np.float64)]
-        normalized = normalize_adjacency(graph)
-        for a, _ in graph.model_inputs.values():
-            assert np.shares_memory(a.indices, normalized.indices)
-            assert np.shares_memory(a.indptr, normalized.indptr)
-        assert np.shares_memory(graph.model_inputs[np.dtype(np.float64)][0].data, normalized.data)
+        out64 = forward(graph, model64)
+        assert out64.tobytes() == forward(toy_graph(num_free=2, choices=4), model64).tobytes()
+        assert graph.normalized.dtype == graph.propagated.dtype == np.float64
+
+    def test_a_float32_graph_holds_a_hat_in_float32_only(self):
+        # the 6^6 subspace of test_only_a_hat_is_held: past its features and
+        # choices, the graph holds the float32 A_hat and A_hat @ X alone
+        sub = Subspace(SearchSpaceSpec(8, 6), tuple(range(6)), {6: 1, 7: 4})
+        tracemalloc.start()
+        try:
+            graph = build_graph(sub)
+            a_hat, propagated = _model_inputs(graph, np.dtype(np.float32))
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        node_arrays = graph.features.nbytes + graph.choice_matrix.nbytes
+        inputs = a_hat.data.nbytes + a_hat.indices.nbytes + a_hat.indptr.nbytes + propagated.nbytes
+        assert graph.normalized.dtype == np.float32
+        assert held - node_arrays <= 1.05 * inputs
 
 
 class TestPropagate:
@@ -517,3 +532,10 @@ class TestLossCurve:
         path = tmp_path / "loss.csv"
         write_loss_curve([0.5, 0.25], path)
         assert path.read_text().splitlines() == ["epoch,loss", "0,0.500000", "1,0.250000"]
+
+
+@pytest.mark.parametrize("feat_dim", [0, -1])
+def test_init_model_refuses_an_empty_input(feat_dim):
+    with pytest.raises(ValueError, match=f"^feat_dim must be >= 1, got {feat_dim}$") as info:
+        init_model(feat_dim, GcnConfig(hidden_dims=(4,)), 0)
+    assert type(info.value) is ValueError

@@ -1,3 +1,4 @@
+import re
 from unittest import mock
 
 import numpy as np
@@ -181,3 +182,20 @@ class TestRegressionScore:
         p = rng.standard_normal(100)
         t = rng.standard_normal(100)
         assert regression_score(p, t) <= 1.0
+
+
+@pytest.mark.parametrize("statistic", [kendall_tau, regression_score])
+@pytest.mark.parametrize(
+    "a, b, message",
+    [
+        ([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0], "inputs must be one-dimensional"),
+        ([1.0, 2.0], [[1.0], [2.0]], "inputs must be one-dimensional"),
+        ([1.0, 2.0, 3.0], [1.0, 2.0], "length mismatch: 3 vs 2"),
+        ([1.0], [2.0], "need at least 2 items, got 1"),
+        ([], [], "need at least 2 items, got 0"),
+    ],
+)
+def test_paired_input_refusals(statistic, a, b, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        statistic(a, b)
+    assert type(info.value) is ValueError

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -280,3 +282,26 @@ class TestSegmentPlan:
         sub = full_subspace(SearchSpaceSpec(4, 3))
         assert sub.node_count == 81
         assert sub.free_positions == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SuperCell((), ((),)), "super-cell needs at least one position"),
+        (lambda: SuperCell((0, 1), ()), "super-cell needs at least one candidate"),
+        (
+            lambda: Subspace(SearchSpaceSpec(4, 6), (0, 1), {},
+                             (SuperCell((2, 3), ((0, 0), (1, 6))),)),
+            "super-cell candidate entry 6 is outside [0, 6)",
+        ),
+        (lambda: make_segment_plan(SearchSpaceSpec(3, 4), [0, 3]),
+         "segment sizes must be positive, got [0, 3]"),
+        (lambda: sample_uniform(full_subspace(SearchSpaceSpec(2, 4)), -1, seed=0),
+         "sample count must be non-negative, got -1"),
+    ],
+    ids=["no-position", "no-candidate", "candidate-range", "segment-size", "negative-m"],
+)
+def test_refusals(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
+        build()
+    assert type(info.value) is ValueError
