@@ -63,15 +63,15 @@ SimilarityMode = Union[AssignedSimilarity, MeasuredSimilarity]
 class ArchGraph:
     """Graph over all nodes of a subspace.
 
-    ``slot_weights`` holds the per-slot similarity matrices, which define
-    the edges; ``features`` holds the Gray code of each node's fully materialized
-    architecture (fixed cells included as constant bits); ``choice_matrix``
-    keeps the materialized per-layer choices for cost and oracle lookups.
-    Instances are immutable once built; ``normalized`` holds A_hat in one
-    dtype, rebuilt when asked for in another, ``propagated`` A_hat @ X beside it.
-    ``ranked_by`` holds the last model to rank the nodes with their order
+    Fixed at build: ``slot_weights``, the per-slot similarity matrices, which
+    define the edges; ``features``, the uint8 Gray bits of each node's fully
+    materialized architecture (fixed cells as constant bits); ``choice_matrix``,
+    its per-layer choices at ``np.min_scalar_type(O - 1)``, for cost and oracle
+    lookups. Caches filled after the build: ``normalized`` holds A_hat in one
+    dtype, rebuilt when asked for in another, ``propagated`` A_hat @ X beside
+    it; ``ranked_by`` the last model to rank the nodes with their order
     (descending prediction, stable), ``priced_by`` the last cost model with
-    the cost per node; a model must not be mutated once it has ranked.
+    the cost per node. A model must not be mutated once it has ranked.
     """
 
     subspace: Subspace
@@ -207,8 +207,9 @@ def build_graph(
         weights = [mode.weight * (1 - np.eye(slot.radix)) for slot in subspace.slots]
 
     spec = subspace.spec
-    choice_matrix = subspace.choices(subspace.digits(np.arange(n)))
-    gray = gray_code_table(spec.choices_per_layer, spec.bits_per_cell).astype(np.float32)
+    choice_dtype = np.min_scalar_type(spec.choices_per_layer - 1)
+    choice_matrix = subspace.choices(subspace.digits(np.arange(n))).astype(choice_dtype)
+    gray = gray_code_table(spec.choices_per_layer, spec.bits_per_cell)
     features = gray[choice_matrix].reshape(n, spec.feature_dim)
     return ArchGraph(subspace, n, weights, features, choice_matrix)
 

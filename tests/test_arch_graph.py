@@ -26,6 +26,7 @@ from gcnas.search_space import (
     Subspace,
     SuperCell,
     full_subspace,
+    gray_code_table,
     materialize,
     sample_uniform,
 )
@@ -139,6 +140,26 @@ class TestBuildGraph:
             arch = materialize(sub, sub.digits([index])[0])
             assert graph.features[index].tolist() == gray_encode(arch, spec).tolist()
             assert node_architecture(graph, index) == arch
+
+    @pytest.mark.parametrize(
+        "sub",
+        [
+            Subspace(SearchSpaceSpec(8, 6), tuple(range(6)), {6: 1, 7: 4}),
+            Subspace(SearchSpaceSpec(4, 6), (3,), {2: 1}, (SuperCell((0, 1), ((2, 5), (3, 3))),)),
+        ],
+        ids=["6^6", "super-cell"],
+    )
+    def test_node_tables_hold_one_byte_per_entry(self, sub):
+        graph = build_graph(sub)
+        spec, n = sub.spec, graph.num_nodes
+        choices = sub.choices(sub.digits(np.arange(n)))
+        gray = gray_code_table(spec.choices_per_layer, spec.bits_per_cell)
+        assert graph.features.dtype == np.uint8
+        assert graph.choice_matrix.dtype == np.min_scalar_type(spec.choices_per_layer - 1)
+        assert np.array_equal(graph.features, gray[choices].reshape(n, spec.feature_dim))
+        assert np.array_equal(graph.choice_matrix, choices)
+        table_bytes = graph.features.nbytes + graph.choice_matrix.nbytes
+        assert table_bytes == n * (spec.feature_dim + spec.num_layers)
 
     def test_measured_mode_requires_samples(self):
         with pytest.raises(ValueError, match="records"):
