@@ -64,20 +64,19 @@ class ArchGraph:
     """Graph over all nodes of a subspace.
 
     Fixed at build: ``slot_weights``, the per-slot similarity matrices, which
-    define the edges; ``features``, the uint8 Gray bits of each node's fully
-    materialized architecture (fixed cells as constant bits); ``choice_matrix``,
-    its per-layer choices at ``np.min_scalar_type(O - 1)``, for cost and oracle
-    lookups. Caches filled after the build: ``normalized`` holds A_hat in one
-    dtype, rebuilt when asked for in another, ``propagated`` A_hat @ X beside
-    it; ``ranked_by`` the last model to rank the nodes with their order
-    (descending prediction, stable), ``priced_by`` the last cost model with
-    the cost per node. A model must not be mutated once it has ranked.
+    define the edges; ``choice_matrix``, the per-layer choices of each node's
+    fully materialized architecture at ``np.min_scalar_type(O - 1)``, for
+    cost and oracle lookups and for the node features. Caches filled after
+    the build: ``normalized`` holds A_hat in one dtype, rebuilt when asked
+    for in another, ``propagated`` A_hat @ X beside it; ``ranked_by`` the
+    last model to rank the nodes with their order (descending prediction,
+    stable), ``priced_by`` the last cost model with the cost per node. A
+    model must not be mutated once it has ranked.
     """
 
     subspace: Subspace
     num_nodes: int
     slot_weights: list[np.ndarray]
-    features: np.ndarray
     choice_matrix: np.ndarray
     normalized: sp.csr_matrix | None = None
     propagated: np.ndarray | None = None
@@ -88,6 +87,19 @@ class ArchGraph:
     def adjacency(self) -> sp.csr_matrix:
         """The raw adjacency, rebuilt on every call: for inspection only."""
         return _kronecker_sum(self.slot_weights) - sp.eye(self.num_nodes, format="csr")
+
+    @property
+    def features(self) -> np.ndarray:
+        """The uint8 node features, derived on every call: for inspection only."""
+        return node_features(self, np.uint8)
+
+
+def node_features(graph: ArchGraph, dtype: np.dtype) -> np.ndarray:
+    """The (nodes, feature_dim) Gray bits of each node's materialized
+    architecture, fixed cells as constant bits, as 0/1 in ``dtype``."""
+    spec = graph.subspace.spec
+    gray = gray_code_table(spec.choices_per_layer, spec.bits_per_cell).astype(dtype)
+    return gray[graph.choice_matrix].reshape(graph.num_nodes, spec.feature_dim)
 
 
 def check_graph_size(n: int, context: str = "") -> None:
@@ -194,8 +206,8 @@ def build_graph(
     position; weights follow ``mode``, measured ones from ``samples``, the
     (digit rows, accuracies) of evaluated nodes. The graph is the Cartesian
     product of one weighted complete graph per slot, so it keeps just the
-    per-slot similarity matrices, which define every edge. Node features are
-    the Gray codes of the materialized architectures.
+    per-slot similarity matrices, which define every edge, and the choices
+    of each node's materialized architecture, which define its features.
     """
     n = subspace.node_count
     check_graph_size(n)
@@ -209,9 +221,7 @@ def build_graph(
     spec = subspace.spec
     choice_dtype = np.min_scalar_type(spec.choices_per_layer - 1)
     choice_matrix = subspace.choices(subspace.digits(np.arange(n))).astype(choice_dtype)
-    gray = gray_code_table(spec.choices_per_layer, spec.bits_per_cell)
-    features = gray[choice_matrix].reshape(n, spec.feature_dim)
-    return ArchGraph(subspace, n, weights, features, choice_matrix)
+    return ArchGraph(subspace, n, weights, choice_matrix)
 
 
 def normalize_adjacency(graph: ArchGraph, dtype: np.dtype = np.float64) -> sp.csr_matrix:

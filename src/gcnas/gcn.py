@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .arch_graph import ArchGraph, normalize_adjacency
+from .arch_graph import ArchGraph, node_features, normalize_adjacency
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -100,7 +100,7 @@ def _model_inputs(graph: ArchGraph, dtype: np.dtype) -> tuple[sp.csr_matrix, np.
     so both are cached on the graph."""
     a_hat = normalize_adjacency(graph, dtype)
     if graph.propagated is None:
-        graph.propagated = a_hat @ graph.features.astype(dtype, copy=False)
+        graph.propagated = a_hat @ node_features(graph, dtype)
     return a_hat, graph.propagated
 
 
@@ -161,10 +161,10 @@ def _receptive_field(a_hat: sp.csr_matrix, rows: np.ndarray, depth: int) -> list
 
 
 class _Workspace:
-    """Every array a pass of ``model`` computes to give the output at the
-    sorted node ids ``rows``, allocated once and overwritten by each pass, so
-    a training epoch allocates nothing the size of the graph. Each pass reads
-    the model's weights as they are at that call.
+    """Every array a training step of ``model`` computes to give the output
+    at the sorted node ids ``rows``, allocated once and overwritten by each
+    step, so a training epoch allocates nothing the size of the graph. Each
+    pass reads the model's weights as they are at that call.
 
     Layer 0 runs on every node, because ``A_hat X`` is cached for every node.
     Of an L-layer stack, layer l > 0 runs ``(A_hat[R, .] H) W`` on the rows R
@@ -263,15 +263,35 @@ class _Workspace:
 
 
 def forward(graph: ArchGraph, model: GcnModel) -> np.ndarray:
-    """Score every node of the graph in one pass."""
-    dtype = model.layer_weights[0].dtype
-    if graph.features.shape[1] != model.feat_dim:
+    """Score every node of the graph in one pass: the products of
+    ``_Workspace.forward`` with every node as a row, holding at most two
+    (nodes, width) arrays at a time. A layer's input is spent once it is
+    propagated, so its buffer takes the layer's output if the widths match;
+    a buffer of the wrong width is dropped before its successor is allocated.
+    """
+    feature_dim = graph.subspace.spec.feature_dim
+    if feature_dim != model.feat_dim:
         raise ValueError(
-            f"graph features have dimension {graph.features.shape[1]}, "
-            f"model expects {model.feat_dim}"
+            f"graph features have dimension {feature_dim}, model expects {model.feat_dim}"
         )
-    rows = np.arange(graph.num_nodes)
-    return _Workspace(*_model_inputs(graph, dtype), model, rows).forward()
+    a_hat, propagated = _model_inputs(graph, model.head.dtype)
+    act = np.matmul(propagated, model.layer_weights[0])
+    np.maximum(act, 0, out=act)
+    product = None  # the buffer the last input was propagated into
+    for weights in model.layer_weights[1:]:
+        if product is None or product.shape != act.shape:
+            product = None  # dropped before its successor is allocated
+            product = np.empty_like(act)
+        _propagate(a_hat, act, product)
+        if act.shape[1] != weights.shape[1]:
+            act = None  # spent, and dropped before its successor is allocated
+            act = np.empty((graph.num_nodes, weights.shape[1]), product.dtype)
+        np.matmul(product, weights, out=act)
+        np.maximum(act, 0, out=act)
+    head_input = np.matmul(act, model.head)
+    out = _propagate(a_hat, head_input, np.empty_like(head_input))
+    out += model.bias[0]
+    return out
 
 
 def train(
@@ -304,7 +324,7 @@ def train(
         )
     a_hat, propagated = _model_inputs(graph, dtype)
 
-    model = init_model(graph.features.shape[1], config, seed)
+    model = init_model(graph.subspace.spec.feature_dim, config, seed)
     # warm-start the regression offset; Adam's fixed step size would spend
     # most of the schedule crawling from 0 to the label mean otherwise
     model.bias[0] = y.mean()

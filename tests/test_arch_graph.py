@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -154,12 +155,15 @@ class TestBuildGraph:
         spec, n = sub.spec, graph.num_nodes
         choices = sub.choices(sub.digits(np.arange(n)))
         gray = gray_code_table(spec.choices_per_layer, spec.bits_per_cell)
-        assert graph.features.dtype == np.uint8
+        # the choices are the graph's one node table; the features derive from it
+        tables = [f.name for f in fields(graph) if isinstance(getattr(graph, f.name), np.ndarray)]
+        assert tables == ["choice_matrix"]
         assert graph.choice_matrix.dtype == np.min_scalar_type(spec.choices_per_layer - 1)
-        assert np.array_equal(graph.features, gray[choices].reshape(n, spec.feature_dim))
         assert np.array_equal(graph.choice_matrix, choices)
-        table_bytes = graph.features.nbytes + graph.choice_matrix.nbytes
-        assert table_bytes == n * (spec.feature_dim + spec.num_layers)
+        assert graph.choice_matrix.nbytes == n * spec.num_layers
+        features = graph.features
+        assert features.dtype == np.uint8
+        assert features.tobytes() == gray[choices].reshape(n, spec.feature_dim).tobytes()
 
     def test_measured_mode_requires_samples(self):
         with pytest.raises(ValueError, match="records"):
@@ -335,14 +339,13 @@ class TestNormalizeAdjacency:
             subspace=two_free_cells(),
             num_nodes=1,
             slot_weights=[],
-            features=np.zeros((1, 3), dtype=np.float32),
-            choice_matrix=np.zeros((1, 3), dtype=np.int64),
+            choice_matrix=np.zeros((1, 3), dtype=np.uint8),
         )
         assert normalize_adjacency(graph).toarray() == pytest.approx(np.array([[1.0]]))
 
     def test_two_nodes_single_unit_edge(self):
         graph = ArchGraph(two_free_cells(), 2, [np.array([[0.0, 1.0], [1.0, 0.0]])],
-                          np.zeros((2, 3), np.float32), np.zeros((2, 3), np.int64))
+                          np.zeros((2, 3), np.uint8))
         expected = np.array([[0.5, 0.5], [0.5, 0.5]])
         assert normalize_adjacency(graph).toarray() == pytest.approx(expected)
 
@@ -393,7 +396,7 @@ class TestSlotWeights:
 
     def test_only_a_hat_is_held(self):
         # 6^6 nodes: 8 layers, 6 free; the bytes the graph holds past its
-        # features and choices, and their peak while it is built and normalized
+        # choices, and their peak while it is built and normalized
         sub = Subspace(SearchSpaceSpec(8, 6), tuple(range(6)), {6: 1, 7: 4})
         tracemalloc.start()
         try:
@@ -404,7 +407,7 @@ class TestSlotWeights:
             held_after_read = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        node_arrays = graph.features.nbytes + graph.choice_matrix.nbytes
+        node_arrays = graph.choice_matrix.nbytes
         a_hat_bytes = a_hat.data.nbytes + a_hat.indices.nbytes + a_hat.indptr.nbytes
         assert graph.num_nodes == 6**6
         assert held - node_arrays <= 1.05 * a_hat_bytes

@@ -25,7 +25,7 @@ from gcnas.gcn import (
     train,
 )
 from gcnas.cli import write_loss_curve
-from gcnas.search_space import SearchSpaceSpec, Subspace
+from gcnas.search_space import SearchSpaceSpec, Subspace, SuperCell
 from conftest import (
     forward_reference,
     gradients_reference,
@@ -44,17 +44,20 @@ def toy_graph(num_free: int = 2, choices: int = 4, seed: int = 0) -> ArchGraph:
 
 
 def edgeless_graph(num_nodes: int, feat_dim: int, seed: int = 0) -> ArchGraph:
+    """A graph with no edges over real-valued features: its A_hat is I, so
+    the features are its A_hat X, cached on the graph as the model input."""
     rng = np.random.default_rng(seed)
-    features = rng.random((num_nodes, feat_dim)).astype(np.float32)
-    spec = SearchSpaceSpec(2, 4)
-    sub = Subspace(spec, (0,), {1: 0})
-    return ArchGraph(
+    spec = SearchSpaceSpec(feat_dim, 2)  # one bit per cell
+    sub = Subspace(spec, (0,), {p: 0 for p in range(1, feat_dim)})
+    graph = ArchGraph(
         subspace=sub,
         num_nodes=num_nodes,
         slot_weights=[np.zeros((num_nodes, num_nodes))],
-        features=features,
-        choice_matrix=np.zeros((num_nodes, 2), dtype=np.int64),
+        choice_matrix=np.zeros((num_nodes, feat_dim), dtype=np.uint8),
     )
+    normalize_adjacency(graph)
+    graph.propagated = rng.random((num_nodes, feat_dim))
+    return graph
 
 
 class TestInitModel:
@@ -127,11 +130,11 @@ class TestForward:
 
     def test_edgeless_graph_equals_plain_mlp(self):
         graph = edgeless_graph(12, 6)
-        normalize_adjacency(graph)
+        assert np.array_equal(graph.normalized.toarray(), np.eye(12))
         model = init_model(6, GcnConfig(hidden_dims=(5, 3)), 2)
         out = forward(graph, model)
         # independent per-row MLP oracle
-        x = graph.features.astype(np.float64)
+        x = graph.propagated
         h = np.maximum(x @ model.layer_weights[0], 0)
         h = np.maximum(h @ model.layer_weights[1], 0)
         expected = h @ model.head + model.bias[0]
@@ -153,7 +156,6 @@ class TestForward:
             subspace=graph.subspace,
             num_nodes=graph.num_nodes,
             slot_weights=graph.slot_weights,
-            features=graph.features[perm],
             choice_matrix=graph.choice_matrix[perm],
             normalized=(p @ graph.normalized @ p.T).tocsr(),
         )
@@ -166,6 +168,45 @@ class TestForward:
         message = f"graph features have dimension {width}, model expects {width + 1}"
         with pytest.raises(ValueError, match=message):
             forward(graph, model)
+
+
+class TestForwardBuffers:
+    """The full-graph pass holds at most two (nodes, width) arrays: a
+    layer's spent input takes its output when the widths match, and a
+    buffer of the wrong width is dropped before its successor exists."""
+
+    # every branch of the reuse rule: the first propagation buffer, one kept
+    # or replaced at the next layer, and the spent input kept or replaced
+    @pytest.mark.parametrize("hidden", [(8,), (64, 16), (8, 4, 6), (6, 6, 6), (4, 4, 7),
+                                        (8, 4, 4)])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_same_bits_as_fresh_arrays(self, hidden, dtype):
+        sc = SuperCell((0, 1, 2), ((0, 1, 2), (3, 3, 3), (5, 0, 1), (2, 2, 4)))
+        sub = Subspace(SearchSpaceSpec(6, 6), (3, 4), {5: 2}, (sc,))  # 144 nodes
+        graph = build_graph(sub)
+        model = init_model(sub.spec.feature_dim, GcnConfig(hidden_dims=hidden, dtype=dtype), 5)
+        model.bias[0] = 0.25
+        out = forward(graph, model)
+        want, _ = forward_reference(*_model_inputs(graph, np.dtype(dtype)), model)
+        assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("hidden, dtype", [((32, 32), "float32"), ((8, 4, 6), "float32"),
+                                               ((64, 16), "float64")])
+    def test_forward_allocates_two_of_the_widest_layer(self, hidden, dtype):
+        # 6^6 nodes with A_hat and A_hat X cached: the pass may allocate two
+        # arrays of the widest layer and four (nodes,) vectors
+        sub = Subspace(SearchSpaceSpec(8, 6), tuple(range(6)), {6: 1, 7: 4})
+        graph = build_graph(sub)
+        _model_inputs(graph, np.dtype(dtype))
+        model = init_model(sub.spec.feature_dim, GcnConfig(hidden_dims=hidden, dtype=dtype), 0)
+        tracemalloc.start()
+        try:
+            forward(graph, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n, itemsize = graph.num_nodes, np.dtype(dtype).itemsize
+        assert peak <= 2 * n * max(hidden) * itemsize + 4 * n * itemsize
 
 
 class TestGradients:
@@ -294,8 +335,8 @@ class TestModelInputs:
         assert graph.normalized.dtype == graph.propagated.dtype == np.float64
 
     def test_a_float32_graph_holds_a_hat_in_float32_only(self):
-        # the 6^6 subspace of test_only_a_hat_is_held: past its features and
-        # choices, the graph holds the float32 A_hat and A_hat @ X alone
+        # the 6^6 subspace of test_only_a_hat_is_held: past its choices, the
+        # graph holds the float32 A_hat and A_hat @ X alone
         sub = Subspace(SearchSpaceSpec(8, 6), tuple(range(6)), {6: 1, 7: 4})
         tracemalloc.start()
         try:
@@ -304,7 +345,7 @@ class TestModelInputs:
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        node_arrays = graph.features.nbytes + graph.choice_matrix.nbytes
+        node_arrays = graph.choice_matrix.nbytes
         inputs = a_hat.data.nbytes + a_hat.indices.nbytes + a_hat.indptr.nbytes + propagated.nbytes
         assert graph.normalized.dtype == np.float32
         assert held - node_arrays <= 1.05 * inputs
