@@ -102,10 +102,10 @@ def node_features(graph: ArchGraph, dtype: np.dtype) -> np.ndarray:
     return gray[graph.choice_matrix].reshape(graph.num_nodes, spec.feature_dim)
 
 
-def check_graph_size(n: int, context: str = "") -> None:
-    """Raise, the message led by ``context``, if ``n`` nodes are past the node cap."""
+def check_graph_size(n: int) -> None:
+    """Raise if ``n`` nodes are past the node cap."""
     if n > MAX_GRAPH_NODES:
-        raise ValueError(f"{context}subspace has {n} nodes, exceeding the cap of {MAX_GRAPH_NODES}")
+        raise ValueError(f"subspace has {n} nodes, exceeding the cap of {MAX_GRAPH_NODES}")
 
 
 def node_index(subspace: Subspace, row: Sequence[int]) -> int:

@@ -42,6 +42,7 @@ from .search_engine import (
     check_budget,
     check_round,
     constraint_select,
+    in_round,
     iter_search_rounds,
     round_subspace,
     run_round,
@@ -421,34 +422,35 @@ def _cmd_round(args: argparse.Namespace) -> int:
     # a single round searches its segment with every other layer fixed
     subspace = round_subspace(config.space, segments[args.segment], (), (),
                               config.initial_architecture)
-    check_round(subspace, config.search, args.segment, config.cost_model)
-    if args.budget is not None:
-        if np.isnan(args.budget):
-            raise ValueError(f"--budget must be a number of multiply-adds, got {args.budget}")
-        check_budget(subspace, config.cost_model, args.budget)
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
-    result = run_round(subspace, config.simulator, config.search, args.segment, config.cost_model)
-    _write_round(out, config, result, args.dump_predictions)
-    t = result.report.round_index
-    print(f"round {t}: tau_val={result.report.tau_val:.6f} "
-          f"best={result.report.best_selected.architecture.to_text()}")
-    if args.dump_predictions:
-        path = out / f"predictions_round_{t}.csv"
-        print(f"lookup table with {result.graph.num_nodes} entries written to {path}")
-    if args.budget is not None:
-        selected = constraint_select(result.graph, result.model, config.cost_model, args.budget,
-                                     config.simulator, config.search.top_pool)
-        payload = {
-            "architecture": selected.architecture.to_text(),
-            "accuracy": selected.accuracy,
-            "flops": flops(selected.architecture, config.cost_model),
-            "budget": float(args.budget),
-            **_provenance(config),
-        }
-        write_report(out / "constraint.json", payload)
-        print(f"best within budget {args.budget:g}: {selected.architecture.to_text()} "
-              f"({payload['flops']:.0f} multiply-adds)")
+    t = args.segment
+    with in_round(t):
+        check_round(subspace, config.search, config.cost_model)
+        if args.budget is not None:
+            if np.isnan(args.budget):
+                raise ValueError(f"--budget must be a number of multiply-adds, got {args.budget}")
+            check_budget(subspace, config.cost_model, args.budget)
+        out = config.output_dir
+        out.mkdir(parents=True, exist_ok=True)
+        result = run_round(subspace, config.simulator, config.search, t, config.cost_model)
+        _write_round(out, config, result, args.dump_predictions)
+        print(f"round {t}: tau_val={result.report.tau_val:.6f} "
+              f"best={result.report.best_selected.architecture.to_text()}")
+        if args.dump_predictions:
+            path = out / f"predictions_round_{t}.csv"
+            print(f"lookup table with {result.graph.num_nodes} entries written to {path}")
+        if args.budget is not None:
+            selected = constraint_select(result.graph, result.model, config.cost_model,
+                                         args.budget, config.simulator, config.search.top_pool)
+            payload = {
+                "architecture": selected.architecture.to_text(),
+                "accuracy": selected.accuracy,
+                "flops": flops(selected.architecture, config.cost_model),
+                "budget": float(args.budget),
+                **_provenance(config),
+            }
+            write_report(out / "constraint.json", payload)
+            print(f"best within budget {args.budget:g}: {selected.architecture.to_text()} "
+                  f"({payload['flops']:.0f} multiply-adds)")
     print(f"reports written to {out}")
     return 0
 
@@ -511,8 +513,6 @@ def _cmd_consistency(args: argparse.Namespace) -> int:
     if args.n < 2:
         raise ValueError(f"--n must be >= 2 to rank two checkpoints, got {args.n}")
     config = _with_overrides(args)
-    out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     matrix = sample_choice_matrix(
         config.space, args.n, seed_stream(config.seed, "consistency-sample")
     )
@@ -527,6 +527,8 @@ def _cmd_consistency(args: argparse.Namespace) -> int:
         "tau_same_checkpoint": tau_same,
         **_provenance(config),
     }
+    out = config.output_dir
+    out.mkdir(parents=True, exist_ok=True)
     write_report(out / "consistency.json", payload)
     print(f"tau between checkpoints: {tau_cross:.6f} (same checkpoint: {tau_same:.6f})")
     return 0

@@ -141,7 +141,7 @@ def _evaluate(evaluator: Evaluator, archs: Sequence[Architecture]) -> np.ndarray
 
 
 def _check_validation_scores(
-    accuracies: np.ndarray, train_split: int, evaluator: Evaluator, context: str
+    accuracies: np.ndarray, train_split: int, evaluator: Evaluator
 ) -> None:
     """Raise if the scores past ``train_split``, the validation set, are all
     equal: their tau against any prediction is undefined, and the round would
@@ -149,7 +149,7 @@ def _check_validation_scores(
     val = accuracies[train_split:]
     if (val == val[0]).all():
         raise ValueError(
-            f"{context}the {len(val)} validation scores past train_split={train_split} are all "
+            f"the {len(val)} validation scores past train_split={train_split} are all "
             f"{float(val[0])!r} under {type(evaluator).__name__}; validation tau is undefined"
         )
 
@@ -188,16 +188,13 @@ def _ranked_within_budget(
     return order
 
 
-def _over_budget(budget: float, minimum: float, context: str = "") -> ValueError:
+def _over_budget(budget: float, minimum: float) -> ValueError:
     return ValueError(
-        f"{context}no architecture within budget {budget:g}; "
-        f"minimum achievable cost is {minimum:g}"
+        f"no architecture within budget {budget:g}; minimum achievable cost is {minimum:g}"
     )
 
 
-def check_budget(
-    subspace: Subspace, cost_model: CostModel, budget: float, context: str = ""
-) -> None:
+def check_budget(subspace: Subspace, cost_model: CostModel, budget: float) -> None:
     """Raise, as the ranking would, if no node of ``subspace`` is within the
     multiply-add ``budget``; known before anything is sampled, because a
     node's cost is a sum over its layers, so the cheapest node takes each
@@ -209,7 +206,7 @@ def check_budget(
     ]
     minimum = flops_many(subspace.choices(np.array([cheapest])), cost_model)[0]
     if not budget >= minimum:
-        raise _over_budget(budget, minimum, context)
+        raise _over_budget(budget, minimum)
 
 
 def reverify(
@@ -229,34 +226,30 @@ def _later_round_nodes(spec: SearchSpaceSpec, segment: Sequence[int], config: Se
     return spec.choices_per_layer ** len(segment) * config.k_preserve
 
 
-def _check_nodes(n: int, config: SearchConfig, context: str) -> None:
+def _check_nodes(n: int, config: SearchConfig) -> None:
     """Raise if a round of ``n`` nodes is past the node cap or holds fewer
     nodes than ``m_samples`` or ``top_pool``."""
-    check_graph_size(n, context)
+    check_graph_size(n)
     for name in ("m_samples", "top_pool"):
         if getattr(config, name) > n:
             raise ValueError(
-                f"{context}{name}={getattr(config, name)} exceeds the {n} nodes of the subspace"
+                f"{name}={getattr(config, name)} exceeds the {n} nodes of the subspace"
             )
 
 
 def check_round(
-    subspace: Subspace,
-    config: SearchConfig,
-    round_index: int = 0,
-    cost_model: CostModel | None = None,
+    subspace: Subspace, config: SearchConfig, cost_model: CostModel | None = None
 ) -> None:
     """Raise, as ``run_round`` does before it samples, if the round cannot
     run: the subspace is past the node cap, holds fewer nodes than
     ``m_samples`` or ``top_pool``, or no node is within the constraint
     budget. Known from the config alone, so a command checks its first round
     before it writes anything."""
-    context = f"round {round_index}: "
-    _check_nodes(subspace.node_count, config, context)
+    _check_nodes(subspace.node_count, config)
     if config.constraint_budget is not None:
         if cost_model is None:
-            raise ValueError(f"{context}constraint_budget set but no cost model given")
-        check_budget(subspace, cost_model, config.constraint_budget, context)
+            raise ValueError("constraint_budget set but no cost model given")
+        check_budget(subspace, cost_model, config.constraint_budget)
 
 
 def run_round(
@@ -269,7 +262,7 @@ def run_round(
     """One search round: sample, evaluate, fit the regressor, re-verify the
     predicted top pool and preserve the best K candidates."""
     start = time.perf_counter()
-    check_round(subspace, config, round_index, cost_model)
+    check_round(subspace, config, cost_model)
     n = subspace.node_count
 
     digits = sample_uniform(
@@ -278,7 +271,7 @@ def run_round(
     node_ids = np.array([node_index(subspace, row) for row in digits], dtype=np.int64)
     archs = [materialize(subspace, row) for row in digits]
     accuracies = _evaluate(evaluator, archs)
-    _check_validation_scores(accuracies, config.train_split, evaluator, f"round {round_index}: ")
+    _check_validation_scores(accuracies, config.train_split, evaluator)
 
     graph = build_graph(subspace, config.similarity, samples=(digits, accuracies))
     normalize_adjacency(graph, np.dtype(config.gcn.dtype))
@@ -343,12 +336,13 @@ def round_subspace(
 
 
 @contextlib.contextmanager
-def _in_search_round(t: int) -> Iterator[None]:
-    """Note the search round on any exception that escapes."""
+def in_round(t: int) -> Iterator[None]:
+    """Note round ``t`` on any exception that escapes, which keeps its
+    identity, type and arguments."""
     try:
         yield
     except Exception as exc:
-        exc.add_note(f"search round {t}")
+        exc.add_note(f"round {t}")
         raise
 
 
@@ -372,12 +366,12 @@ def iter_search_rounds(
         )
     initial = initial or default_initial_architecture(spec)
     spec.validate_architecture(initial)
-    with _in_search_round(0):
-        check_round(round_subspace(spec, plan.segments[0], (), (), initial), config, 0, cost_model)
+    with in_round(0):
+        check_round(round_subspace(spec, plan.segments[0], (), (), initial), config, cost_model)
     if config.constraint_budget is None:
         for t, segment in enumerate(plan.segments[1:], start=1):
-            with _in_search_round(t):
-                _check_nodes(_later_round_nodes(spec, segment, config), config, f"round {t}: ")
+            with in_round(t):
+                _check_nodes(_later_round_nodes(spec, segment, config), config)
     return _search_rounds(spec, plan, evaluator, config, cost_model, initial)
 
 
@@ -396,7 +390,7 @@ def _search_rounds(
         if t > 0 and config.advance_checkpoints:
             current = current.advanced()
         subspace = round_subspace(spec, segment, searched, preserved, initial)
-        with _in_search_round(t):
+        with in_round(t):
             result = run_round(subspace, current, config, round_index=t, cost_model=cost_model)
         preserved = result.preserved
         searched.extend(segment)

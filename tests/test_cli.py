@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import math
@@ -23,7 +24,7 @@ from gcnas.cli import (
     parse_config,
     write_report,
 )
-from gcnas.evaluator import CostModel, flops_many
+from gcnas.evaluator import CostModel, SyntheticSupernet, flops_many
 from conftest import ACC_SNAPSHOT_A, ACC_SNAPSHOT_B, ACC_TRUE, config_digest_reference
 
 
@@ -436,15 +437,26 @@ class TestSearchCommand:
         assert overridden["seed"] == 99
         assert overridden["config_sha256"] != baseline["config_sha256"]
 
-    def test_round_error_names_the_round(self, tiny_config, capsys):
+    @pytest.mark.parametrize("argv, t", [(["search"], 0), (["round", "--segment", "1"], 1)],
+                             ids=["search", "round"])
+    @pytest.mark.parametrize("failure", ["refused", "evaluator-fails"])
+    def test_round_error_names_the_round(
+        self, tiny_config, capsys, monkeypatch, argv, t, failure
+    ):
         path, _ = tiny_config
-        config = json.loads(path.read_text())
-        config["search"]["m_samples"] = 20  # round 0 has 16 nodes
-        path.write_text(json.dumps(config))
-        assert main(["search", "--config", str(path)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert err[0].startswith("error: round 0: m_samples=20")
-        assert err[1:] == ["  search round 0"]
+        if failure == "refused":
+            config = json.loads(path.read_text())
+            config["search"]["m_samples"] = 20  # each round has 16 nodes
+            path.write_text(json.dumps(config))
+            message = "m_samples=20 exceeds the 16 nodes of the subspace"
+        else:
+            def unreadable(self, archs):
+                raise OSError(errno.EIO, "evaluation store unreadable")
+
+            monkeypatch.setattr(SyntheticSupernet, "evaluate_many", unreadable)
+            message = f"[Errno {errno.EIO}] evaluation store unreadable"
+        assert main([*argv, "--config", str(path)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}", f"  round {t}"]
 
     @pytest.mark.parametrize("num_layers, plan, message", [
         (12, [5, 7], f"subspace has {6**7 * 6} nodes, exceeding the cap of {6**7}"),
@@ -463,8 +475,7 @@ class TestSearchCommand:
         }))
         monkeypatch.setattr(search_engine, "train", lambda *a: pytest.fail("round 0 trained"))
         assert main(["search", "--config", str(path)]) == 1
-        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-        assert errors == [f"error: round 1: {message}"]
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}", "  round 1"]
         assert not out.exists()
 
     def test_earlier_rounds_freed_before_the_next_round(self, tiny_config, monkeypatch):
@@ -543,13 +554,16 @@ class TestOtherCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
-    @pytest.mark.parametrize("n", ["1", "0", "-3"])
-    def test_consistency_refuses_too_few_samples_before_writing(self, tiny_config, capsys, n):
+    @pytest.mark.parametrize("n, message", [
+        *((n, f"--n must be >= 2 to rank two checkpoints, got {n}") for n in ("1", "0", "-3")),
+        ("257", "cannot sample 257 distinct architectures from a space of 256"),
+    ], ids=["1", "0", "-3", "257"])
+    def test_consistency_refuses_too_few_samples_before_writing(
+        self, tiny_config, capsys, n, message
+    ):
         path, out = tiny_config
         assert main(["consistency", "--config", str(path), "--n", n]) == 1
-        assert capsys.readouterr().err == (
-            f"error: --n must be >= 2 to rank two checkpoints, got {n}\n"
-        )
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_segment_outside_the_plan_exits_1(self, tiny_config, capsys):
@@ -636,7 +650,7 @@ class TestRoundCommand:
         }))
         assert main(["round", "--config", str(path)]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            f"error: round 0: subspace has {6**25} nodes, exceeding the cap of {6**7}"
+            f"error: subspace has {6**25} nodes, exceeding the cap of {6**7}", "  round 0"
         ]
 
 
@@ -649,8 +663,9 @@ class TestRoundCommand:
             "plan": [25],
         }))
         assert main([command, "--config", str(path)]) == 1
-        errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
-        assert errors == [f"error: round 0: subspace has {6**25} nodes, exceeding the cap of {6**7}"]
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: subspace has {6**25} nodes, exceeding the cap of {6**7}", "  round 0"
+        ]
         assert not out.exists()
 
 
@@ -703,7 +718,7 @@ class TestConstraintBudget:
         assert main(["round", "--config", str(path), f"--budget={budget!r}"]) == 1
         assert capsys.readouterr().err == (
             f"error: no architecture within budget {budget:g}; "
-            f"minimum achievable cost is {minimum:g}\n"
+            f"minimum achievable cost is {minimum:g}\n  round 0\n"
         )
         assert not out.exists()
 
