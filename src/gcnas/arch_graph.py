@@ -68,7 +68,8 @@ class ArchGraph:
     fully materialized architecture at ``np.min_scalar_type(O - 1)``, for
     cost and oracle lookups and for the node features. Caches filled after
     the build: ``normalized`` holds A_hat in one dtype, rebuilt when asked
-    for in another, ``propagated`` A_hat @ X beside it; ``ranked_by`` the
+    for in another, ``propagated`` the pair ``(A_hat @ Z, M)`` of the
+    ``feature_basis`` beside it; ``ranked_by`` the
     last model to rank the nodes with their order (descending prediction,
     stable), ``priced_by`` the last cost model with the cost per node. A
     model must not be mutated once it has ranked.
@@ -79,7 +80,7 @@ class ArchGraph:
     slot_weights: list[np.ndarray]
     choice_matrix: np.ndarray
     normalized: sp.csr_matrix | None = None
-    propagated: np.ndarray | None = None
+    propagated: tuple[np.ndarray, np.ndarray] | None = None
     ranked_by: tuple[object, np.ndarray] | None = None
     priced_by: tuple[object, np.ndarray] | None = None
 
@@ -100,6 +101,56 @@ def node_features(graph: ArchGraph, dtype: np.dtype) -> np.ndarray:
     spec = graph.subspace.spec
     gray = gray_code_table(spec.choices_per_layer, spec.bits_per_cell).astype(dtype)
     return gray[graph.choice_matrix].reshape(graph.num_nodes, spec.feature_dim)
+
+
+def feature_basis(graph: ArchGraph, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """``Z`` (nodes, z) and ``M`` (z, feature_dim), 0/1 in ``dtype``, with
+    ``Z @ M == node_features(graph, dtype)`` exactly: each feature column is
+    read from one column of ``Z``, or from a one-hot group that sets one
+    column per node.
+
+    Each slot adds the narrower of its varying Gray-bit columns and, for a
+    super-cell with fewer candidates than those, the one-hot of its digit,
+    both read from the choice matrix. One all-ones column, left out when no
+    feature column is constant, carries the bits of the fixed cells and each
+    slot's constant bits in its row of ``M``.
+    """
+    spec = graph.subspace.spec
+    bits = spec.bits_per_cell
+    gray = gray_code_table(spec.choices_per_layer, bits)
+    constant = np.zeros(spec.feature_dim, dtype)  # the all-ones column's row of M
+    is_constant = np.zeros(spec.feature_dim, bool)
+    for position, choice in graph.subspace.fixed.items():
+        columns = slice(position * bits, (position + 1) * bits)
+        constant[columns], is_constant[columns] = gray[choice], True
+    slots, rows = [], []  # per slot: (slot, one-hot or not, varying bits) and its rows of M
+    for slot in graph.subspace.slots:
+        columns = (np.array(slot.positions)[:, None] * bits + np.arange(bits)).ravel()
+        slot_bits = gray[np.array(slot.candidates)].reshape(slot.radix, -1)
+        varying = (slot_bits != slot_bits[0]).any(axis=0)
+        constant[columns[~varying]], is_constant[columns[~varying]] = slot_bits[0, ~varying], True
+        one_hot = slot.radix < np.count_nonzero(varying)
+        if one_hot:
+            m = np.zeros((slot.radix, spec.feature_dim), dtype)
+            m[:, columns[varying]] = slot_bits[:, varying]
+        else:
+            m = np.eye(spec.feature_dim, dtype=dtype)[columns[varying]]
+        slots.append((slot, one_hot, varying))
+        rows.append(m)
+    if is_constant.any():
+        rows.append(constant[None])
+    coefficients = np.concatenate(rows)
+    basis = np.ones((graph.num_nodes, len(coefficients)), dtype)
+    start = 0
+    for (slot, one_hot, varying), m in zip(slots, rows):
+        choices = graph.choice_matrix[:, slot.positions]
+        if one_hot:
+            for digit, candidate in enumerate(slot.candidates):
+                basis[:, start + digit] = (choices == candidate).all(axis=1)
+        else:
+            basis[:, start : start + len(m)] = gray[choices].reshape(len(choices), -1)[:, varying]
+        start += len(m)
+    return basis, coefficients
 
 
 def check_graph_size(n: int) -> None:

@@ -377,8 +377,10 @@ def _with_overrides(args: argparse.Namespace) -> RunConfig:
 
 
 def _write_round(out: Path, config: RunConfig, result: RoundResult, lookup_table: bool) -> None:
-    """Round report and loss curve, plus the prediction lookup table if asked."""
+    """Round report and loss curve, plus the prediction lookup table if asked;
+    the first round written creates ``out``, so a round that fails leaves none."""
     t = result.report.round_index
+    out.mkdir(parents=True, exist_ok=True)
     write_report(out / f"round_{t}.json", result.report.as_dict() | _provenance(config))
     write_loss_curve(result.loss_curve, out / f"loss_round_{t}.csv")
     if lookup_table:
@@ -391,7 +393,6 @@ def _cmd_search(args: argparse.Namespace) -> int:
     rounds = iter_search_rounds(config.space, config.plan, config.simulator, config.search,
                                 config.cost_model, initial=config.initial_architecture)
     out = config.output_dir
-    out.mkdir(parents=True, exist_ok=True)
     reports = []
     for result in rounds:
         _write_round(out, config, result, args.dump_predictions)
@@ -430,7 +431,6 @@ def _cmd_round(args: argparse.Namespace) -> int:
                 raise ValueError(f"--budget must be a number of multiply-adds, got {args.budget}")
             check_budget(subspace, config.cost_model, args.budget)
         out = config.output_dir
-        out.mkdir(parents=True, exist_ok=True)
         result = run_round(subspace, config.simulator, config.search, t, config.cost_model)
         _write_round(out, config, result, args.dump_predictions)
         print(f"round {t}: tau_val={result.report.tau_val:.6f} "

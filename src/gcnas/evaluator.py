@@ -99,9 +99,12 @@ def _interaction_table(truth: GroundTruthParams) -> np.ndarray:
 
 
 def _choice_indices(choice_matrix: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """``choice_matrix`` as (n, L) int64 indices into the rows of an (L, O)
-    per-cell ``table``, each checked to lie in [0, O)."""
-    c = np.asarray(choice_matrix, dtype=np.int64)
+    """``choice_matrix`` as (n, L) integer indices into the rows of an (L, O)
+    per-cell ``table``, each checked to lie in [0, O); an integer array is
+    read in its own dtype, anything else is cast to int64."""
+    c = np.asarray(choice_matrix)
+    if c.dtype.kind not in "iu":
+        c = c.astype(np.int64)
     L, O = table.shape
     if c.ndim != 2 or c.shape[1] != L:
         raise ValueError(f"expected an (n, {L}) choice matrix, got shape {c.shape}")
@@ -113,7 +116,8 @@ def _choice_indices(choice_matrix: np.ndarray, table: np.ndarray) -> np.ndarray:
 
 def ground_truth_many(choice_matrix: np.ndarray, truth: GroundTruthParams) -> np.ndarray:
     """Vectorized ground truth for an (n, L) matrix of choice indices."""
-    c = _choice_indices(choice_matrix, truth.cell_utility)
+    # int64, so that a pair index ``c * O + c'`` cannot wrap
+    c = _choice_indices(choice_matrix, truth.cell_utility).astype(np.int64, copy=False)
     L = truth.num_layers
     z = truth.base + truth.cell_utility[np.arange(L), c].sum(axis=1)
     if truth.pair_strength != 0.0:
@@ -322,10 +326,23 @@ def bundled_cost_model(spec: SearchSpaceSpec) -> CostModel:
     return CostModel(fixed, table)
 
 
+#: rows ``flops_many`` sums at a time, so its temporaries are (rows, L), not (n, L)
+FLOPS_BLOCK_ROWS = 2**11
+
+
 def flops_many(choice_matrix: np.ndarray, cost_model: CostModel) -> np.ndarray:
-    """Vectorized multiply-add counts for an (n, L) choice matrix."""
-    c = _choice_indices(choice_matrix, cost_model.cell_cost)
-    return cost_model.fixed_cost + cost_model.cell_cost[np.arange(c.shape[1]), c].sum(axis=1)
+    """Vectorized multiply-add counts for an (n, L) choice matrix. Rows are
+    summed in blocks of ``FLOPS_BLOCK_ROWS``; each row's sum is the same
+    reduction whatever the block, so the bits do not depend on it."""
+    table = cost_model.cell_cost
+    c = _choice_indices(choice_matrix, table)
+    layers = np.arange(c.shape[1])
+    cost = np.empty(len(c))
+    for start in range(0, len(c), FLOPS_BLOCK_ROWS):
+        rows = slice(start, start + FLOPS_BLOCK_ROWS)
+        table[layers, c[rows]].sum(axis=1, out=cost[rows])
+    cost += cost_model.fixed_cost
+    return cost
 
 
 def flops(arch: Architecture, cost_model: CostModel) -> float:

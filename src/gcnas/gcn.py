@@ -1,7 +1,8 @@
 """From-scratch graph convolutional regressor.
 
-Forward pass: H0 = features, H_{l+1} = relu(A_hat H_l W_l), output =
-A_hat H_last . head + bias, one scalar per node. Training minimizes the mean
+Forward pass: H0 = features X, H_{l+1} = relu(A_hat H_l W_l), output =
+A_hat H_last . head + bias, one scalar per node. The first layer reads X in a
+narrower basis, X = Z M, as ``(A_hat Z)(M W_0)``. Training minimizes the mean
 absolute error over labeled nodes with full-batch Adam and a stepped
 learning-rate schedule; gradients are hand-derived (no autodiff framework).
 Each epoch computes only the rows the loss reads: the labeled nodes and
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from .arch_graph import ArchGraph, node_features, normalize_adjacency
+from .arch_graph import ArchGraph, feature_basis, normalize_adjacency
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -95,13 +96,17 @@ def learning_rate_at(epoch: int, config: GcnConfig) -> float:
     return lr
 
 
-def _model_inputs(graph: ArchGraph, dtype: np.dtype) -> tuple[sp.csr_matrix, np.ndarray]:
-    """A_hat and A_hat @ X in the model dtype; neither depends on the model,
-    so both are cached on the graph."""
+def _model_inputs(
+    graph: ArchGraph, dtype: np.dtype
+) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """A_hat, A_hat @ Z and M in the model dtype, where X = Z M is the
+    graph's ``feature_basis``; none depends on the model, so all are cached
+    on the graph."""
     a_hat = normalize_adjacency(graph, dtype)
     if graph.propagated is None:
-        graph.propagated = a_hat @ node_features(graph, dtype)
-    return a_hat, graph.propagated
+        basis, coefficients = feature_basis(graph, dtype)
+        graph.propagated = a_hat @ basis, coefficients
+    return a_hat, *graph.propagated
 
 
 def _propagate(a: sp.csr_matrix | sp.csc_matrix, m: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -166,7 +171,8 @@ class _Workspace:
     step, so a training epoch allocates nothing the size of the graph. Each
     pass reads the model's weights as they are at that call.
 
-    Layer 0 runs on every node, because ``A_hat X`` is cached for every node.
+    Layer 0 runs ``(A_hat Z)(M W_0)`` on every node, because ``A_hat Z`` is
+    cached for every node, and its weight gradient is ``M^T (A_hat Z)^T dZ``.
     Of an L-layer stack, layer l > 0 runs ``(A_hat[R, .] H) W`` on the rows R
     of ``_receptive_field`` at depth ``L - l``, and the head on ``rows``
     alone. The backward pass multiplies by each operator's transpose, read
@@ -180,15 +186,22 @@ class _Workspace:
       of the layer, which the backward pass overwrites with its gradient;
     - ``mask``, bools for the largest activation, viewed as one layer's ReLU
       mask at a time;
+    - ``basis_weights``, ``M W_0``, which the backward pass overwrites with
+      ``(A_hat Z)^T dZ``;
     - vectors for the head's input and ``A_hat^T`` times the output
       gradient, over the head's rows; the output and its gradient over
       ``rows``; and one gradient array per parameter.
     """
 
     def __init__(
-        self, a_hat: sp.csr_matrix, propagated: np.ndarray, model: GcnModel, rows: np.ndarray
+        self,
+        a_hat: sp.csr_matrix,
+        propagated: np.ndarray,
+        coefficients: np.ndarray,
+        model: GcnModel,
+        rows: np.ndarray,
     ) -> None:
-        self.propagated_input = propagated
+        self.propagated_input, self.coefficients = propagated, coefficients
         self.model = model
         dtype = model.head.dtype
         widths = [w.shape[1] for w in model.layer_weights]
@@ -199,6 +212,7 @@ class _Workspace:
         self.acts = [np.empty((m, h), dtype) for m, h in zip(heights, widths)]
         self.products = [np.empty((m, h), dtype) for m, h in zip(heights[1:-1], widths)]
         self.mask = np.empty(max(a.size for a in self.acts), bool)
+        self.basis_weights = np.empty((len(coefficients), widths[0]), dtype)
         self.head_input, self.u = np.empty(heights[-2], dtype), np.empty(heights[-2], dtype)
         self.out, self.out_grad = np.empty(heights[-1], dtype), np.empty(heights[-1], dtype)
         self.grads = [np.empty_like(p) for p in model.params()]
@@ -206,7 +220,8 @@ class _Workspace:
     def forward(self) -> np.ndarray:
         """The output at ``rows``; the activations stay in ``acts``."""
         model = self.model
-        np.matmul(self.propagated_input, model.layer_weights[0], out=self.acts[0])
+        np.matmul(self.coefficients, model.layer_weights[0], out=self.basis_weights)
+        np.matmul(self.propagated_input, self.basis_weights, out=self.acts[0])
         np.maximum(self.acts[0], 0, out=self.acts[0])
         for layer in range(1, len(self.acts)):
             p = _propagate(self.operators[layer - 1], self.acts[layer - 1], self.products[layer - 1])
@@ -251,7 +266,8 @@ class _Workspace:
         for layer in range(len(self.acts) - 1, -1, -1):
             d_z = np.multiply(self.acts[layer], mask, out=self.acts[layer])
             if layer == 0:
-                np.matmul(self.propagated_input.T, d_z, out=grads_w[0])
+                np.matmul(self.propagated_input.T, d_z, out=self.basis_weights)
+                np.matmul(self.coefficients.T, self.basis_weights, out=grads_w[0])
             else:
                 p = self.products[layer - 1]
                 np.matmul(p.T, d_z, out=grads_w[layer])
@@ -274,8 +290,8 @@ def forward(graph: ArchGraph, model: GcnModel) -> np.ndarray:
         raise ValueError(
             f"graph features have dimension {feature_dim}, model expects {model.feat_dim}"
         )
-    a_hat, propagated = _model_inputs(graph, model.head.dtype)
-    act = np.matmul(propagated, model.layer_weights[0])
+    a_hat, propagated, coefficients = _model_inputs(graph, model.head.dtype)
+    act = np.matmul(propagated, coefficients @ model.layer_weights[0])
     np.maximum(act, 0, out=act)
     product = None  # the buffer the last input was propagated into
     for weights in model.layer_weights[1:]:
@@ -322,7 +338,7 @@ def train(
             f"label node indices must lie in [0, {graph.num_nodes}), "
             f"got range [{idx.min()}, {idx.max()}]"
         )
-    a_hat, propagated = _model_inputs(graph, dtype)
+    a_hat, propagated, coefficients = _model_inputs(graph, dtype)
 
     model = init_model(graph.subspace.spec.feature_dim, config, seed)
     # warm-start the regression offset; Adam's fixed step size would spend
@@ -336,7 +352,7 @@ def train(
     losses: list[float] = []
     # the loss reads the output at the labeled nodes alone
     rows, label_rows = np.unique(idx, return_inverse=True)
-    workspace = _Workspace(a_hat, propagated, model, rows)
+    workspace = _Workspace(a_hat, propagated, coefficients, model, rows)
     for epoch in range(config.epochs):
         loss, grads = workspace.step(label_rows, y, config.weight_decay)
         lr = learning_rate_at(epoch, config)

@@ -338,14 +338,16 @@ def power_iteration_largest_eigenvalue(matrix, iterations: int = 200, seed: int 
 
 
 def forward_reference(
-    a_hat: sp.csr_matrix, propagated_input: np.ndarray, model: GcnModel
+    a_hat: sp.csr_matrix, propagated_input: np.ndarray, coefficients: np.ndarray, model: GcnModel
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """The GCN forward pass over every node with a fresh array per product,
-    each layer past the first as ``(A_hat H) W``: the output and every
-    layer's post-relu activations; the reference for the workspace pass in
-    gcnas.gcn."""
+    the first layer as ``(A_hat Z)(M W)`` from the propagated basis and its
+    coefficients, each layer past it as ``(A_hat H) W``: the output and
+    every layer's post-relu activations; the reference for the workspace
+    pass in gcnas.gcn. With the features as the basis and the identity as
+    the coefficients, it is the plain ``(A_hat X) W`` form."""
     activations: list[np.ndarray] = []
-    h = np.maximum(propagated_input @ model.layer_weights[0], 0)
+    h = np.maximum(propagated_input @ (coefficients @ model.layer_weights[0]), 0)
     activations.append(h)
     for w in model.layer_weights[1:]:
         h = np.maximum((a_hat @ h) @ w, 0)
@@ -357,6 +359,7 @@ def forward_reference(
 def gradients_reference(
     a_hat: sp.csr_matrix,
     propagated_input: np.ndarray,
+    coefficients: np.ndarray,
     model: GcnModel,
     activations: list[np.ndarray],
     out_grad: np.ndarray,
@@ -372,7 +375,7 @@ def gradients_reference(
     for layer in range(len(model.layer_weights) - 1, -1, -1):
         d_z = d_h * (activations[layer] > 0)
         if layer == 0:
-            g_w = propagated_input.T @ d_z
+            g_w = coefficients.T @ (propagated_input.T @ d_z)
         else:
             g_w = (a_hat @ activations[layer - 1]).T @ d_z
             d_h = a_hat.T @ (d_z @ model.layer_weights[layer].T)
@@ -386,8 +389,8 @@ def train_reference(graph, labels, config: GcnConfig, seed: int) -> tuple[GcnMod
     dtype = np.dtype(config.dtype)
     idx = np.asarray(labels[0], dtype=np.int64)
     y = np.asarray(labels[1], dtype=dtype)
-    a_hat, propagated = _model_inputs(graph, dtype)
-    model = init_model(graph.features.shape[1], config, seed)
+    a_hat, propagated, coefficients = _model_inputs(graph, dtype)
+    model = init_model(graph.subspace.spec.feature_dim, config, seed)
     model.bias[0] = y.mean()
     params = model.params()
     moment1 = [np.zeros_like(p) for p in params]
@@ -395,13 +398,13 @@ def train_reference(graph, labels, config: GcnConfig, seed: int) -> tuple[GcnMod
     inv_n = dtype.type(1.0 / len(idx))
     losses: list[float] = []
     for epoch in range(config.epochs):
-        out, activations = forward_reference(a_hat, propagated, model)
+        out, activations = forward_reference(a_hat, propagated, coefficients, model)
         residual = out[idx] - y
         losses.append(float(np.abs(residual).mean()))
         out_grad = np.zeros(len(out), dtype=dtype)
         np.add.at(out_grad, idx, np.sign(residual) * inv_n)
         grads = gradients_reference(
-            a_hat, propagated, model, activations, out_grad, config.weight_decay
+            a_hat, propagated, coefficients, model, activations, out_grad, config.weight_decay
         )
         lr = learning_rate_at(epoch, config)
         bias_fix1 = 1.0 - ADAM_BETA1 ** (epoch + 1)

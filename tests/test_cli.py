@@ -443,7 +443,7 @@ class TestSearchCommand:
     def test_round_error_names_the_round(
         self, tiny_config, capsys, monkeypatch, argv, t, failure
     ):
-        path, _ = tiny_config
+        path, out = tiny_config
         if failure == "refused":
             config = json.loads(path.read_text())
             config["search"]["m_samples"] = 20  # each round has 16 nodes
@@ -457,6 +457,7 @@ class TestSearchCommand:
             message = f"[Errno {errno.EIO}] evaluation store unreadable"
         assert main([*argv, "--config", str(path)]) == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message}", f"  round {t}"]
+        assert not out.exists()  # a round that fails inside leaves no directory either
 
     @pytest.mark.parametrize("num_layers, plan, message", [
         (12, [5, 7], f"subspace has {6**7 * 6} nodes, exceeding the cap of {6**7}"),

@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from gcnas.evaluator import (
 )
 from gcnas.metrics import kendall_tau
 from gcnas.seeding import seed_stream
-from gcnas.search_space import Architecture, SearchSpaceSpec, default_space
+from gcnas.search_space import Architecture, SearchSpaceSpec, Subspace, default_space
 from conftest import ground_truth_reference, sample_architectures_reference
 
 
@@ -314,6 +315,53 @@ class TestCostModel:
             CostModel(-1.0, np.zeros((2, 2)))
         with pytest.raises(ValueError):
             CostModel(0.0, np.array([[-1.0, 0.0]]))
+
+
+class TestFlopsMany:
+    """``flops_many`` sums its rows in blocks: the bits of the one-shot
+    expression, with temporaries of one block."""
+
+    @staticmethod
+    def one_shot(choice_matrix: np.ndarray, model: CostModel) -> np.ndarray:
+        c = np.asarray(choice_matrix, dtype=np.int64)
+        return model.fixed_cost + model.cell_cost[np.arange(c.shape[1]), c].sum(axis=1)
+
+    @pytest.mark.parametrize("n", [0, 1, evaluator.FLOPS_BLOCK_ROWS,
+                                   3 * evaluator.FLOPS_BLOCK_ROWS + 5])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_same_bits_as_the_one_shot_expression(self, n, dtype):
+        rng = np.random.default_rng(n)
+        # non-integral costs, so a different summation order would show
+        model = CostModel(rng.uniform(0, 1e7), rng.uniform(0, 1e6, (19, 6)))
+        matrix = rng.integers(0, 6, (n, 19)).astype(dtype)
+        cost = flops_many(matrix, model)
+        want = self.one_shot(matrix, model)
+        assert cost.dtype == want.dtype == np.float64 and cost.shape == (n,)
+        assert cost.tobytes() == want.tobytes()
+
+    def test_temporaries_are_one_block(self):
+        # 6^6 nodes of 8 layers as one-byte choices: the (n,) result, and no
+        # (n, L) index or cost table
+        sub = Subspace(SearchSpaceSpec(8, 6), tuple(range(6)), {6: 1, 7: 4})
+        matrix = sub.choices(sub.digits(np.arange(sub.node_count))).astype(np.uint8)
+        model = bundled_cost_model(sub.spec)
+        tracemalloc.start()
+        try:
+            flops_many(matrix, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(matrix) * 8
+
+    @pytest.mark.parametrize("matrix, message", [
+        (np.array([[0, 1, 2], [3, 4, 0]], np.uint8),
+         r"^choice 4 at row 1, layer 1 is outside \[0, 4\)$"),
+        (np.zeros((0, 4), np.uint8), r"^expected an \(n, 3\) choice matrix, got shape \(0, 4\)$"),
+    ], ids=["one-byte-choice", "zero-rows"])
+    def test_refusals_of_one_byte_choices(self, matrix, message):
+        with pytest.raises(ValueError, match=message) as info:
+            flops_many(matrix, bundled_cost_model(_RANGE_SPEC))
+        assert type(info.value) is ValueError
 
 
 _RANGE_SPEC = SearchSpaceSpec(3, 4)

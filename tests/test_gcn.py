@@ -11,6 +11,8 @@ from gcnas.arch_graph import (
     AssignedSimilarity,
     MeasuredSimilarity,
     build_graph,
+    feature_basis,
+    node_features,
     normalize_adjacency,
 )
 from gcnas.gcn import (
@@ -25,7 +27,13 @@ from gcnas.gcn import (
     train,
 )
 from gcnas.cli import write_loss_curve
-from gcnas.search_space import SearchSpaceSpec, Subspace, SuperCell
+from gcnas.search_space import (
+    SearchSpaceSpec,
+    Subspace,
+    SuperCell,
+    default_space,
+    gray_code_table,
+)
 from conftest import (
     forward_reference,
     gradients_reference,
@@ -43,9 +51,20 @@ def toy_graph(num_free: int = 2, choices: int = 4, seed: int = 0) -> ArchGraph:
     return graph
 
 
+def random_graph(sub: Subspace, measured: bool, rng: np.random.Generator) -> ArchGraph:
+    """The graph of ``sub`` with random assigned weights, or weights measured
+    from random scores of up to 200 sampled nodes."""
+    if measured:
+        sampled = rng.choice(sub.node_count, min(sub.node_count, 200))
+        mode = MeasuredSimilarity(min_pairs=2)
+        return build_graph(sub, mode, samples=(sub.digits(sampled), rng.random(len(sampled))))
+    return build_graph(sub, AssignedSimilarity(rng.uniform(0.1, 1.0)))
+
+
 def edgeless_graph(num_nodes: int, feat_dim: int, seed: int = 0) -> ArchGraph:
     """A graph with no edges over real-valued features: its A_hat is I, so
-    the features are its A_hat X, cached on the graph as the model input."""
+    the features are its A_hat X, cached on the graph as the model input
+    with the identity as their coefficients."""
     rng = np.random.default_rng(seed)
     spec = SearchSpaceSpec(feat_dim, 2)  # one bit per cell
     sub = Subspace(spec, (0,), {p: 0 for p in range(1, feat_dim)})
@@ -56,7 +75,7 @@ def edgeless_graph(num_nodes: int, feat_dim: int, seed: int = 0) -> ArchGraph:
         choice_matrix=np.zeros((num_nodes, feat_dim), dtype=np.uint8),
     )
     normalize_adjacency(graph)
-    graph.propagated = rng.random((num_nodes, feat_dim))
+    graph.propagated = rng.random((num_nodes, feat_dim)), np.eye(feat_dim)
     return graph
 
 
@@ -134,7 +153,7 @@ class TestForward:
         model = init_model(6, GcnConfig(hidden_dims=(5, 3)), 2)
         out = forward(graph, model)
         # independent per-row MLP oracle
-        x = graph.propagated
+        x = graph.propagated[0]
         h = np.maximum(x @ model.layer_weights[0], 0)
         h = np.maximum(h @ model.layer_weights[1], 0)
         expected = h @ model.head + model.bias[0]
@@ -315,15 +334,17 @@ class TestModelInputs:
         config = GcnConfig(hidden_dims=(6, 6), epochs=3, dtype="float32")
         model, _ = train(graph, labels, config, 4)
         f32 = np.dtype(np.float32)
-        a_hat, propagated = _model_inputs(graph, f32)
+        inputs = _model_inputs(graph, f32)
         out = forward(graph, model)
         loss_and_gradients(graph, model, [0, 1], [0.5, 0.6])
         again = _model_inputs(graph, f32)
-        assert again[0] is a_hat and again[1] is propagated
+        assert all(a is b for a, b in zip(again, inputs))
+        a_hat = inputs[0]
         assert graph.normalized is a_hat and a_hat.dtype == f32
         # the same bits as casting a fresh float64 A_hat and propagating
         cast = normalize_adjacency(toy_graph(num_free=2, choices=4)).astype(np.float32)
-        want, _ = forward_reference(cast, cast @ graph.features, model)
+        basis, coefficients = feature_basis(graph, f32)
+        want, _ = forward_reference(cast, cast @ basis, coefficients, model)
         assert out.tobytes() == want.tobytes()
         assert out.tobytes() == forward(graph, model).tobytes()
 
@@ -332,23 +353,97 @@ class TestModelInputs:
         model64 = init_model(graph.features.shape[1], GcnConfig(hidden_dims=(6, 6)), 4)
         out64 = forward(graph, model64)
         assert out64.tobytes() == forward(toy_graph(num_free=2, choices=4), model64).tobytes()
-        assert graph.normalized.dtype == graph.propagated.dtype == np.float64
+        assert graph.normalized.dtype == np.float64
+        assert all(a.dtype == np.float64 for a in graph.propagated)
 
     def test_a_float32_graph_holds_a_hat_in_float32_only(self):
         # the 6^6 subspace of test_only_a_hat_is_held: past its choices, the
-        # graph holds the float32 A_hat and A_hat @ X alone
+        # graph holds the float32 A_hat and A_hat @ Z alone, Z at 19 columns
         sub = Subspace(SearchSpaceSpec(8, 6), tuple(range(6)), {6: 1, 7: 4})
         tracemalloc.start()
         try:
             graph = build_graph(sub)
-            a_hat, propagated = _model_inputs(graph, np.dtype(np.float32))
+            a_hat, propagated, _ = _model_inputs(graph, np.dtype(np.float32))
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         node_arrays = graph.choice_matrix.nbytes
         inputs = a_hat.data.nbytes + a_hat.indices.nbytes + a_hat.indptr.nbytes + propagated.nbytes
-        assert graph.normalized.dtype == np.float32
+        assert graph.normalized.dtype == np.float32 and propagated.shape == (6**6, 19)
         assert held - node_arrays <= 1.05 * inputs
+
+
+def basis_width_reference(sub: Subspace) -> int:
+    """The basis width by its rule, from each slot's candidates' Gray codes:
+    per slot the fewer of its varying bit columns and its candidates, plus
+    one all-ones column if any feature column is constant."""
+    gray = gray_code_table(sub.spec.choices_per_layer, sub.spec.bits_per_cell)
+    width, constant = 0, bool(sub.fixed)
+    for slot in sub.slots:
+        codes = np.array([gray[list(candidate)].ravel() for candidate in slot.candidates])
+        varying = int((codes != codes[0]).any(axis=0).sum())
+        width += min(varying, slot.radix)
+        constant |= varying < codes.shape[1]
+    return width + constant
+
+
+class TestFeatureBasis:
+    """Layer 0 reads ``(A_hat Z)(M W0)``, where ``Z M`` is the features X."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(subspaces(), st.booleans(), st.sampled_from(["float32", "float64"]),
+           st.integers(0, 2**32 - 1))
+    def test_basis_times_coefficients_is_the_features(self, sub, measured, dtype, seed):
+        graph = random_graph(sub, measured, np.random.default_rng(seed))
+        basis, coefficients = feature_basis(graph, np.dtype(dtype))
+        width = basis_width_reference(sub)
+        assert basis.shape == (sub.node_count, width)
+        assert coefficients.shape == (width, sub.spec.feature_dim)
+        for a in (basis, coefficients):
+            assert a.dtype == dtype and np.isin(a, (0, 1)).all()
+        assert (basis @ coefficients).tobytes() == node_features(graph, np.dtype(dtype)).tobytes()
+
+    @pytest.mark.parametrize("sub, width", [
+        # round-wide: the default space's first 5 cells free, 14 fixed
+        (Subspace(default_space(), tuple(range(5)), {p: 1 for p in range(5, 19)}), 16),
+        # a 4-candidate super-cell of 8 varying bits and 1 constant one takes its one-hot
+        (Subspace(SearchSpaceSpec(5, 6), (3, 4), {}, (SuperCell((0, 1, 2), (
+            (0, 1, 2), (3, 3, 3), (5, 0, 1), (2, 2, 4))),)), 3 + 3 + 4 + 1),
+        # two free cells and a 4-candidate super-cell varying in 2 of its 3 bits
+        (Subspace(SearchSpaceSpec(3, 6), (1, 2), {}, (SuperCell((0,), tuple(
+            (c,) for c in range(4))),)), 3 + 3 + 2 + 1),
+    ], ids=["round-wide", "one-hot", "varying-bits"])
+    def test_widths(self, sub, width):
+        basis, coefficients = feature_basis(build_graph(sub), np.dtype(np.float64))
+        assert basis.shape[1] == len(coefficients) == width == basis_width_reference(sub)
+
+    @settings(max_examples=60, deadline=None)
+    @given(subspaces(), st.booleans(), st.integers(1, 3), st.sampled_from(["float32", "float64"]),
+           st.integers(0, 2**32 - 1))
+    def test_forward_and_a_step_match_the_full_basis(self, sub, measured, depth, dtype, seed):
+        rng = np.random.default_rng(seed)
+        graph = random_graph(sub, measured, rng)
+        config = GcnConfig(hidden_dims=tuple(rng.integers(1, 9, depth)), dtype=dtype)
+        model = init_model(sub.spec.feature_dim, config, seed)
+        a_hat, propagated, coefficients = _model_inputs(graph, np.dtype(dtype))
+        # the plain form: A_hat X, with the identity as its coefficients
+        full = a_hat @ node_features(graph, np.dtype(dtype))
+        identity = np.eye(sub.spec.feature_dim, dtype=dtype)
+        tolerance = 1e-12 if dtype == "float64" else 1e-5
+        want, _ = forward_reference(a_hat, full, identity, model)
+        assert relative_error(forward(graph, model), want, 1e-3) <= tolerance
+
+        ids = rng.choice(sub.node_count, rng.integers(1, 13))
+        y = (0.5 + 0.1 * rng.standard_normal(len(ids))).astype(dtype)
+        _, grads = loss_and_gradients(graph, model, ids, y, 5e-4)
+        # the step's own ReLU masks, so only the association of layer 0 differs
+        out, activations = forward_reference(a_hat, propagated, coefficients, model)
+        out_grad = np.zeros_like(out)
+        np.add.at(out_grad, ids, np.sign(out[ids] - y) * np.dtype(dtype).type(1 / len(ids)))
+        want = gradients_reference(a_hat, full, identity, model, activations, out_grad, 5e-4)
+        for got, expected in zip(grads, want):
+            assert got.shape == expected.shape and got.dtype == expected.dtype
+            assert relative_error(got, expected, 1 / len(ids)) <= tolerance
 
 
 class TestPropagate:
@@ -356,7 +451,7 @@ class TestPropagate:
     @pytest.mark.parametrize("shape", [(), (1,), (7,)])
     def test_same_bits_as_the_sparse_product(self, dtype, shape):
         graph = toy_graph(num_free=3, choices=5)  # 125 nodes
-        a_hat, _ = _model_inputs(graph, np.dtype(dtype))
+        a_hat = _model_inputs(graph, np.dtype(dtype))[0]
         rng = np.random.default_rng(1)
         # the operator as CSR, and a row slice read transposed as CSC
         for a in (a_hat, a_hat[np.arange(3, 125, 4)].T):
@@ -372,12 +467,12 @@ class TestPropagate:
          ((16, 3), (16, 2), np.float32), ((16,), (16, 1), np.float32)],
     )
     def test_mismatched_buffer_rejected(self, m_shape, out_shape, out_dtype):
-        a_hat, _ = _model_inputs(toy_graph(), np.dtype(np.float32))
+        a_hat = _model_inputs(toy_graph(), np.dtype(np.float32))[0]
         with pytest.raises(ValueError, match="cannot write"):
             _propagate(a_hat, np.ones(m_shape, np.float32), np.zeros(out_shape, out_dtype))
 
     def test_non_contiguous_buffer_rejected(self):
-        a_hat, _ = _model_inputs(toy_graph(), np.dtype(np.float64))
+        a_hat = _model_inputs(toy_graph(), np.dtype(np.float64))[0]
         out = np.zeros((3, 16)).T
         with pytest.raises(ValueError, match="cannot write"):
             _propagate(a_hat, np.ones((16, 3)), out)
@@ -418,15 +513,17 @@ class TestSameBitsAsFreshArrays:
         for got, want in zip(model.params(), want_model.params()):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
-        a_hat, propagated = _model_inputs(graph, np.dtype(dtype))
-        out, activations = forward_reference(a_hat, propagated, model)
+        a_hat, propagated, coefficients = _model_inputs(graph, np.dtype(dtype))
+        out, activations = forward_reference(a_hat, propagated, coefficients, model)
         assert forward(graph, model).tobytes() == out.tobytes()
         y = (out[ids] - 0.1 * rng.standard_normal(len(ids))).astype(dtype)
         loss, grads = loss_and_gradients(graph, model, ids, y, 5e-4)
         residual = out[ids] - y
         out_grad = np.zeros_like(out)
         np.add.at(out_grad, ids, np.sign(residual) * np.dtype(dtype).type(1 / len(ids)))
-        want = gradients_reference(a_hat, propagated, model, activations, out_grad, 5e-4)
+        want = gradients_reference(
+            a_hat, propagated, coefficients, model, activations, out_grad, 5e-4
+        )
         assert loss == float(np.abs(residual).mean())
         for got, expected in zip(grads, want):
             assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
@@ -435,11 +532,11 @@ class TestSameBitsAsFreshArrays:
         graph = toy_graph(num_free=4, choices=5)  # 625 nodes
         config = GcnConfig(hidden_dims=(32, 32), dtype="float64")
         model = init_model(graph.features.shape[1], config, 0)
-        a_hat, propagated = _model_inputs(graph, np.dtype(np.float64))
+        a_hat, propagated, coefficients = _model_inputs(graph, np.dtype(np.float64))
         rows = np.arange(0, graph.num_nodes, 3)
         label_rows = np.arange(len(rows))
         y = np.full(len(rows), 0.5)
-        workspace = _Workspace(a_hat, propagated, model, rows)
+        workspace = _Workspace(a_hat, propagated, coefficients, model, rows)
         workspace.step(label_rows, y, 5e-4)
         tracemalloc.start()
         try:
@@ -506,24 +603,21 @@ class TestReceptiveField:
     def test_a_step_matches_the_full_graph(self, sub, measured, depth, dtype, seed):
         rng = np.random.default_rng(seed)
         n = sub.node_count
-        if measured:
-            sampled = rng.choice(n, min(n, 200))
-            mode = MeasuredSimilarity(min_pairs=2)
-            graph = build_graph(sub, mode, samples=(sub.digits(sampled), rng.random(len(sampled))))
-        else:
-            graph = build_graph(sub, AssignedSimilarity(rng.uniform(0.1, 1.0)))
+        graph = random_graph(sub, measured, rng)
         config = GcnConfig(hidden_dims=tuple(rng.integers(1, 9, depth)), dtype=dtype)
         model = init_model(graph.features.shape[1], config, seed)
         ids = rng.choice(n, rng.integers(1, 13))  # repeats allowed
         y = (0.5 + 0.1 * rng.standard_normal(len(ids))).astype(dtype)
         loss, grads = loss_and_gradients(graph, model, ids, y, 5e-4)
 
-        a_hat, propagated = _model_inputs(graph, np.dtype(dtype))
-        out, activations = forward_reference(a_hat, propagated, model)
+        a_hat, propagated, coefficients = _model_inputs(graph, np.dtype(dtype))
+        out, activations = forward_reference(a_hat, propagated, coefficients, model)
         residual = out[ids] - y
         out_grad = np.zeros_like(out)
         np.add.at(out_grad, ids, np.sign(residual) * np.dtype(dtype).type(1 / len(ids)))
-        want = gradients_reference(a_hat, propagated, model, activations, out_grad, 5e-4)
+        want = gradients_reference(
+            a_hat, propagated, coefficients, model, activations, out_grad, 5e-4
+        )
         tolerance = 1e-12 if dtype == "float64" else 1e-5
         want_loss = float(np.abs(residual).mean())
         assert abs(loss - want_loss) <= tolerance * want_loss
@@ -533,7 +627,7 @@ class TestReceptiveField:
 
     def test_operators_are_the_row_slices(self):
         graph = toy_graph(num_free=4, choices=5)  # 625 nodes
-        a_hat, _ = _model_inputs(graph, np.dtype(np.float32))
+        a_hat = _model_inputs(graph, np.dtype(np.float32))[0]
         rows = np.array([0, 3, 3, 311, 624])
         s0 = np.unique(rows)
         r1 = closed_neighbourhood(a_hat, s0)
@@ -547,10 +641,10 @@ class TestReceptiveField:
 
     def test_every_node_copies_nothing(self):
         graph = toy_graph(num_free=3, choices=4)
-        a_hat, propagated = _model_inputs(graph, np.dtype(np.float64))
+        a_hat, propagated, coefficients = _model_inputs(graph, np.dtype(np.float64))
         assert all(op is a_hat for op in _receptive_field(a_hat, np.arange(64), 3))
         model = init_model(graph.features.shape[1], GcnConfig(hidden_dims=(4, 4, 4)), 0)
-        workspace = _Workspace(a_hat, propagated, model, np.arange(64))
+        workspace = _Workspace(a_hat, propagated, coefficients, model, np.arange(64))
         assert all(a.shape[0] == 64 for a in workspace.acts)
         for op in workspace.transposed:
             assert op.format == "csc" and np.shares_memory(op.data, a_hat.data)
