@@ -5,13 +5,15 @@ undirected edge joins two nodes iff their architectures differ at exactly one
 searchable position (a super-cell counts as one position). Edge weights come
 from either a fixed assigned similarity or a measured, correlation-based
 one, as one similarity matrix per slot, which the graph keeps; the adjacency
-is their Kronecker sum. The GCN consumes the symmetric renormalized adjacency.
+is their Kronecker sum. The GCN consumes the symmetric renormalized adjacency
+as an operator that generates its rows, in blocks, from those matrices and
+the degrees.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -67,9 +69,10 @@ class ArchGraph:
     define the edges; ``choice_matrix``, the per-layer choices of each node's
     fully materialized architecture at ``np.min_scalar_type(O - 1)``, for
     cost and oracle lookups and for the node features. Caches filled after
-    the build: ``normalized`` holds A_hat in one dtype, rebuilt when asked
-    for in another, ``propagated`` the pair ``(A_hat @ Z, M)`` of the
-    ``feature_basis`` beside it; ``ranked_by`` the
+    the build: ``normalized``, the A_hat operator in one dtype, which holds
+    ``D^(-1/2)`` and generates rows on request, re-typed when asked for in
+    another; ``propagated``, the pair ``(A_hat @ Z, M)`` of the
+    ``feature_basis`` in that dtype; ``ranked_by`` the
     last model to rank the nodes with their order (descending prediction,
     stable), ``priced_by`` the last cost model with the cost per node. A
     model must not be mutated once it has ranked.
@@ -79,7 +82,7 @@ class ArchGraph:
     num_nodes: int
     slot_weights: list[np.ndarray]
     choice_matrix: np.ndarray
-    normalized: sp.csr_matrix | None = None
+    normalized: NormalizedAdjacency | None = None
     propagated: tuple[np.ndarray, np.ndarray] | None = None
     ranked_by: tuple[object, np.ndarray] | None = None
     priced_by: tuple[object, np.ndarray] | None = None
@@ -210,20 +213,20 @@ def measured_similarity(
     return weights
 
 
-def _kronecker_sum(weights: Sequence[np.ndarray]) -> sp.csr_matrix:
-    """``A + I``: the Kronecker sum of the zero-diagonal per-slot matrices,
-    the first slot most significant, plus the identity, as canonical CSR.
+def _fold(weights: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """``A + I`` for the Kronecker sum of the zero-diagonal per-slot matrices,
+    the first slot most significant, as (nodes, degree + 1) tables of each
+    row's sorted columns and of their float64 values.
 
     Every row has its diagonal and one entry per other choice of each slot,
-    so the sum is folded as a (nodes, degree + 1) table of sorted columns,
-    from the 1x1 identity and the last slot, as ``kronsum(P, W) = I (x) P +
-    W (x) I`` does: row ``a*m + i`` holds ``b*m + i`` for each ``b < a``, then
-    row ``i`` of the previous table plus ``a*m`` (its diagonal 1 included),
-    then ``b*m + i`` for each ``b > a``, with the values ``W[a, b]``.
+    so the sum is folded from the 1x1 identity and the last slot, as
+    ``kronsum(P, W) = I (x) P + W (x) I`` does: row ``a*m + i`` holds
+    ``b*m + i`` for each ``b < a``, then row ``i`` of the previous table plus
+    ``a*m`` (its diagonal 1 included), then ``b*m + i`` for each ``b > a``,
+    with the values ``W[a, b]``.
     """
     n = math.prod(len(w) for w in weights)
-    width = 1 + sum(len(w) - 1 for w in weights)
-    index_dtype = np.int32 if n * width < 2**31 else np.int64
+    index_dtype = _index_dtype(n, 1 + sum(len(w) - 1 for w in weights))
     columns = np.zeros((1, 1), index_dtype)  # the graph with no slots: one self-looped node
     values = np.ones((1, 1))
     for w in reversed(weights):
@@ -242,8 +245,210 @@ def _kronecker_sum(weights: Sequence[np.ndarray]) -> sp.csr_matrix:
             next_values[a, :, hi:] = w[a, a + 1 :]
         columns = next_columns.reshape(radix * m, -1)
         values = next_values.reshape(radix * m, -1)
-    indptr = width * np.arange(n + 1, dtype=index_dtype)
-    return sp.csr_matrix((values.ravel(), columns.ravel(), indptr), shape=(n, n))
+    return columns, values
+
+
+def _index_dtype(n: int, width: int) -> type:
+    """The column index type of an n-row table of ``width`` entries a row."""
+    return np.int32 if n * width < 2**31 else np.int64
+
+
+def _kronecker_sum(weights: Sequence[np.ndarray]) -> sp.csr_matrix:
+    """``A + I`` of ``_fold`` as canonical CSR."""
+    columns, values = _fold(weights)
+    indptr = np.arange(0, columns.size + 1, columns.shape[1], dtype=columns.dtype)
+    return sp.csr_matrix((values.ravel(), columns.ravel(), indptr), shape=(len(columns),) * 2)
+
+
+def _propagate(a: sp.csr_matrix | sp.csc_matrix, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``a @ m`` written into ``out``, with the same bits: SciPy's own kernel
+    for that product, CSR or CSC by the format of ``a``, which adds into its
+    output, run on ``out`` zeroed. ``m`` is a vector or a matrix with one row
+    per column of ``a``; ``out`` is C-contiguous, of ``a``'s dtype and the
+    product's shape."""
+    rows, cols = a.shape
+    if not (
+        m.dtype == out.dtype == a.dtype
+        and m.shape[0] == cols
+        and out.shape == (rows, *m.shape[1:])
+        and out.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"cannot write a ({rows}, {cols}) {a.dtype} matrix times a {m.shape} {m.dtype} "
+            f"array into a {out.shape} {out.dtype} buffer"
+        )
+    out.fill(0)
+    if a.format == "csr":
+        matvec, matvecs = _sparsetools.csr_matvec, _sparsetools.csr_matvecs
+    else:
+        matvec, matvecs = _sparsetools.csc_matvec, _sparsetools.csc_matvecs
+    arrays = (a.indptr, a.indices, a.data)
+    if m.ndim == 1 or m.shape[1] == 1:  # SciPy multiplies a one-column matrix as a vector
+        matvec(rows, cols, *arrays, m.ravel(), out.ravel())
+    else:
+        matvecs(rows, cols, m.shape[1], *arrays, m.ravel(), out.ravel())
+    return out
+
+
+#: the most nodes whose rows of ``A_hat`` are generated as one block, unless
+#: the last slot alone has more choices
+BLOCK_ROWS = 2**13
+
+
+def _inner_slots(weights: Sequence[np.ndarray]) -> int:
+    """How many trailing slots a block spans: the most whose radices multiply
+    to at most ``BLOCK_ROWS``, and at least one if there is a slot."""
+    rows, count = 1, 0
+    for w in reversed(weights):
+        if count and rows * len(w) > BLOCK_ROWS:
+            break
+        rows, count = rows * len(w), count + 1
+    return count
+
+
+@dataclass(frozen=True, eq=False)
+class NormalizedAdjacency:
+    """``A_hat = D^(-1/2) (A + I) D^(-1/2)`` of a graph in ``dtype``, held as
+    the per-slot weights that define ``A + I`` and ``inv_sqrt``, the float64
+    ``D^(-1/2)``: its rows are generated on request and never stored.
+
+    A row of ``A + I`` is a function of the node's slot digits (``_fold``):
+    in column order, each slot's weights to its lower choices from the first
+    slot on, the diagonal 1, then each slot's weights to its higher choices
+    from the last slot back. Rows are generated in blocks of the nodes that
+    share the digits of the outer slots, those before ``_inner_slots``. The
+    inner slots are folded once per request and every block reads its rows
+    from that fold, while each outer neighbour sits at a constant offset from
+    its node throughout the block. An entry is ``(w * s_i) * s_j`` in
+    float64, cast to ``dtype``: the bits of scaling the whole matrix's rows,
+    then its columns, then casting it.
+    """
+
+    slot_weights: Sequence[np.ndarray]
+    inv_sqrt: np.ndarray
+    dtype: np.dtype
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.inv_sqrt), len(self.inv_sqrt)
+
+    @property
+    def width(self) -> int:
+        """Entries per row: the degree and the self-loop."""
+        return 1 + sum(len(w) - 1 for w in self.slot_weights)
+
+    @property
+    def nnz(self) -> int:
+        return self.shape[0] * self.width
+
+    @property
+    def _index_dtype(self) -> type:
+        return _index_dtype(self.shape[0], self.width)
+
+    def astype(self, dtype: np.dtype) -> NormalizedAdjacency:
+        """The operator in ``dtype``, sharing the weights and ``D^(-1/2)``."""
+        return replace(self, dtype=np.dtype(dtype))
+
+    def _inner_fold(self) -> tuple[np.ndarray, np.ndarray]:
+        return _fold(self.slot_weights[len(self.slot_weights) - _inner_slots(self.slot_weights) :])
+
+    def _blocks(self, ids: np.ndarray | None, rows: int):
+        """``(positions, block, local)`` for each block of ``rows`` nodes that
+        holds one of the sorted node ids ``ids``, in order: the positions of
+        its ids in ``ids`` and their offsets in the block. With ``ids`` None,
+        every block, whole."""
+        if ids is None:
+            for block in range(self.shape[0] // rows):
+                yield slice(block * rows, (block + 1) * rows), block, slice(None)
+            return
+        bounds = np.searchsorted(ids, rows * np.arange(self.shape[0] // rows + 1))
+        for block in np.flatnonzero(np.diff(bounds)):
+            positions = slice(bounds[block], bounds[block + 1])
+            yield positions, int(block), ids[positions] - block * rows
+
+    def _fill(
+        self, fold, block: int, local, columns: np.ndarray | None, values: np.ndarray,
+        scaled: bool = False,
+    ) -> None:
+        """Write the rows ``local`` (offsets, or a slice) of ``block`` of
+        ``A + I`` from the inner slots' ``fold``: their columns into the
+        (rows, width) ``columns`` unless it is None, and their float64 values
+        into ``values``, times each row's ``D^(-1/2)`` if ``scaled``."""
+        fold_columns, fold_values = fold
+        rows = len(fold_columns)
+        lower, upper = [], []  # (column offset, value) of each outer neighbour
+        place, rest = rows, block
+        inner = _inner_slots(self.slot_weights)
+        for w in reversed(self.slot_weights[: len(self.slot_weights) - inner]):
+            digit, rest = rest % len(w), rest // len(w)
+            pairs = [((b - digit) * place, w[digit, b]) for b in range(len(w)) if b != digit]
+            lower[:0], place = pairs[:digit], place * len(w)
+            upper += pairs[digit:]
+        start = block * rows
+        ids = np.arange(start, start + rows, dtype=self._index_dtype)[local]
+        lo, hi = len(lower), len(lower) + fold_columns.shape[1]
+        if columns is not None:
+            offsets = np.array([offset for offset, _ in lower + upper], ids.dtype)
+            np.add(ids[:, None], offsets[:lo], out=columns[:, :lo])
+            np.add(fold_columns[local], start, out=columns[:, lo:hi])
+            np.add(ids[:, None], offsets[lo:], out=columns[:, hi:])
+        weights = np.array([value for _, value in lower + upper])
+        parts = (slice(None, lo), slice(lo, hi), slice(hi, None))
+        row_scale = self.inv_sqrt[ids][:, None] if scaled else 1.0
+        for part, raw in zip(parts, (weights[:lo], fold_values[local], weights[lo:])):
+            np.multiply(raw, row_scale, out=values[:, part])
+
+    def _write(
+        self, fold, block: int, local, columns: np.ndarray, data: np.ndarray, scratch: np.ndarray
+    ) -> None:
+        """The rows' columns, and their entries of ``A_hat`` in ``data``'s
+        dtype: ``(w * s_i) * s_j`` in float64, cast as it is written.
+        ``scratch`` is two float64 tables of at least as many rows, for the
+        values and the gathered ``s_j``."""
+        rows = len(columns)
+        values = data if data.dtype == np.float64 else scratch[0, :rows]
+        self._fill(fold, block, local, columns, values, scaled=True)
+        # clip never moves a column id, and lets the gather write in place
+        np.take(self.inv_sqrt, columns, out=scratch[1, :rows], mode="clip")
+        np.multiply(values, scratch[1, :rows], out=data)
+
+    def rows(self, ids: np.ndarray) -> sp.csr_matrix:
+        """``A_hat[ids, :]`` as canonical CSR, for sorted distinct node ids,
+        generated block by block in proportion to the rows asked for."""
+        ids = np.asarray(ids, dtype=np.int64)
+        columns = np.empty((len(ids), self.width), self._index_dtype)
+        data = np.empty(columns.shape, self.dtype)
+        fold = self._inner_fold()
+        blocks = list(self._blocks(ids, len(fold[0])))
+        scratch = np.empty((2, max((len(local) for *_, local in blocks), default=0), self.width))
+        for positions, block, local in blocks:
+            self._write(fold, block, local, columns[positions], data[positions], scratch)
+        indptr = np.arange(0, columns.size + 1, self.width, dtype=columns.dtype)
+        return sp.csr_matrix((data.ravel(), columns.ravel(), indptr), (len(ids), self.shape[0]))
+
+    def matmul(self, m: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``A_hat @ m`` written into ``out`` (as ``_propagate``), one block
+        of rows at a time: the block's rows are generated into one table,
+        overwritten by the next block's, and ``_propagate`` multiplies them
+        into their rows of ``out``, with the bits of the whole matrix's
+        product."""
+        if len(out) != self.shape[0]:
+            raise ValueError(f"cannot write {self.shape[0]} rows into a {out.shape} buffer")
+        fold = self._inner_fold()
+        rows = len(fold[0])
+        columns = np.empty((rows, self.width), self._index_dtype)
+        data = np.empty(columns.shape, self.dtype)
+        scratch = np.empty((2, *columns.shape))
+        indptr = np.arange(0, columns.size + 1, self.width, dtype=columns.dtype)
+        for positions, block, local in self._blocks(None, rows):
+            self._write(fold, block, local, columns, data, scratch)
+            table = sp.csr_matrix((data.ravel(), columns.ravel(), indptr), (rows, self.shape[0]))
+            _propagate(table, m, out[positions])
+        return out
+
+    def __matmul__(self, m: np.ndarray) -> np.ndarray:
+        m = np.asarray(m)
+        return self.matmul(m, np.empty((self.shape[0], *m.shape[1:]), self.dtype))
 
 
 def build_graph(
@@ -270,29 +475,40 @@ def build_graph(
         weights = [mode.weight * (1 - np.eye(slot.radix)) for slot in subspace.slots]
 
     spec = subspace.spec
-    choice_dtype = np.min_scalar_type(spec.choices_per_layer - 1)
-    choice_matrix = subspace.choices(subspace.digits(np.arange(n))).astype(choice_dtype)
+    choice_matrix = np.empty((n, spec.num_layers), np.min_scalar_type(spec.choices_per_layer - 1))
+    for position, choice in subspace.fixed.items():
+        choice_matrix[:, position] = choice
+    # one slot at a time, each candidate written into the rows of its digit,
+    # through a view of the table split at the slot's place
+    for slot, place in zip(subspace.slots, subspace._place_weights):
+        split = choice_matrix.reshape(-1, slot.radix, int(place), spec.num_layers)
+        split[..., list(slot.positions)] = np.array(slot.candidates, choice_matrix.dtype)[:, None]
     return ArchGraph(subspace, n, weights, choice_matrix)
 
 
-def normalize_adjacency(graph: ArchGraph, dtype: np.dtype = np.float64) -> sp.csr_matrix:
+def normalize_adjacency(graph: ArchGraph, dtype: np.dtype = np.float64) -> NormalizedAdjacency:
     """Symmetric renormalization with self-loops:
     D^(-1/2) (A + I) D^(-1/2), D = diagonal of row sums of A + I.
 
-    ``A + I`` is folded from the per-slot weights and scaled in float64, then
-    cast to ``dtype``; the result is cached on the graph in that dtype alone.
+    The degrees are summed once per graph, block by block from the generated
+    rows of ``A + I``, each row reduced as SciPy's ``sum(axis=1)`` of the
+    CSR matrix reduces it; ``D^(-1/2)`` is kept in float64. The operator is
+    cached on the graph in ``dtype`` alone; asking for another dtype re-types
+    it, with the same ``D^(-1/2)``.
     """
-    if graph.normalized is None or graph.normalized.dtype != dtype:
-        n = graph.num_nodes
-        a_tilde = _kronecker_sum(graph.slot_weights)
-        inv_sqrt = 1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel())
-        # rows, then columns, in place by SciPy's own kernels: the roundings
-        # of D^(-1/2) applied on each side, with no entry-sized temporary
-        arrays = (a_tilde.indptr, a_tilde.indices, a_tilde.data, inv_sqrt)
-        _sparsetools.csr_scale_rows(n, n, *arrays)
-        _sparsetools.csr_scale_columns(n, n, *arrays)
-        a_tilde.data = a_tilde.data.astype(dtype, copy=False)
-        graph.normalized, graph.propagated = a_tilde, None
+    dtype = np.dtype(dtype)
+    if graph.normalized is None:
+        operator = NormalizedAdjacency(graph.slot_weights, np.empty(graph.num_nodes), dtype)
+        fold = operator._inner_fold()
+        values = np.empty((len(fold[0]), operator.width))
+        starts = np.arange(0, values.size, operator.width)
+        for positions, block, local in operator._blocks(None, len(values)):
+            operator._fill(fold, block, local, None, values)
+            np.add.reduceat(values.ravel(), starts, out=operator.inv_sqrt[positions])
+        np.divide(1.0, np.sqrt(operator.inv_sqrt, out=operator.inv_sqrt), out=operator.inv_sqrt)
+        graph.normalized, graph.propagated = operator, None
+    elif graph.normalized.dtype != dtype:
+        graph.normalized, graph.propagated = graph.normalized.astype(dtype), None
     return graph.normalized
 
 

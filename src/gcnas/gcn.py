@@ -16,9 +16,14 @@ from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 
-from .arch_graph import ArchGraph, feature_basis, normalize_adjacency
+from .arch_graph import (
+    ArchGraph,
+    NormalizedAdjacency,
+    _propagate,
+    feature_basis,
+    normalize_adjacency,
+)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -98,61 +103,35 @@ def learning_rate_at(epoch: int, config: GcnConfig) -> float:
 
 def _model_inputs(
     graph: ArchGraph, dtype: np.dtype
-) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
-    """A_hat, A_hat @ Z and M in the model dtype, where X = Z M is the
-    graph's ``feature_basis``; none depends on the model, so all are cached
-    on the graph."""
+) -> tuple[NormalizedAdjacency, np.ndarray, np.ndarray]:
+    """The A_hat operator, A_hat @ Z and M in the model dtype, where X = Z M
+    is the graph's ``feature_basis``; none depends on the model, so all are
+    cached on the graph."""
     a_hat = normalize_adjacency(graph, dtype)
     if graph.propagated is None:
         basis, coefficients = feature_basis(graph, dtype)
-        graph.propagated = a_hat @ basis, coefficients
+        graph.propagated = a_hat.matmul(basis, np.empty_like(basis)), coefficients
     return a_hat, *graph.propagated
 
 
-def _propagate(a: sp.csr_matrix | sp.csc_matrix, m: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``a @ m`` written into ``out``, with the same bits: SciPy's own kernel
-    for that product, CSR or CSC by the format of ``a``, which adds into its
-    output, run on ``out`` zeroed. ``m`` is a vector or a matrix with one row
-    per column of ``a``; ``out`` is C-contiguous, of ``a``'s dtype and the
-    product's shape."""
-    rows, cols = a.shape
-    if not (
-        m.dtype == out.dtype == a.dtype
-        and m.shape[0] == cols
-        and out.shape == (rows, *m.shape[1:])
-        and out.flags.c_contiguous
-    ):
-        raise ValueError(
-            f"cannot write a ({rows}, {cols}) {a.dtype} matrix times a {m.shape} {m.dtype} "
-            f"array into a {out.shape} {out.dtype} buffer"
-        )
-    out.fill(0)
-    if a.format == "csr":
-        matvec, matvecs = _sparsetools.csr_matvec, _sparsetools.csr_matvecs
-    else:
-        matvec, matvecs = _sparsetools.csc_matvec, _sparsetools.csc_matvecs
-    arrays = (a.indptr, a.indices, a.data)
-    if m.ndim == 1 or m.shape[1] == 1:  # SciPy multiplies a one-column matrix as a vector
-        matvec(rows, cols, *arrays, m.ravel(), out.ravel())
-    else:
-        matvecs(rows, cols, m.shape[1], *arrays, m.ravel(), out.ravel())
-    return out
-
-
-def _receptive_field(a_hat: sp.csr_matrix, rows: np.ndarray, depth: int) -> list[sp.csr_matrix]:
+def _receptive_field(
+    a_hat: NormalizedAdjacency, rows: np.ndarray, depth: int
+) -> list[sp.csr_matrix]:
     """The operators ``A_hat[R_k, R_{k+1}]`` for ``k < depth``, which a
     ``depth``-layer pass needs to give the output at the sorted node ids
     ``rows``: ``R_0 = rows``, ``R_{k+1}`` is the closed neighbourhood of
-    ``R_k`` in ``A_hat``, and ``R_depth`` is every node. Columns are numbered
-    by position in ``R_{k+1}``, which keeps each row's columns in order. While
-    ``R_k`` is every node, the operator is ``A_hat`` itself."""
+    ``R_k`` in ``A_hat``, and ``R_depth`` is every node. Each is generated
+    from the rows of ``R_k``, its columns numbered by position in
+    ``R_{k+1}``, which keeps each row's columns in order. Once ``R_k`` is
+    every node, every operator from there on is the one matrix of every
+    row."""
     n = a_hat.shape[0]
     operators = []
     for k in range(depth):
         if len(rows) == n:
-            operators.append(a_hat)
-            continue
-        block = a_hat[rows]
+            operators += [a_hat.rows(rows)] * (depth - k)
+            break
+        block = a_hat.rows(rows)
         if k < depth - 1:
             reached = np.zeros(n, bool)
             reached[block.indices] = True
@@ -177,7 +156,7 @@ class _Workspace:
     of ``_receptive_field`` at depth ``L - l``, and the head on ``rows``
     alone. The backward pass multiplies by each operator's transpose, read
     as CSC from the operator's own arrays. With ``rows`` every node, every
-    operator is ``A_hat`` and nothing is copied. The arrays:
+    operator is the one generated matrix of every row. The arrays:
 
     - ``acts``, per layer of width h, the (rows, h) post-ReLU activations.
       The backward pass overwrites each with its gradient once the
@@ -195,7 +174,7 @@ class _Workspace:
 
     def __init__(
         self,
-        a_hat: sp.csr_matrix,
+        a_hat: NormalizedAdjacency,
         propagated: np.ndarray,
         coefficients: np.ndarray,
         model: GcnModel,
@@ -281,9 +260,10 @@ class _Workspace:
 def forward(graph: ArchGraph, model: GcnModel) -> np.ndarray:
     """Score every node of the graph in one pass: the products of
     ``_Workspace.forward`` with every node as a row, holding at most two
-    (nodes, width) arrays at a time. A layer's input is spent once it is
-    propagated, so its buffer takes the layer's output if the widths match;
-    a buffer of the wrong width is dropped before its successor is allocated.
+    (nodes, width) arrays at a time, and one block of A_hat's rows while it
+    propagates. A layer's input is spent once it is propagated, so its
+    buffer takes the layer's output if the widths match; a buffer of the
+    wrong width is dropped before its successor is allocated.
     """
     feature_dim = graph.subspace.spec.feature_dim
     if feature_dim != model.feat_dim:
@@ -298,14 +278,14 @@ def forward(graph: ArchGraph, model: GcnModel) -> np.ndarray:
         if product is None or product.shape != act.shape:
             product = None  # dropped before its successor is allocated
             product = np.empty_like(act)
-        _propagate(a_hat, act, product)
+        a_hat.matmul(act, product)
         if act.shape[1] != weights.shape[1]:
             act = None  # spent, and dropped before its successor is allocated
             act = np.empty((graph.num_nodes, weights.shape[1]), product.dtype)
         np.matmul(product, weights, out=act)
         np.maximum(act, 0, out=act)
     head_input = np.matmul(act, model.head)
-    out = _propagate(a_hat, head_input, np.empty_like(head_input))
+    out = a_hat.matmul(head_input, np.empty_like(head_input))
     out += model.bias[0]
     return out
 

@@ -13,9 +13,18 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import strategies as st
+from scipy.sparse import _sparsetools
 
-from gcnas import cli
-from gcnas.arch_graph import ArchGraph
+from gcnas import arch_graph, cli
+from gcnas.arch_graph import (
+    ArchGraph,
+    AssignedSimilarity,
+    MeasuredSimilarity,
+    NormalizedAdjacency,
+    _kronecker_sum,
+    build_graph,
+    feature_basis,
+)
 from gcnas.evaluator import Evaluator, GroundTruthParams, _interaction_table
 from gcnas.gcn import (
     ADAM_BETA1,
@@ -321,6 +330,76 @@ def normalize_reference(adjacency: sp.csr_matrix) -> sp.csr_matrix:
     return a_tilde.multiply(inv_sqrt[:, None]).multiply(inv_sqrt[None, :]).tocsr()
 
 
+def a_hat_reference(graph: ArchGraph, dtype: np.dtype = np.float64) -> sp.csr_matrix:
+    """A_hat as one CSR matrix: ``A + I`` folded from the per-slot weights,
+    its rows then its columns scaled in place by SciPy's own kernels with
+    ``1 / sqrt(a_tilde.sum(axis=1))`` in float64, then cast to ``dtype``; the
+    reference for the rows the graph's operator generates, and for their
+    products."""
+    n = graph.num_nodes
+    a_tilde = _kronecker_sum(graph.slot_weights)
+    arrays = (a_tilde.indptr, a_tilde.indices, a_tilde.data, inv_sqrt_reference(a_tilde))
+    _sparsetools.csr_scale_rows(n, n, *arrays)
+    _sparsetools.csr_scale_columns(n, n, *arrays)
+    a_tilde.data = a_tilde.data.astype(dtype, copy=False)
+    return a_tilde
+
+
+def every_row(a_hat: NormalizedAdjacency) -> sp.csr_matrix:
+    """Every row of the operator, generated as one CSR matrix."""
+    return a_hat.rows(np.arange(a_hat.shape[0]))
+
+
+def inv_sqrt_reference(a_tilde: sp.csr_matrix) -> np.ndarray:
+    """``D^(-1/2)`` from SciPy's row sums of ``A + I``."""
+    return 1.0 / np.sqrt(np.asarray(a_tilde.sum(axis=1)).ravel())
+
+
+def model_inputs_reference(
+    graph: ArchGraph, dtype: np.dtype
+) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """``(A_hat, A_hat @ Z, M)`` with ``a_hat_reference`` as A_hat and
+    SciPy's product; the reference for ``gcn._model_inputs``."""
+    a_hat = a_hat_reference(graph, dtype)
+    basis, coefficients = feature_basis(graph, dtype)
+    return a_hat, a_hat @ basis, coefficients
+
+
+def random_graph(sub: Subspace, measured: bool, rng: np.random.Generator) -> ArchGraph:
+    """The graph of ``sub`` with random assigned weights, or weights measured
+    from random scores of up to 200 sampled nodes."""
+    if measured:
+        sampled = rng.choice(sub.node_count, min(sub.node_count, 200))
+        mode = MeasuredSimilarity(min_pairs=2)
+        return build_graph(sub, mode, samples=(sub.digits(sampled), rng.random(len(sampled))))
+    return build_graph(sub, AssignedSimilarity(rng.uniform(0.1, 1.0)))
+
+
+def block_radices_reference(radices: Sequence[int], cap: int) -> list[int]:
+    """The radices of the trailing slots one block of generated rows spans,
+    the last slot's first: the most whose product is at most ``cap``, and at
+    least one if there is a slot."""
+    inner: list[int] = []
+    for radix in reversed(radices):
+        if inner and math.prod(inner) * radix > cap:
+            break
+        inner.append(radix)
+    return inner
+
+
+def block_table_bytes(graph: ArchGraph, dtype) -> int:
+    """The bytes one block of A_hat's rows may hold while it is generated:
+    the inner slots' fold twice over (its last step and the one before),
+    with a column index and a float64 value per entry, and the block's
+    columns, entries, float64 values and gathered D^(-1/2)."""
+    radices = [len(w) for w in graph.slot_weights]
+    inner = block_radices_reference(radices, arch_graph.BLOCK_ROWS)
+    rows, index = math.prod(inner), np.dtype(np.int32).itemsize
+    fold = rows * (1 + sum(r - 1 for r in inner))
+    width = 1 + sum(r - 1 for r in radices)
+    return 2 * fold * (index + 8) + rows * width * (index + np.dtype(dtype).itemsize + 16)
+
+
 def power_iteration_largest_eigenvalue(matrix, iterations: int = 200, seed: int = 0) -> float:
     """Largest-magnitude eigenvalue of a symmetric operator by power iteration."""
     rng = np.random.default_rng(seed)
@@ -389,7 +468,7 @@ def train_reference(graph, labels, config: GcnConfig, seed: int) -> tuple[GcnMod
     dtype = np.dtype(config.dtype)
     idx = np.asarray(labels[0], dtype=np.int64)
     y = np.asarray(labels[1], dtype=dtype)
-    a_hat, propagated, coefficients = _model_inputs(graph, dtype)
+    a_hat, propagated, coefficients = model_inputs_reference(graph, dtype)
     model = init_model(graph.subspace.spec.feature_dim, config, seed)
     model.bias[0] = y.mean()
     params = model.params()

@@ -23,6 +23,7 @@ from conftest import (
     ACC_TRUE,
     TAU_TRUE_VS_A,
     TAU_TRUE_VS_B,
+    every_row,
     final_and_reports,
     loss_and_gradients,
     power_iteration_largest_eigenvalue,
@@ -364,7 +365,7 @@ class TestCriterion8NumericalSuite:
     def test_normalized_adjacency_structure(self):
         sub = g.Subspace(g.SearchSpaceSpec(3, 6), (0, 1, 2), {})
         graph = g.build_graph(sub)
-        a_hat = g.normalize_adjacency(graph)
+        a_hat = every_row(g.normalize_adjacency(graph))
         asym = abs(a_hat - a_hat.T).max()
         top = power_iteration_largest_eigenvalue(a_hat)
         ok = asym == 0.0 and top <= 1.0 + 1e-6

@@ -2,12 +2,15 @@ import math
 import re
 import tracemalloc
 from dataclasses import fields
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gcnas import arch_graph
 from gcnas.arch_graph import (
     MAX_GRAPH_NODES,
     ArchGraph,
@@ -33,13 +36,19 @@ from gcnas.search_space import (
 )
 from conftest import (
     ALL_FIXED,
+    a_hat_reference,
+    block_radices_reference,
+    block_table_bytes,
     cell_hamming,
+    every_row,
     gray_encode,
     hamming_adjacency_reference,
+    inv_sqrt_reference,
     kronecker_sum_reference,
     measured_similarity_reference,
     normalize_reference,
     power_iteration_largest_eigenvalue,
+    random_graph,
     subspaces,
 )
 
@@ -48,6 +57,10 @@ ASSIGNED = math.exp(-0.5)
 
 def two_free_cells() -> Subspace:
     return Subspace(SearchSpaceSpec(3, 6), (0, 1), {2: 4})
+
+
+#: a 1-candidate super-cell is a slot of radix 1, which adds no edge
+ONE_CANDIDATE = Subspace(SearchSpaceSpec(4, 3), (2, 3), {}, (SuperCell((0, 1), ((1, 2),)),))
 
 
 class TestNodeIndex:
@@ -165,6 +178,28 @@ class TestBuildGraph:
         assert features.dtype == np.uint8
         assert features.tobytes() == gray[choices].reshape(n, spec.feature_dim).tobytes()
 
+    @settings(max_examples=80, deadline=None)
+    @given(subspaces())
+    @example(ALL_FIXED)
+    @example(ONE_CANDIDATE)
+    def test_choices_are_derived_one_slot_at_a_time(self, sub):
+        ids = np.arange(sub.node_count)
+        assert np.array_equal(build_graph(sub).choice_matrix, sub.choices(sub.digits(ids)))
+
+    def test_choices_cost_their_own_table(self):
+        # 6^6 nodes: past its uint8 table, building the graph allocates no
+        # per-node array of the digits or of int64 choices
+        sub = Subspace(SearchSpaceSpec(8, 6), tuple(range(6)), {6: 1, 7: 4})
+        tracemalloc.start()
+        try:
+            graph = build_graph(sub)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = graph.choice_matrix.nbytes
+        assert table == 6**6 * 8
+        assert peak <= 1.1 * table
+
     def test_measured_mode_requires_samples(self):
         with pytest.raises(ValueError, match="records"):
             build_graph(two_free_cells(), MeasuredSimilarity())
@@ -184,9 +219,9 @@ class TestKroneckerSumMatchesEdgeList:
         want = hamming_adjacency_reference(graph.subspace, weight_of)
         assert_same_csr(graph.adjacency, want)
         oracle = normalize_reference(want)
-        assert_same_csr(normalize_adjacency(graph), oracle)
+        assert_same_csr(every_row(normalize_adjacency(graph)), oracle)
         # a float32 operator is the float64 one cast, bit for bit
-        assert_same_csr(normalize_adjacency(graph, np.float32), oracle.astype(np.float32))
+        assert_same_csr(every_row(normalize_adjacency(graph, np.float32)), oracle.astype(np.float32))
 
     @settings(max_examples=60, deadline=None)
     @given(subspaces(), st.floats(1e-3, 10.0))
@@ -227,10 +262,6 @@ class TestKroneckerSumMatchesEdgeList:
         self.check(graph, lambda j, c_a, c_b: ASSIGNED)
 
 
-#: a 1-candidate super-cell is a slot of radix 1, which adds no edge
-ONE_CANDIDATE = Subspace(SearchSpaceSpec(4, 3), (2, 3), {}, (SuperCell((0, 1), ((1, 2),)),))
-
-
 class TestFixedDegreeTable:
     """build_graph's (nodes, degree) table fold gives the bits of folding the
     per-slot matrices with ``sp.kronsum``."""
@@ -263,7 +294,8 @@ class TestFixedDegreeTable:
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
         oracle = normalize_reference(want)
         for dtype in (np.float64, np.float32):
-            normalized, expected_csr = normalize_adjacency(graph, dtype), oracle.astype(dtype)
+            normalized = every_row(normalize_adjacency(graph, dtype))
+            expected_csr = oracle.astype(dtype)
             for name in ("indptr", "indices", "data"):
                 got, expected = getattr(normalized, name), getattr(expected_csr, name)
                 assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
@@ -341,18 +373,18 @@ class TestNormalizeAdjacency:
             slot_weights=[],
             choice_matrix=np.zeros((1, 3), dtype=np.uint8),
         )
-        assert normalize_adjacency(graph).toarray() == pytest.approx(np.array([[1.0]]))
+        assert every_row(normalize_adjacency(graph)).toarray() == pytest.approx(np.array([[1.0]]))
 
     def test_two_nodes_single_unit_edge(self):
         graph = ArchGraph(two_free_cells(), 2, [np.array([[0.0, 1.0], [1.0, 0.0]])],
                           np.zeros((2, 3), np.uint8))
         expected = np.array([[0.5, 0.5], [0.5, 0.5]])
-        assert normalize_adjacency(graph).toarray() == pytest.approx(expected)
+        assert every_row(normalize_adjacency(graph)).toarray() == pytest.approx(expected)
 
     def test_structure_and_spectrum(self):
         sub = Subspace(SearchSpaceSpec(3, 6), (0, 1, 2), {})
         graph = build_graph(sub)
-        a_hat = normalize_adjacency(graph)
+        a_hat = every_row(normalize_adjacency(graph))
         assert abs(a_hat - a_hat.T).max() == 0.0
         assert (a_hat.data >= 0).all()
         assert (a_hat.diagonal() > 0).all()
@@ -369,9 +401,10 @@ class TestNormalizeAdjacency:
         a32 = normalize_adjacency(graph, np.float32)
         assert a32.dtype == np.float32 and graph.normalized is a32
         assert normalize_adjacency(graph, np.dtype("float32")) is a32
-        # back in float64 by a fresh fold, not by widening the float32 data
+        # back in float64 from the float64 D^(-1/2), not by widening float32 data
         again = normalize_adjacency(graph)
-        assert again.dtype == np.float64 and again.data.tobytes() == a64.data.tobytes()
+        assert again.dtype == np.float64
+        assert every_row(again).data.tobytes() == every_row(a64).data.tobytes()
 
 
 class TestSlotWeights:
@@ -394,25 +427,82 @@ class TestSlotWeights:
         with pytest.raises(AssertionError, match="adjacency read"):
             result.graph.adjacency
 
-    def test_only_a_hat_is_held(self):
-        # 6^6 nodes: 8 layers, 6 free; the bytes the graph holds past its
-        # choices, and their peak while it is built and normalized
+    def test_only_the_degree_vector_is_held(self):
+        # 6^6 nodes: 8 layers, 6 free; past its choices the normalized graph
+        # holds D^(-1/2) alone, and while it sums the degrees, one block table
         sub = Subspace(SearchSpaceSpec(8, 6), tuple(range(6)), {6: 1, 7: 4})
         tracemalloc.start()
         try:
             graph = build_graph(sub)
-            a_hat = normalize_adjacency(graph)
+            normalize_adjacency(graph)
             held, peak = tracemalloc.get_traced_memory()
             graph.adjacency.nnz
             held_after_read = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         node_arrays = graph.choice_matrix.nbytes
-        a_hat_bytes = a_hat.data.nbytes + a_hat.indices.nbytes + a_hat.indptr.nbytes
-        assert graph.num_nodes == 6**6
-        assert held - node_arrays <= 1.05 * a_hat_bytes
-        assert peak - node_arrays <= 1.25 * a_hat_bytes
-        assert held_after_read - node_arrays <= 1.05 * a_hat_bytes  # the raw matrix is not kept
+        degrees = graph.normalized.inv_sqrt.nbytes
+        assert graph.num_nodes == 6**6 and degrees == graph.num_nodes * 8
+        assert held - node_arrays <= 1.05 * degrees
+        assert peak - node_arrays <= degrees + block_table_bytes(graph, np.float64)
+        assert held_after_read - node_arrays <= 1.05 * degrees  # the raw matrix is not kept
+
+
+#: id sets that a block-by-block generator could get wrong
+ID_SETS = ("empty", "one", "block", "every", "straddle", "random")
+
+
+def id_set(kind: str, n: int, rows: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted distinct node ids of one kind, for blocks of ``rows`` nodes."""
+    if kind == "empty":
+        return np.arange(0)
+    if kind == "one":
+        return rng.integers(0, n, 1)
+    if kind == "block":
+        start = rows * rng.integers(0, n // rows)
+        return np.arange(start, start + rows)
+    if kind == "every":
+        return np.arange(n)
+    if kind == "straddle" and n > rows:  # a few ids each side of a block boundary
+        edge = rows * rng.integers(1, n // rows)
+        return np.arange(max(0, edge - rng.integers(1, 4)), min(n, edge + rng.integers(1, 4)))
+    return np.flatnonzero(rng.random(n) < rng.uniform(0.05, 0.6))
+
+
+class TestGeneratedRows:
+    """The operator generates, block by block, the rows and products of the
+    CSR matrix that the whole fold scales, bit for bit, at any block size."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(subspaces(), st.booleans(), st.sampled_from(["float32", "float64"]),
+           st.integers(1, 40), st.sampled_from(ID_SETS), st.integers(0, 2**32 - 1))
+    @example(ALL_FIXED, False, "float64", 1, "every", 0)
+    @example(ONE_CANDIDATE, True, "float32", 2, "straddle", 0)
+    def test_rows_are_the_reference_rows(self, sub, measured, dtype, cap, kind, seed):
+        rng = np.random.default_rng(seed)
+        graph = random_graph(sub, measured, rng)
+        want = a_hat_reference(graph, np.dtype(dtype))
+        rows = math.prod(block_radices_reference([len(w) for w in graph.slot_weights], cap))
+        ids = id_set(kind, sub.node_count, rows, rng)
+        with mock.patch.object(arch_graph, "BLOCK_ROWS", cap):
+            got = normalize_adjacency(graph, dtype).rows(ids)
+        expected = want[ids]
+        assert got.shape == (len(ids), sub.node_count) and got.has_canonical_format
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(expected, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+    @settings(max_examples=80, deadline=None)
+    @given(subspaces(), st.booleans(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @example(ALL_FIXED, False, 1, 0)
+    @example(ONE_CANDIDATE, True, 1, 1)
+    def test_degrees_are_scipys_row_sums(self, sub, measured, cap, seed):
+        graph = random_graph(sub, measured, np.random.default_rng(seed))
+        with mock.patch.object(arch_graph, "BLOCK_ROWS", cap):
+            inv_sqrt = normalize_adjacency(graph).inv_sqrt
+        want = inv_sqrt_reference(kronecker_sum_reference(graph.slot_weights)
+                                  + sp.eye(sub.node_count, format="csr"))
+        assert inv_sqrt.dtype == np.float64 and inv_sqrt.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(

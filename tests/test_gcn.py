@@ -1,15 +1,15 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gcnas import arch_graph
 from gcnas.arch_graph import (
     ArchGraph,
-    AssignedSimilarity,
-    MeasuredSimilarity,
     build_graph,
     feature_basis,
     node_features,
@@ -35,9 +35,15 @@ from gcnas.search_space import (
     gray_code_table,
 )
 from conftest import (
+    ALL_FIXED,
+    a_hat_reference,
+    block_table_bytes,
+    every_row,
     forward_reference,
     gradients_reference,
     loss_and_gradients,
+    model_inputs_reference,
+    random_graph,
     subspaces,
     train_reference,
 )
@@ -49,16 +55,6 @@ def toy_graph(num_free: int = 2, choices: int = 4, seed: int = 0) -> ArchGraph:
     graph = build_graph(sub)
     normalize_adjacency(graph)
     return graph
-
-
-def random_graph(sub: Subspace, measured: bool, rng: np.random.Generator) -> ArchGraph:
-    """The graph of ``sub`` with random assigned weights, or weights measured
-    from random scores of up to 200 sampled nodes."""
-    if measured:
-        sampled = rng.choice(sub.node_count, min(sub.node_count, 200))
-        mode = MeasuredSimilarity(min_pairs=2)
-        return build_graph(sub, mode, samples=(sub.digits(sampled), rng.random(len(sampled))))
-    return build_graph(sub, AssignedSimilarity(rng.uniform(0.1, 1.0)))
 
 
 def edgeless_graph(num_nodes: int, feat_dim: int, seed: int = 0) -> ArchGraph:
@@ -149,7 +145,7 @@ class TestForward:
 
     def test_edgeless_graph_equals_plain_mlp(self):
         graph = edgeless_graph(12, 6)
-        assert np.array_equal(graph.normalized.toarray(), np.eye(12))
+        assert np.array_equal(every_row(graph.normalized).toarray(), np.eye(12))
         model = init_model(6, GcnConfig(hidden_dims=(5, 3)), 2)
         out = forward(graph, model)
         # independent per-row MLP oracle
@@ -160,25 +156,37 @@ class TestForward:
         assert out == pytest.approx(expected, abs=1e-12)
 
     def test_permutation_equivariance(self):
-        graph = toy_graph(num_free=2, choices=5)
+        sub = Subspace(SearchSpaceSpec(3, 5), (0, 1), {2: 0})
+        rng = np.random.default_rng(5)
+        weights = []
+        for _ in range(2):
+            w = np.triu(rng.uniform(0.1, 1.0, (5, 5)), 1)
+            weights.append(w + w.T)
+        graph = ArchGraph(sub, 25, weights, build_graph(sub).choice_matrix)
         model = init_model(graph.features.shape[1], GcnConfig(hidden_dims=(7, 7)), 1)
         out = forward(graph, model)
-        rng = np.random.default_rng(5)
-        perm = rng.permutation(graph.num_nodes)
-        # relabel nodes: P A_hat P^T and P X; a relabelled graph is not a
-        # Kronecker sum, so its normalized operator is given directly
-        p = sp.csr_matrix(
-            (np.ones(graph.num_nodes), (np.arange(graph.num_nodes), perm)),
-            shape=(graph.num_nodes, graph.num_nodes),
-        )
+        # relabel nodes: swap the two slots and permute each one's choices.
+        # The relabelled graph is the Kronecker sum of the permuted weights,
+        # so its operator is generated from them; node (a, b) of it is node
+        # (order[1][b], order[0][a]) of the graph
+        order = [rng.permutation(5) for _ in range(2)]
+        new_a, new_b = np.divmod(np.arange(25), 5)
+        perm = order[1][new_b] * 5 + order[0][new_a]
         permuted = ArchGraph(
             subspace=graph.subspace,
             num_nodes=graph.num_nodes,
-            slot_weights=graph.slot_weights,
+            slot_weights=[w[np.ix_(o, o)] for w, o in zip(weights[::-1], order)],
             choice_matrix=graph.choice_matrix[perm],
-            normalized=(p @ graph.normalized @ p.T).tocsr(),
         )
         assert forward(permuted, model) == pytest.approx(out[perm], abs=1e-9)
+        # its rows are, bit for bit, those of its own reference matrix, and
+        # that is P A_hat P^T up to the order of the degree sums
+        got = every_row(normalize_adjacency(permuted))
+        want = a_hat_reference(permuted)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        relabelled = a_hat_reference(graph).toarray()[np.ix_(perm, perm)]
+        assert np.allclose(want.toarray(), relabelled, rtol=1e-14, atol=0)
 
     def test_shape_mismatch_errors(self):
         graph = toy_graph()
@@ -206,14 +214,15 @@ class TestForwardBuffers:
         model = init_model(sub.spec.feature_dim, GcnConfig(hidden_dims=hidden, dtype=dtype), 5)
         model.bias[0] = 0.25
         out = forward(graph, model)
-        want, _ = forward_reference(*_model_inputs(graph, np.dtype(dtype)), model)
+        want, _ = forward_reference(*model_inputs_reference(graph, np.dtype(dtype)), model)
         assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("hidden, dtype", [((32, 32), "float32"), ((8, 4, 6), "float32"),
                                                ((64, 16), "float64")])
     def test_forward_allocates_two_of_the_widest_layer(self, hidden, dtype):
-        # 6^6 nodes with A_hat and A_hat X cached: the pass may allocate two
-        # arrays of the widest layer and four (nodes,) vectors
+        # 6^6 nodes with D^(-1/2) and A_hat Z cached: the pass may allocate
+        # two arrays of the widest layer, four (nodes,) vectors and one block
+        # of A_hat's rows
         sub = Subspace(SearchSpaceSpec(8, 6), tuple(range(6)), {6: 1, 7: 4})
         graph = build_graph(sub)
         _model_inputs(graph, np.dtype(dtype))
@@ -225,7 +234,8 @@ class TestForwardBuffers:
         finally:
             tracemalloc.stop()
         n, itemsize = graph.num_nodes, np.dtype(dtype).itemsize
-        assert peak <= 2 * n * max(hidden) * itemsize + 4 * n * itemsize
+        table = block_table_bytes(graph, dtype)
+        assert peak <= 2 * n * max(hidden) * itemsize + 4 * n * itemsize + table
 
 
 class TestGradients:
@@ -342,13 +352,13 @@ class TestModelInputs:
         a_hat = inputs[0]
         assert graph.normalized is a_hat and a_hat.dtype == f32
         # the same bits as casting a fresh float64 A_hat and propagating
-        cast = normalize_adjacency(toy_graph(num_free=2, choices=4)).astype(np.float32)
+        cast = a_hat_reference(toy_graph(num_free=2, choices=4)).astype(np.float32)
         basis, coefficients = feature_basis(graph, f32)
         want, _ = forward_reference(cast, cast @ basis, coefficients, model)
         assert out.tobytes() == want.tobytes()
         assert out.tobytes() == forward(graph, model).tobytes()
 
-        # read at float64 afterwards, A_hat is refolded: the bits of a fresh
+        # read at float64 afterwards, A_hat is re-typed: the bits of a fresh
         # graph, and nothing of float32 left on the graph
         model64 = init_model(graph.features.shape[1], GcnConfig(hidden_dims=(6, 6)), 4)
         out64 = forward(graph, model64)
@@ -356,21 +366,23 @@ class TestModelInputs:
         assert graph.normalized.dtype == np.float64
         assert all(a.dtype == np.float64 for a in graph.propagated)
 
-    def test_a_float32_graph_holds_a_hat_in_float32_only(self):
-        # the 6^6 subspace of test_only_a_hat_is_held: past its choices, the
-        # graph holds the float32 A_hat and A_hat @ Z alone, Z at 19 columns
+    def test_a_graph_holds_its_model_inputs_alone(self):
+        # the 6^6 subspace of test_only_the_degree_vector_is_held: past its
+        # choices, the graph holds D^(-1/2), the float32 A_hat @ Z, Z at 19
+        # columns, and M alone, and no array of (nodes, degree) entries
         sub = Subspace(SearchSpaceSpec(8, 6), tuple(range(6)), {6: 1, 7: 4})
         tracemalloc.start()
         try:
             graph = build_graph(sub)
-            a_hat, propagated, _ = _model_inputs(graph, np.dtype(np.float32))
+            a_hat, propagated, coefficients = _model_inputs(graph, np.dtype(np.float32))
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         node_arrays = graph.choice_matrix.nbytes
-        inputs = a_hat.data.nbytes + a_hat.indices.nbytes + a_hat.indptr.nbytes + propagated.nbytes
+        inputs = a_hat.inv_sqrt.nbytes + propagated.nbytes + coefficients.nbytes
         assert graph.normalized.dtype == np.float32 and propagated.shape == (6**6, 19)
         assert held - node_arrays <= 1.05 * inputs
+        assert 0.05 * inputs < a_hat.nnz  # the slack holds no byte per entry of A_hat
 
 
 def basis_width_reference(sub: Subspace) -> int:
@@ -425,7 +437,7 @@ class TestFeatureBasis:
         graph = random_graph(sub, measured, rng)
         config = GcnConfig(hidden_dims=tuple(rng.integers(1, 9, depth)), dtype=dtype)
         model = init_model(sub.spec.feature_dim, config, seed)
-        a_hat, propagated, coefficients = _model_inputs(graph, np.dtype(dtype))
+        a_hat, propagated, coefficients = model_inputs_reference(graph, np.dtype(dtype))
         # the plain form: A_hat X, with the identity as its coefficients
         full = a_hat @ node_features(graph, np.dtype(dtype))
         identity = np.eye(sub.spec.feature_dim, dtype=dtype)
@@ -451,7 +463,7 @@ class TestPropagate:
     @pytest.mark.parametrize("shape", [(), (1,), (7,)])
     def test_same_bits_as_the_sparse_product(self, dtype, shape):
         graph = toy_graph(num_free=3, choices=5)  # 125 nodes
-        a_hat = _model_inputs(graph, np.dtype(dtype))[0]
+        a_hat = every_row(_model_inputs(graph, np.dtype(dtype))[0])
         rng = np.random.default_rng(1)
         # the operator as CSR, and a row slice read transposed as CSC
         for a in (a_hat, a_hat[np.arange(3, 125, 4)].T):
@@ -461,18 +473,38 @@ class TestPropagate:
                 assert _propagate(a, m, out) is out
                 assert np.array_equal(out, a @ m)
 
+    @settings(max_examples=60, deadline=None)
+    @given(subspaces(), st.booleans(), st.sampled_from(["float32", "float64"]),
+           st.integers(1, 40), st.sampled_from([(), (1,), (512,)]), st.integers(0, 2**32 - 1))
+    @example(ALL_FIXED, False, "float64", 1, (512,), 0)
+    def test_blocks_give_the_bits_of_the_whole_matrix(self, sub, measured, dtype, cap, shape, seed):
+        rng = np.random.default_rng(seed)
+        graph = random_graph(sub, measured, rng)
+        m = rng.standard_normal((sub.node_count, *shape)).astype(dtype)
+        out = np.full(m.shape, np.nan, dtype)  # the product overwrites every entry
+        with mock.patch.object(arch_graph, "BLOCK_ROWS", cap):
+            a_hat = normalize_adjacency(graph, dtype)
+            assert a_hat.matmul(m, out) is out
+            assert (a_hat @ m).tobytes() == out.tobytes()
+        assert out.tobytes() == (a_hat_reference(graph, np.dtype(dtype)) @ m).tobytes()
+
+    def test_blocks_need_a_row_per_node(self):
+        a_hat = _model_inputs(toy_graph(), np.dtype(np.float64))[0]
+        with pytest.raises(ValueError, match="cannot write 16 rows"):
+            a_hat.matmul(np.ones((16, 3)), np.zeros((17, 3)))
+
     @pytest.mark.parametrize(
         "m_shape, out_shape, out_dtype",
         [((16, 3), (16, 3), np.float64), ((15, 3), (16, 3), np.float32),
          ((16, 3), (16, 2), np.float32), ((16,), (16, 1), np.float32)],
     )
     def test_mismatched_buffer_rejected(self, m_shape, out_shape, out_dtype):
-        a_hat = _model_inputs(toy_graph(), np.dtype(np.float32))[0]
+        a_hat = every_row(_model_inputs(toy_graph(), np.dtype(np.float32))[0])
         with pytest.raises(ValueError, match="cannot write"):
             _propagate(a_hat, np.ones(m_shape, np.float32), np.zeros(out_shape, out_dtype))
 
     def test_non_contiguous_buffer_rejected(self):
-        a_hat = _model_inputs(toy_graph(), np.dtype(np.float64))[0]
+        a_hat = every_row(_model_inputs(toy_graph(), np.dtype(np.float64))[0])
         out = np.zeros((3, 16)).T
         with pytest.raises(ValueError, match="cannot write"):
             _propagate(a_hat, np.ones((16, 3)), out)
@@ -513,7 +545,7 @@ class TestSameBitsAsFreshArrays:
         for got, want in zip(model.params(), want_model.params()):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
-        a_hat, propagated, coefficients = _model_inputs(graph, np.dtype(dtype))
+        a_hat, propagated, coefficients = model_inputs_reference(graph, np.dtype(dtype))
         out, activations = forward_reference(a_hat, propagated, coefficients, model)
         assert forward(graph, model).tobytes() == out.tobytes()
         y = (out[ids] - 0.1 * rng.standard_normal(len(ids))).astype(dtype)
@@ -561,13 +593,13 @@ class TestSameBitsAsFreshArrays:
         # the activations (1), which the backward pass overwrites with their
         # gradients, the propagated inputs past the first layer (0.5), the
         # mask buffer (0.06), the (n,) vectors and the parameter-sized
-        # arrays; and the row slices of A_hat that train copies
+        # arrays; and the row slices of A_hat that train generates
         graph = toy_graph(num_free=4, choices=6)  # 1296 nodes
         config = GcnConfig(hidden_dims=(64, 64), epochs=3, dtype="float64")
         rng = np.random.default_rng(0)
         ids = rng.choice(graph.num_nodes, 300, replace=False)
         labels = ids, 0.5 + 0.1 * rng.standard_normal(300)
-        a_hat = graph.normalized
+        a_hat = a_hat_reference(graph)
         s0 = np.unique(ids)
         r1 = closed_neighbourhood(a_hat, s0)
         assert len(r1) > 0.99 * graph.num_nodes
@@ -583,7 +615,7 @@ class TestSameBitsAsFreshArrays:
         rng = np.random.default_rng(0)
         ids = rng.choice(graph.num_nodes, 60, replace=False)
         labels = ids, 0.5 + 0.1 * rng.standard_normal(60)
-        r1 = closed_neighbourhood(graph.normalized, np.unique(ids))
+        r1 = closed_neighbourhood(a_hat_reference(graph), np.unique(ids))
         assert 0.15 < len(r1) / graph.num_nodes < 0.21
         assert self.train_peak(graph, labels, config) / (graph.num_nodes * 128 * 8) < 1.0
 
@@ -610,7 +642,7 @@ class TestReceptiveField:
         y = (0.5 + 0.1 * rng.standard_normal(len(ids))).astype(dtype)
         loss, grads = loss_and_gradients(graph, model, ids, y, 5e-4)
 
-        a_hat, propagated, coefficients = _model_inputs(graph, np.dtype(dtype))
+        a_hat, propagated, coefficients = model_inputs_reference(graph, np.dtype(dtype))
         out, activations = forward_reference(a_hat, propagated, coefficients, model)
         residual = out[ids] - y
         out_grad = np.zeros_like(out)
@@ -627,13 +659,13 @@ class TestReceptiveField:
 
     def test_operators_are_the_row_slices(self):
         graph = toy_graph(num_free=4, choices=5)  # 625 nodes
-        a_hat = _model_inputs(graph, np.dtype(np.float32))[0]
+        a_hat = a_hat_reference(graph, np.float32)
         rows = np.array([0, 3, 3, 311, 624])
         s0 = np.unique(rows)
         r1 = closed_neighbourhood(a_hat, s0)
         r2 = closed_neighbourhood(a_hat, r1)
         assert len(r1) < len(r2) < graph.num_nodes
-        ops = _receptive_field(a_hat, s0, 3)
+        ops = _receptive_field(_model_inputs(graph, np.dtype(np.float32))[0], s0, 3)
         dense = a_hat.toarray()
         for op, r, c in zip(ops, (s0, r1, r2), (r1, r2, np.arange(graph.num_nodes))):
             assert op.format == "csr" and op.has_canonical_format and op.dtype == np.float32
@@ -642,12 +674,16 @@ class TestReceptiveField:
     def test_every_node_copies_nothing(self):
         graph = toy_graph(num_free=3, choices=4)
         a_hat, propagated, coefficients = _model_inputs(graph, np.dtype(np.float64))
-        assert all(op is a_hat for op in _receptive_field(a_hat, np.arange(64), 3))
+        ops = _receptive_field(a_hat, np.arange(64), 3)
+        assert all(op is ops[0] for op in ops)  # the generated rows are the only copy
+        want = a_hat_reference(graph)
+        for name in ("indptr", "indices", "data"):
+            assert getattr(ops[0], name).tobytes() == getattr(want, name).tobytes(), name
         model = init_model(graph.features.shape[1], GcnConfig(hidden_dims=(4, 4, 4)), 0)
         workspace = _Workspace(a_hat, propagated, coefficients, model, np.arange(64))
         assert all(a.shape[0] == 64 for a in workspace.acts)
         for op in workspace.transposed:
-            assert op.format == "csc" and np.shares_memory(op.data, a_hat.data)
+            assert op.format == "csc" and np.shares_memory(op.data, workspace.operators[0].data)
 
     def test_train_twice_gives_the_same_bytes(self):
         graph = toy_graph(num_free=5, choices=4)  # 1024 nodes
