@@ -514,4 +514,4 @@ def normalize_adjacency(graph: ArchGraph, dtype: np.dtype = np.float64) -> Norma
 
 def node_architecture(graph: ArchGraph, index: int) -> Architecture:
     """Materialized architecture of one node."""
-    return Architecture(tuple(int(c) for c in graph.choice_matrix[index]))
+    return Architecture(tuple(graph.choice_matrix[index].tolist()))

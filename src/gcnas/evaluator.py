@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import abc
 import dataclasses
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Sequence
@@ -75,6 +76,15 @@ class GroundTruthParams:
     def choices_per_layer(self) -> int:
         return self.cell_utility.shape[1]
 
+    @functools.cached_property
+    def interactions(self) -> np.ndarray:
+        """Pairwise term v[l, l', o, o'], fixed by the interaction seed; drawn
+        on first use and kept, read-only, for the life of these params."""
+        L, O = self.cell_utility.shape
+        v = np.random.default_rng(self.interaction_seed).uniform(-1.0, 1.0, (L, L, O, O))
+        v.setflags(write=False)
+        return v
+
     @classmethod
     def random(
         cls,
@@ -89,13 +99,6 @@ class GroundTruthParams:
         rng = np.random.default_rng(seed_stream(seed, "cell-utility"))
         u = rng.uniform(-utility_amplitude, utility_amplitude, (spec.num_layers, spec.choices_per_layer))
         return cls(base, u, pair_strength, seed_stream(seed, "interactions"))
-
-
-def _interaction_table(truth: GroundTruthParams) -> np.ndarray:
-    """Pairwise term v[l, l', o, o'], fixed by the interaction seed."""
-    L, O = truth.cell_utility.shape
-    rng = np.random.default_rng(truth.interaction_seed)
-    return rng.uniform(-1.0, 1.0, (L, L, O, O))
 
 
 def _choice_indices(choice_matrix: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -122,7 +125,7 @@ def ground_truth_many(choice_matrix: np.ndarray, truth: GroundTruthParams) -> np
     z = truth.base + truth.cell_utility[np.arange(L), c].sum(axis=1)
     if truth.pair_strength != 0.0:
         O = truth.choices_per_layer
-        v = (truth.pair_strength * _interaction_table(truth)).reshape(L, L, O * O)
+        v = (truth.pair_strength * truth.interactions).reshape(L, L, O * O)
         columns = np.ascontiguousarray(c.T)
         for l in range(L):
             row = columns[l] * O

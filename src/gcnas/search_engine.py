@@ -167,25 +167,34 @@ def _best(
 
 def _ranked_within_budget(
     graph: ArchGraph, model: GcnModel, cost_model: CostModel | None, budget: float | None,
-    scores: np.ndarray | None = None,
+    top: int, scores: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Node ids by descending ``model`` prediction (stable; ``scores`` if the
-    caller has them) that a multiply-add ``budget`` allows; ``None`` keeps every
-    node. The order per model and the cost per node per cost model stay on the
-    graph. Raises if no node is within budget."""
+    """The first ``top`` node ids by descending ``model`` prediction (stable;
+    ``scores`` if the caller has them) that a multiply-add ``budget`` allows;
+    ``None`` allows every node. The ranking is read only until ``top`` ids
+    are within budget: prefixes of ``top``, then 4x longer each time, so a
+    query whose pool fills early never touches the rest. The order per model
+    and the cost per node per cost model stay on the graph. Raises if no node
+    is within budget."""
     if graph.ranked_by is None or graph.ranked_by[0] is not model:
         scores = forward(graph, model) if scores is None else scores
         graph.ranked_by = (model, np.argsort(-scores, kind="stable"))
     order = graph.ranked_by[1]
     if budget is None:
-        return order
+        return order[:top]
     if graph.priced_by is None or graph.priced_by[0] is not cost_model:
         graph.priced_by = (cost_model, flops_many(graph.choice_matrix, cost_model))
     cost = graph.priced_by[1]
-    order = order[cost[order] <= budget]
-    if len(order) == 0:
+    stop = top
+    while True:
+        head = order[:stop]
+        within = head[cost[head] <= budget]
+        if len(within) >= top or stop >= len(order):
+            break
+        stop *= 4
+    if len(within) == 0:
         raise _over_budget(budget, cost.min())
-    return order
+    return within[:top]
 
 
 def _over_budget(budget: float, minimum: float) -> ValueError:
@@ -288,8 +297,9 @@ def run_round(
     tau_val = kendall_tau(predictions[val_ids], val_accs)
     reg_score_val = regression_score(predictions[val_ids], val_accs)
 
-    ranked = _ranked_within_budget(graph, model, cost_model, config.constraint_budget, predictions)
-    pool_ids = ranked[: config.top_pool]
+    pool_ids = _ranked_within_budget(
+        graph, model, cost_model, config.constraint_budget, config.top_pool, predictions
+    )
     pool_archs = [node_architecture(graph, int(i)) for i in pool_ids]
     pool_accs = _evaluate(evaluator, pool_archs)
     preserved = _best(pool_archs, pool_ids, pool_accs, config.k_preserve)
@@ -409,13 +419,14 @@ def constraint_select(
     evaluator: Evaluator,
     top_pool: int,
 ) -> ScoredArchitecture:
-    """Rank all nodes by prediction, keep those within the multiply-add
-    budget, re-evaluate the surviving top pool and return the measured
-    argmax. The ranking and the costs stay on the graph for the next query."""
+    """Read the ranking of all nodes by prediction until ``top_pool`` nodes
+    within the multiply-add budget are found, re-evaluate that pool and
+    return the measured argmax. The ranking and the costs stay on the graph
+    for the next query."""
     if top_pool < 1:
         raise ValueError(f"top_pool must be at least 1, got {top_pool}")
     if np.isnan(budget):
         raise ValueError(f"budget must be a number of multiply-adds, got {budget}")
-    pool_ids = _ranked_within_budget(graph, model, cost_model, budget)[:top_pool]
+    pool_ids = _ranked_within_budget(graph, model, cost_model, budget, top_pool)
     pool_archs = [node_architecture(graph, int(i)) for i in pool_ids]
     return reverify(pool_archs, evaluator, node_indices=pool_ids.tolist())

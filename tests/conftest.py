@@ -25,7 +25,7 @@ from gcnas.arch_graph import (
     build_graph,
     feature_basis,
 )
-from gcnas.evaluator import Evaluator, GroundTruthParams, _interaction_table
+from gcnas.evaluator import Evaluator, GroundTruthParams
 from gcnas.gcn import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -132,7 +132,8 @@ def ground_truth_reference(choice_matrix: np.ndarray, truth: GroundTruthParams) 
     c = np.asarray(choice_matrix, dtype=np.int64)
     L = truth.num_layers
     z = truth.base + truth.cell_utility[np.arange(L), c].sum(axis=1)
-    v = _interaction_table(truth)
+    O = truth.choices_per_layer
+    v = np.random.default_rng(truth.interaction_seed).uniform(-1.0, 1.0, (L, L, O, O))
     for l in range(L):
         for lp in range(l + 1, L):
             z = z + truth.pair_strength * v[l, lp][c[:, l], c[:, lp]]

@@ -155,6 +155,15 @@ class TestBuildGraph:
             assert graph.features[index].tolist() == gray_encode(arch, spec).tolist()
             assert node_architecture(graph, index) == arch
 
+    def test_node_architecture_holds_plain_ints_of_its_row(self):
+        sc = SuperCell((0, 1), ((2, 5), (3, 3)))
+        graph = build_graph(Subspace(SearchSpaceSpec(4, 6), (3, 2), {}, (sc,)))
+        assert graph.choice_matrix.dtype == np.uint8
+        for index in (0, 17, graph.num_nodes - 1):
+            choices = node_architecture(graph, index).choices
+            assert choices == tuple(graph.choice_matrix[index].tolist())
+            assert all(type(c) is int for c in choices)
+
     @pytest.mark.parametrize(
         "sub",
         [

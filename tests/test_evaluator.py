@@ -80,6 +80,23 @@ class TestGroundTruth:
             expected = ground_truth_reference(matrix, truth)
             assert (ground_truth_many(matrix, truth) == expected).all()
 
+    def test_interaction_table_is_drawn_once_and_read_only(self):
+        spec = SearchSpaceSpec(5, 4)
+        truth = GroundTruthParams.random(spec, 3, pair_strength=0.002)
+        sn = SyntheticSupernet(truth)
+        matrix = all_archs_matrix(spec)[::7]
+        first = sn.evaluate_matrix(matrix)
+        table = truth.interactions
+        assert sn.evaluate_matrix(matrix).tobytes() == first.tobytes()
+        assert truth.interactions is table and sn.advanced().truth.interactions is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0, 0] = 0.0
+        fresh = np.random.default_rng(truth.interaction_seed).uniform(-1.0, 1.0, (5, 5, 4, 4))
+        assert table.tobytes() == fresh.tobytes()
+        other = GroundTruthParams.random(spec, 4, pair_strength=0.002)
+        assert other.interactions.tobytes() != table.tobytes()
+
     def test_clamped_to_unit_interval(self):
         spec = SearchSpaceSpec(3, 4)
         truth = GroundTruthParams(0.99, np.full((3, 4), 0.05), 0.0, 0)

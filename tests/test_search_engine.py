@@ -21,6 +21,7 @@ from gcnas.gcn import GcnConfig, forward, train
 from gcnas.search_engine import (
     SearchConfig,
     _later_round_nodes,
+    _ranked_within_budget,
     check_budget,
     constraint_select,
     iter_search_rounds,
@@ -636,3 +637,66 @@ class TestLookupTable:
             assert picked.node_index == oracle_select(
                 result.graph, result.model, cost, float(budget), sn, 20)
         assert calls == {"forward": 0, "flops_many": 1}
+
+
+class TestRankedWithinBudget:
+    """A budget query reads the ranking only until its pool is full; its ids
+    are those of the full filter, ``order[cost[order] <= budget][:top]``."""
+
+    @staticmethod
+    def case():
+        graph = build_graph(full_subspace(SearchSpaceSpec(4, 6)))
+        rng = np.random.default_rng(11)
+        # integer scores and costs, so both the ranking and the budget see ties;
+        # each layer's cheapest choice is unique, and so is the cheapest node
+        scores = rng.integers(0, 50, graph.num_nodes).astype(np.float64)
+        cost = CostModel(10.0, 1.0 + np.argsort(rng.random((4, 6)), axis=1))
+        order = np.argsort(-scores, kind="stable")
+        return graph, scores, cost, order, flops_many(graph.choice_matrix, cost)
+
+    def check(self, budget_of, top):
+        """The ids for ``budget_of(costs, ranking)``, checked against the full
+        filter; returns them with the costs and the budget."""
+        graph, scores, cost, order, all_cost = self.case()
+        budget = budget_of(all_cost, order)
+        got = _ranked_within_budget(graph, object(), cost, budget, top, scores)
+        within = order if budget is None else order[all_cost[order] <= budget]
+        assert got.tolist() == within[:top].tolist()
+        return got, all_cost, budget
+
+    def test_every_node_within_budget(self):
+        got, _, _ = self.check(lambda c, o: float(c.max()), 30)
+        assert len(got) == 30
+
+    def test_budget_equal_to_a_node_cost_keeps_that_node(self):
+        # the budget is the cost of the top-ranked node, which only ``<=`` keeps
+        got, all_cost, budget = self.check(lambda c, o: float(c[o[0]]), 30)
+        assert all_cost[got[0]] == budget
+
+    def test_fewer_than_top_within_budget_reads_the_whole_ranking(self):
+        got, all_cost, budget = self.check(lambda c, o: float(np.sort(c)[5]), 30)
+        assert 1 < len(got) < 30 and len(got) == (all_cost <= budget).sum()
+
+    def test_exactly_one_node_within_budget(self):
+        got, all_cost, _ = self.check(lambda c, o: float(c.min()), 30)
+        assert got.tolist() == [int(np.argmin(all_cost))]
+
+    def test_top_above_the_node_count(self):
+        got, all_cost, budget = self.check(lambda c, o: float(np.median(c)), 1296 + 7)
+        assert len(got) == (all_cost <= budget).sum()
+
+    def test_no_budget_keeps_the_ranking(self):
+        got, _, _ = self.check(lambda c, o: None, 30)
+        assert len(got) == 30
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.0, 1.0), st.integers(1, 1400))
+    def test_any_budget_and_pool_size(self, quantile, top):
+        self.check(lambda c, o: float(np.quantile(c, quantile, method="lower")), top)
+
+    def test_budget_below_the_cheapest_node_names_the_minimum(self):
+        graph, scores, cost, _, all_cost = self.case()
+        minimum = all_cost.min()
+        message = f"minimum achievable cost is {minimum:g}"
+        with pytest.raises(ValueError, match=f"{re.escape(message)}$"):
+            _ranked_within_budget(graph, object(), cost, minimum - 0.5, 30, scores)
