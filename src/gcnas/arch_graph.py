@@ -89,8 +89,10 @@ class ArchGraph:
 
     @property
     def adjacency(self) -> sp.csr_matrix:
-        """The raw adjacency, rebuilt on every call: for inspection only."""
-        return _kronecker_sum(self.slot_weights) - sp.eye(self.num_nodes, format="csr")
+        """The raw adjacency, rebuilt on every call: for inspection only. It
+        is the operator's generated rows at ``D = I``, each entry ``w``."""
+        a_tilde = NormalizedAdjacency(self.slot_weights, np.ones(self.num_nodes), np.float64)
+        return a_tilde.rows(np.arange(self.num_nodes)) - sp.eye(self.num_nodes, format="csr")
 
     @property
     def features(self) -> np.ndarray:
@@ -126,34 +128,27 @@ def feature_basis(graph: ArchGraph, dtype: np.dtype) -> tuple[np.ndarray, np.nda
     for position, choice in graph.subspace.fixed.items():
         columns = slice(position * bits, (position + 1) * bits)
         constant[columns], is_constant[columns] = gray[choice], True
-    slots, rows = [], []  # per slot: (slot, one-hot or not, varying bits) and its rows of M
+    basis, coefficients = [], []  # per slot: its columns of Z and its rows of M
     for slot in graph.subspace.slots:
         columns = (np.array(slot.positions)[:, None] * bits + np.arange(bits)).ravel()
         slot_bits = gray[np.array(slot.candidates)].reshape(slot.radix, -1)
         varying = (slot_bits != slot_bits[0]).any(axis=0)
         constant[columns[~varying]], is_constant[columns[~varying]] = slot_bits[0, ~varying], True
-        one_hot = slot.radix < np.count_nonzero(varying)
-        if one_hot:
+        choices = graph.choice_matrix[:, slot.positions]
+        if slot.radix < np.count_nonzero(varying):  # the one-hot of its digit
+            basis.append(np.stack([(choices == c).all(axis=1) for c in slot.candidates], axis=1))
             m = np.zeros((slot.radix, spec.feature_dim), dtype)
             m[:, columns[varying]] = slot_bits[:, varying]
+            coefficients.append(m)
         else:
-            m = np.eye(spec.feature_dim, dtype=dtype)[columns[varying]]
-        slots.append((slot, one_hot, varying))
-        rows.append(m)
+            basis.append(gray[choices].reshape(len(choices), -1)[:, varying])
+            coefficients.append(np.eye(spec.feature_dim, dtype=dtype)[columns[varying]])
     if is_constant.any():
-        rows.append(constant[None])
-    coefficients = np.concatenate(rows)
-    basis = np.ones((graph.num_nodes, len(coefficients)), dtype)
-    start = 0
-    for (slot, one_hot, varying), m in zip(slots, rows):
-        choices = graph.choice_matrix[:, slot.positions]
-        if one_hot:
-            for digit, candidate in enumerate(slot.candidates):
-                basis[:, start + digit] = (choices == candidate).all(axis=1)
-        else:
-            basis[:, start : start + len(m)] = gray[choices].reshape(len(choices), -1)[:, varying]
-        start += len(m)
-    return basis, coefficients
+        basis.append(np.ones((graph.num_nodes, 1), bool))
+        coefficients.append(constant[None])
+    # written into a C-ordered Z, as ``_propagate`` needs, whatever the parts' order
+    z = np.empty((graph.num_nodes, sum(b.shape[1] for b in basis)), dtype)
+    return np.concatenate(basis, axis=1, out=z), np.concatenate(coefficients)
 
 
 def check_graph_size(n: int) -> None:
@@ -216,7 +211,9 @@ def measured_similarity(
 def _fold(weights: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """``A + I`` for the Kronecker sum of the zero-diagonal per-slot matrices,
     the first slot most significant, as (nodes, degree + 1) tables of each
-    row's sorted columns and of their float64 values.
+    row's sorted columns and of their float64 values. It folds the inner
+    slots of a block of generated rows (``NormalizedAdjacency``), which
+    for a graph of one block are all of them.
 
     Every row has its diagonal and one entry per other choice of each slot,
     so the sum is folded from the 1x1 identity and the last slot, as
@@ -251,13 +248,6 @@ def _fold(weights: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 def _index_dtype(n: int, width: int) -> type:
     """The column index type of an n-row table of ``width`` entries a row."""
     return np.int32 if n * width < 2**31 else np.int64
-
-
-def _kronecker_sum(weights: Sequence[np.ndarray]) -> sp.csr_matrix:
-    """``A + I`` of ``_fold`` as canonical CSR."""
-    columns, values = _fold(weights)
-    indptr = np.arange(0, columns.size + 1, columns.shape[1], dtype=columns.dtype)
-    return sp.csr_matrix((values.ravel(), columns.ravel(), indptr), shape=(len(columns),) * 2)
 
 
 def _propagate(a: sp.csr_matrix | sp.csc_matrix, m: np.ndarray, out: np.ndarray) -> np.ndarray:

@@ -59,6 +59,9 @@ def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
     T_a / T_b count pairs tied only in one vector; reduces to the tie-free
     tau (C - D) / (n(n-1)/2) when no values repeat.
     """
+    # not scipy.stats.kendalltau: importing scipy.stats adds 0.5-0.9 s to a
+    # fresh process (2-core VM), one or two whole `calibrate` operations, and
+    # its tau-b differs from this one in the last bit on half of random inputs
     x, y = _paired(a, b)
     n = len(x)
     if np.isnan(x).any() or np.isnan(y).any():

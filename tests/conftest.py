@@ -12,6 +12,7 @@ from typing import Any, Sequence
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import settings
 from hypothesis import strategies as st
 from scipy.sparse import _sparsetools
 
@@ -21,7 +22,6 @@ from gcnas.arch_graph import (
     AssignedSimilarity,
     MeasuredSimilarity,
     NormalizedAdjacency,
-    _kronecker_sum,
     build_graph,
     feature_basis,
 )
@@ -46,6 +46,10 @@ from gcnas.search_space import (
     SuperCell,
     gray_code_table,
 )
+
+# a failing example prints the blob that replays it (``@reproduce_failure``)
+settings.register_profile("gcnas", print_blob=True)
+settings.load_profile("gcnas")
 
 # Published 8-architecture comparison table: ground-truth accuracy vs the
 # same sub-networks sampled from two super-network snapshots.
@@ -316,7 +320,7 @@ def kronecker_sum_reference(weights: Sequence[np.ndarray]) -> sp.csr_matrix:
     """The Kronecker sum of the per-slot matrices folded from the last slot
     with ``sp.kronsum``, which puts each new slot on the more significant
     digit; the 1x1 start is the graph with no slots. The reference for the
-    fixed-degree table in build_graph."""
+    rows of ``A + I`` that the graph's operator generates."""
     adjacency = sp.csr_matrix((1, 1))
     for w in reversed(weights):
         adjacency = sp.kronsum(adjacency, w, format="csr")
@@ -332,13 +336,14 @@ def normalize_reference(adjacency: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def a_hat_reference(graph: ArchGraph, dtype: np.dtype = np.float64) -> sp.csr_matrix:
-    """A_hat as one CSR matrix: ``A + I`` folded from the per-slot weights,
-    its rows then its columns scaled in place by SciPy's own kernels with
+    """A_hat as one CSR matrix: ``A + I`` folded from the per-slot weights
+    by ``sp.kronsum`` (``kronecker_sum_reference``), its rows then its
+    columns scaled in place by SciPy's own kernels with
     ``1 / sqrt(a_tilde.sum(axis=1))`` in float64, then cast to ``dtype``; the
     reference for the rows the graph's operator generates, and for their
     products."""
     n = graph.num_nodes
-    a_tilde = _kronecker_sum(graph.slot_weights)
+    a_tilde = kronecker_sum_reference(graph.slot_weights) + sp.eye(n, format="csr")
     arrays = (a_tilde.indptr, a_tilde.indices, a_tilde.data, inv_sqrt_reference(a_tilde))
     _sparsetools.csr_scale_rows(n, n, *arrays)
     _sparsetools.csr_scale_columns(n, n, *arrays)

@@ -222,27 +222,31 @@ def assert_same_csr(got, want):
 
 class TestKroneckerSumMatchesEdgeList:
     """build_graph and normalize_adjacency give the same bits as the edge-list
-    construction and the broadcast-multiply normalization."""
+    construction and the broadcast-multiply normalization, at any block size:
+    a cap of a few rows puts most slots outside the block, where each
+    neighbour is read at a constant offset from its node."""
 
-    def check(self, graph, weight_of):
+    def check(self, graph, weight_of, cap=arch_graph.BLOCK_ROWS):
         want = hamming_adjacency_reference(graph.subspace, weight_of)
-        assert_same_csr(graph.adjacency, want)
         oracle = normalize_reference(want)
-        assert_same_csr(every_row(normalize_adjacency(graph)), oracle)
-        # a float32 operator is the float64 one cast, bit for bit
-        assert_same_csr(every_row(normalize_adjacency(graph, np.float32)), oracle.astype(np.float32))
+        with mock.patch.object(arch_graph, "BLOCK_ROWS", cap):
+            assert_same_csr(graph.adjacency, want)
+            assert_same_csr(every_row(normalize_adjacency(graph)), oracle)
+            # a float32 operator is the float64 one cast, bit for bit
+            float32 = every_row(normalize_adjacency(graph, np.float32))
+            assert_same_csr(float32, oracle.astype(np.float32))
 
     @settings(max_examples=60, deadline=None)
-    @given(subspaces(), st.floats(1e-3, 10.0))
-    @example(ALL_FIXED, ASSIGNED)
-    def test_assigned(self, sub, weight):
+    @given(subspaces(), st.floats(1e-3, 10.0), st.integers(1, 40))
+    @example(ALL_FIXED, ASSIGNED, 1)
+    def test_assigned(self, sub, weight, cap):
         graph = build_graph(sub, AssignedSimilarity(weight))
-        self.check(graph, lambda j, c_a, c_b: weight)
+        self.check(graph, lambda j, c_a, c_b: weight, cap)
 
     @settings(max_examples=60, deadline=None)
-    @given(subspaces(), st.integers(0, 2**32 - 1))
-    @example(ALL_FIXED, 0)
-    def test_measured_over_all_nodes(self, sub, seed):
+    @given(subspaces(), st.integers(0, 2**32 - 1), st.integers(1, 40))
+    @example(ALL_FIXED, 0, 1)
+    def test_measured_over_all_nodes(self, sub, seed, cap):
         # every node once, in a random order, then a few repeated with new accuracies
         rng = np.random.default_rng(seed)
         ids = rng.permutation(sub.node_count)
@@ -257,7 +261,7 @@ class TestKroneckerSumMatchesEdgeList:
             assert np.array_equal(w, w.T) and not w.diagonal().any()
             assert np.array_equal(w, ref)
         graph = build_graph(sub, mode, samples=(digits, accs))
-        self.check(graph, lambda j, c_a, c_b: table[j][c_a, c_b])
+        self.check(graph, lambda j, c_a, c_b: table[j][c_a, c_b], cap)
 
     def test_search_ci_round_one_shape(self):
         # 10x6 space, plan [5, 5]: five free cells plus a K=6 super-cell, 6^6 nodes
@@ -272,8 +276,8 @@ class TestKroneckerSumMatchesEdgeList:
 
 
 class TestFixedDegreeTable:
-    """build_graph's (nodes, degree) table fold gives the bits of folding the
-    per-slot matrices with ``sp.kronsum``."""
+    """The graph's generated (nodes, degree + 1) rows of ``A + I`` give the
+    bits of folding the per-slot matrices with ``sp.kronsum``."""
 
     @settings(max_examples=80, deadline=None)
     @given(subspaces(), st.booleans(), st.integers(0, 2**32 - 1))

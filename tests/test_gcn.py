@@ -432,6 +432,11 @@ class TestFeatureBasis:
     @settings(max_examples=60, deadline=None)
     @given(subspaces(), st.booleans(), st.integers(1, 3), st.sampled_from(["float32", "float64"]),
            st.integers(0, 2**32 - 1))
+    # now and then the reference's float32 (2, 5) @ (5,) head product raised
+    # "invalid value encountered in matmul" here, on finite inputs and with
+    # the right product; a fresh process does not repeat it
+    @example(Subspace(SearchSpaceSpec(1, 4), (), {}, (SuperCell((0,), ((1,), (0,))),)),
+             False, 1, "float32", 0)
     def test_forward_and_a_step_match_the_full_basis(self, sub, measured, depth, dtype, seed):
         rng = np.random.default_rng(seed)
         graph = random_graph(sub, measured, rng)
