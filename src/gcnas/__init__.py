@@ -3,10 +3,7 @@
 from .arch_graph import (
     ArchGraph,
     AssignedSimilarity,
-    MeasuredSimilarity,
-    SimilarityMode,
     build_graph,
-    measured_similarity,
     node_architecture,
     node_index,
     normalize_adjacency,

@@ -2,11 +2,11 @@
 
 Nodes enumerate every slot-digit row of a subspace in mixed-radix order; an
 undirected edge joins two nodes iff their architectures differ at exactly one
-searchable position (a super-cell counts as one position). Edge weights come
-from either a fixed assigned similarity or a measured, correlation-based
-one, as one similarity matrix per slot, which the graph keeps; the adjacency
-is their Kronecker sum. The GCN consumes the symmetric renormalized adjacency
-as an operator that generates its rows, in blocks, from those matrices and
+searchable position (a super-cell counts as one position). Every edge
+carries one assigned weight, so the adjacency is the Kronecker sum of
+``w (1 - I)`` over the slots, and the graph keeps just that weight and each
+slot's number of choices. The GCN consumes the symmetric renormalized
+adjacency as an operator that generates its rows, in blocks, from those and
 the degrees.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,35 +39,14 @@ class AssignedSimilarity:
             raise ValueError(f"assigned weight must be positive, got {self.weight}")
 
 
-@dataclass(frozen=True)
-class MeasuredSimilarity:
-    """Edge weights estimated from evaluation records: the correlation of
-    accuracies across sampled node pairs that differ only at the edge's
-    position. Sparse statistics fall back to the assigned weight."""
-
-    min_pairs: int = 30
-    floor: float = 0.01
-    fallback_weight: float = ASSIGNED_WEIGHT
-
-    def __post_init__(self) -> None:
-        if not 0 < self.floor <= 1:
-            raise ValueError(f"floor must be in (0, 1], got {self.floor}")
-        if self.min_pairs < 2:
-            raise ValueError(f"min_pairs must be >= 2, got {self.min_pairs}")
-        if not self.fallback_weight > 0:
-            raise ValueError(f"fallback weight must be positive, got {self.fallback_weight}")
-
-
-SimilarityMode = Union[AssignedSimilarity, MeasuredSimilarity]
-
-
 @dataclass
 class ArchGraph:
     """Graph over all nodes of a subspace.
 
-    Fixed at build: ``slot_weights``, the per-slot similarity matrices, which
-    define the edges; ``choice_matrix``, the per-layer choices of each node's
-    fully materialized architecture at ``np.min_scalar_type(O - 1)``, for
+    Fixed at build: ``radices``, each slot's number of choices, and
+    ``weight``, the weight of every edge, which define the edges;
+    ``choice_matrix``, the per-layer choices of each node's fully
+    materialized architecture at ``np.min_scalar_type(O - 1)``, for
     cost and oracle lookups and for the node features. Caches filled after
     the build: ``normalized``, the A_hat operator in one dtype, which holds
     ``D^(-1/2)`` and generates rows on request, re-typed when asked for in
@@ -80,7 +59,8 @@ class ArchGraph:
 
     subspace: Subspace
     num_nodes: int
-    slot_weights: list[np.ndarray]
+    radices: tuple[int, ...]
+    weight: float
     choice_matrix: np.ndarray
     normalized: NormalizedAdjacency | None = None
     propagated: tuple[np.ndarray, np.ndarray] | None = None
@@ -90,8 +70,9 @@ class ArchGraph:
     @property
     def adjacency(self) -> sp.csr_matrix:
         """The raw adjacency, rebuilt on every call: for inspection only. It
-        is the operator's generated rows at ``D = I``, each entry ``w``."""
-        a_tilde = NormalizedAdjacency(self.slot_weights, np.ones(self.num_nodes), np.float64)
+        is the operator's generated rows at ``D = I``, each entry ``weight``."""
+        ones = np.ones(self.num_nodes)
+        a_tilde = NormalizedAdjacency(self.radices, self.weight, ones, np.float64)
         return a_tilde.rows(np.arange(self.num_nodes)) - sp.eye(self.num_nodes, format="csr")
 
     @property
@@ -162,84 +143,37 @@ def node_index(subspace: Subspace, row: Sequence[int]) -> int:
     return int(subspace.index(np.asarray(row)[None])[0])
 
 
-def measured_similarity(
-    digits: np.ndarray,
-    accuracies: np.ndarray,
-    subspace: Subspace,
-    mode: MeasuredSimilarity = MeasuredSimilarity(),
-) -> list[np.ndarray]:
-    """Per-slot similarity matrices from evaluation records: digit rows and
-    their accuracies.
-
-    For every searchable position and unordered choice pair, collects the
-    accuracies of sampled rows identical everywhere else and takes their
-    Pearson correlation, clamped to [floor, 1]. Pairs with fewer than
-    ``min_pairs`` observations (or degenerate variance) fall back to the
-    assigned weight. Returns one symmetric, zero-diagonal matrix per slot.
-    """
-    accuracies = np.asarray(accuracies, dtype=np.float64)
-    if len(accuracies) == 0:
-        raise ValueError("measured similarity needs at least one evaluation record")
-    digits = subspace._checked(digits)
-    if len(digits) != len(accuracies):
-        raise ValueError(f"{len(digits)} digit rows but {len(accuracies)} accuracies")
-
-    weights = []
-    for j, slot in enumerate(subspace.slots):
-        # rows equal off slot j form a group, groups in first-seen order;
-        # a repeated row keeps its last accuracy
-        _, first, inverse = np.unique(
-            np.delete(digits, j, axis=1), axis=0, return_index=True, return_inverse=True
-        )
-        group = np.argsort(np.argsort(first))[inverse.reshape(-1)]
-        table = np.full((len(first), slot.radix), np.nan)
-        table[group, digits[:, j]] = accuracies
-        w = np.zeros((slot.radix, slot.radix))
-        for c_a in range(slot.radix):
-            for c_b in range(c_a + 1, slot.radix):
-                both = ~np.isnan(table[:, c_a]) & ~np.isnan(table[:, c_b])
-                x, y = table[both, c_a], table[both, c_b]
-                weight = mode.fallback_weight
-                if len(x) >= mode.min_pairs and x.std() > 0 and y.std() > 0:
-                    r = float(np.corrcoef(x, y)[0, 1])
-                    weight = min(1.0, max(mode.floor, r))
-                w[c_a, c_b] = w[c_b, c_a] = weight
-        weights.append(w)
-    return weights
-
-
-def _fold(weights: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """``A + I`` for the Kronecker sum of the zero-diagonal per-slot matrices,
-    the first slot most significant, as (nodes, degree + 1) tables of each
-    row's sorted columns and of their float64 values. It folds the inner
-    slots of a block of generated rows (``NormalizedAdjacency``), which
-    for a graph of one block are all of them.
+def _fold(radices: Sequence[int], weight: float) -> tuple[np.ndarray, np.ndarray]:
+    """``A + I`` for the Hamming-1 graph of slots of ``radices`` with edges of
+    ``weight``, the first slot most significant, as (nodes, degree + 1)
+    tables of each row's sorted columns and of their float64 values. It
+    folds the inner slots of a block of generated rows
+    (``NormalizedAdjacency``), which for a graph of one block are all of
+    them.
 
     Every row has its diagonal and one entry per other choice of each slot,
-    so the sum is folded from the 1x1 identity and the last slot, as
+    so the table is folded from the 1x1 identity and the last slot, as
     ``kronsum(P, W) = I (x) P + W (x) I`` does: row ``a*m + i`` holds
     ``b*m + i`` for each ``b < a``, then row ``i`` of the previous table plus
     ``a*m`` (its diagonal 1 included), then ``b*m + i`` for each ``b > a``,
-    with the values ``W[a, b]``.
+    at ``weight``.
     """
-    n = math.prod(len(w) for w in weights)
-    index_dtype = _index_dtype(n, 1 + sum(len(w) - 1 for w in weights))
+    n = math.prod(radices)
+    index_dtype = _index_dtype(n, 1 + sum(radix - 1 for radix in radices))
     columns = np.zeros((1, 1), index_dtype)  # the graph with no slots: one self-looped node
     values = np.ones((1, 1))
-    for w in reversed(weights):
-        radix, m = len(w), len(columns)
+    for radix in reversed(radices):
+        m = len(columns)
         own = np.arange(m, dtype=index_dtype)[:, None]
         step = np.arange(radix, dtype=index_dtype) * m
         next_columns = np.empty((radix, m, columns.shape[1] + radix - 1), index_dtype)
-        next_values = np.empty(next_columns.shape)
+        next_values = np.full(next_columns.shape, weight)
         for a in range(radix):
             hi = a + columns.shape[1]
             np.add(own, step[:a], out=next_columns[a, :, :a])
             np.add(columns, step[a], out=next_columns[a, :, a:hi])
             np.add(own, step[a + 1 :], out=next_columns[a, :, hi:])
-            next_values[a, :, :a] = w[a, :a]
             next_values[a, :, a:hi] = values
-            next_values[a, :, hi:] = w[a, a + 1 :]
         columns = next_columns.reshape(radix * m, -1)
         values = next_values.reshape(radix * m, -1)
     return columns, values
@@ -285,36 +219,38 @@ def _propagate(a: sp.csr_matrix | sp.csc_matrix, m: np.ndarray, out: np.ndarray)
 BLOCK_ROWS = 2**13
 
 
-def _inner_slots(weights: Sequence[np.ndarray]) -> int:
+def _inner_slots(radices: Sequence[int]) -> int:
     """How many trailing slots a block spans: the most whose radices multiply
     to at most ``BLOCK_ROWS``, and at least one if there is a slot."""
     rows, count = 1, 0
-    for w in reversed(weights):
-        if count and rows * len(w) > BLOCK_ROWS:
+    for radix in reversed(radices):
+        if count and rows * radix > BLOCK_ROWS:
             break
-        rows, count = rows * len(w), count + 1
+        rows, count = rows * radix, count + 1
     return count
 
 
 @dataclass(frozen=True, eq=False)
 class NormalizedAdjacency:
     """``A_hat = D^(-1/2) (A + I) D^(-1/2)`` of a graph in ``dtype``, held as
-    the per-slot weights that define ``A + I`` and ``inv_sqrt``, the float64
-    ``D^(-1/2)``: its rows are generated on request and never stored.
+    the slot radices and the edge weight that define ``A + I`` and
+    ``inv_sqrt``, the float64 ``D^(-1/2)``: its rows are generated on request
+    and never stored.
 
     A row of ``A + I`` is a function of the node's slot digits (``_fold``):
-    in column order, each slot's weights to its lower choices from the first
-    slot on, the diagonal 1, then each slot's weights to its higher choices
-    from the last slot back. Rows are generated in blocks of the nodes that
-    share the digits of the outer slots, those before ``_inner_slots``. The
-    inner slots are folded once per request and every block reads its rows
-    from that fold, while each outer neighbour sits at a constant offset from
-    its node throughout the block. An entry is ``(w * s_i) * s_j`` in
-    float64, cast to ``dtype``: the bits of scaling the whole matrix's rows,
-    then its columns, then casting it.
+    in column order, each slot's lower choices from the first slot on, the
+    diagonal, then each slot's higher choices from the last slot back; every
+    entry is ``weight`` but the diagonal's 1. Rows are generated in blocks of
+    the nodes that share the digits of the outer slots, those before
+    ``_inner_slots``. The inner slots are folded once per request and every
+    block reads its rows from that fold, while each outer neighbour sits at a
+    constant offset from its node throughout the block. An entry is
+    ``(w * s_i) * s_j`` in float64, cast to ``dtype``: the bits of scaling
+    the whole matrix's rows, then its columns, then casting it.
     """
 
-    slot_weights: Sequence[np.ndarray]
+    radices: tuple[int, ...]
+    weight: float
     inv_sqrt: np.ndarray
     dtype: np.dtype
 
@@ -325,7 +261,7 @@ class NormalizedAdjacency:
     @property
     def width(self) -> int:
         """Entries per row: the degree and the self-loop."""
-        return 1 + sum(len(w) - 1 for w in self.slot_weights)
+        return 1 + sum(radix - 1 for radix in self.radices)
 
     @property
     def nnz(self) -> int:
@@ -336,11 +272,12 @@ class NormalizedAdjacency:
         return _index_dtype(self.shape[0], self.width)
 
     def astype(self, dtype: np.dtype) -> NormalizedAdjacency:
-        """The operator in ``dtype``, sharing the weights and ``D^(-1/2)``."""
+        """The operator in ``dtype``, sharing ``D^(-1/2)``."""
         return replace(self, dtype=np.dtype(dtype))
 
     def _inner_fold(self) -> tuple[np.ndarray, np.ndarray]:
-        return _fold(self.slot_weights[len(self.slot_weights) - _inner_slots(self.slot_weights) :])
+        inner = self.radices[len(self.radices) - _inner_slots(self.radices) :]
+        return _fold(inner, self.weight)
 
     def _blocks(self, ids: np.ndarray | None, rows: int):
         """``(positions, block, local)`` for each block of ``rows`` nodes that
@@ -366,27 +303,25 @@ class NormalizedAdjacency:
         into ``values``, times each row's ``D^(-1/2)`` if ``scaled``."""
         fold_columns, fold_values = fold
         rows = len(fold_columns)
-        lower, upper = [], []  # (column offset, value) of each outer neighbour
+        lower, upper = [], []  # the column offset of each outer neighbour
         place, rest = rows, block
-        inner = _inner_slots(self.slot_weights)
-        for w in reversed(self.slot_weights[: len(self.slot_weights) - inner]):
-            digit, rest = rest % len(w), rest // len(w)
-            pairs = [((b - digit) * place, w[digit, b]) for b in range(len(w)) if b != digit]
-            lower[:0], place = pairs[:digit], place * len(w)
-            upper += pairs[digit:]
+        for radix in reversed(self.radices[: len(self.radices) - _inner_slots(self.radices)]):
+            digit, rest = rest % radix, rest // radix
+            offsets = [(b - digit) * place for b in range(radix) if b != digit]
+            lower[:0], place = offsets[:digit], place * radix
+            upper += offsets[digit:]
         start = block * rows
         ids = np.arange(start, start + rows, dtype=self._index_dtype)[local]
         lo, hi = len(lower), len(lower) + fold_columns.shape[1]
         if columns is not None:
-            offsets = np.array([offset for offset, _ in lower + upper], ids.dtype)
+            offsets = np.array(lower + upper, ids.dtype)
             np.add(ids[:, None], offsets[:lo], out=columns[:, :lo])
             np.add(fold_columns[local], start, out=columns[:, lo:hi])
             np.add(ids[:, None], offsets[lo:], out=columns[:, hi:])
-        weights = np.array([value for _, value in lower + upper])
-        parts = (slice(None, lo), slice(lo, hi), slice(hi, None))
         row_scale = self.inv_sqrt[ids][:, None] if scaled else 1.0
-        for part, raw in zip(parts, (weights[:lo], fold_values[local], weights[lo:])):
-            np.multiply(raw, row_scale, out=values[:, part])
+        np.multiply(self.weight, row_scale, out=values[:, :lo])
+        np.multiply(fold_values[local], row_scale, out=values[:, lo:hi])
+        np.multiply(self.weight, row_scale, out=values[:, hi:])
 
     def _write(
         self, fold, block: int, local, columns: np.ndarray, data: np.ndarray, scratch: np.ndarray
@@ -442,28 +377,18 @@ class NormalizedAdjacency:
 
 
 def build_graph(
-    subspace: Subspace,
-    mode: SimilarityMode = AssignedSimilarity(),
-    samples: tuple[np.ndarray, np.ndarray] | None = None,
+    subspace: Subspace, similarity: AssignedSimilarity = AssignedSimilarity()
 ) -> ArchGraph:
     """Construct the Hamming-1 graph of a subspace.
 
     Edges link every pair of nodes differing in exactly one searchable
-    position; weights follow ``mode``, measured ones from ``samples``, the
-    (digit rows, accuracies) of evaluated nodes. The graph is the Cartesian
-    product of one weighted complete graph per slot, so it keeps just the
-    per-slot similarity matrices, which define every edge, and the choices
+    position, each with the weight of ``similarity``. The graph is the
+    Cartesian product of one complete graph per slot, so it keeps just the
+    slot radices and the weight, which define every edge, and the choices
     of each node's materialized architecture, which define its features.
     """
     n = subspace.node_count
     check_graph_size(n)
-    if isinstance(mode, MeasuredSimilarity):
-        if samples is None:
-            raise ValueError("measured similarity requires evaluation records")
-        weights = measured_similarity(*samples, subspace, mode)
-    else:
-        weights = [mode.weight * (1 - np.eye(slot.radix)) for slot in subspace.slots]
-
     spec = subspace.spec
     choice_matrix = np.empty((n, spec.num_layers), np.min_scalar_type(spec.choices_per_layer - 1))
     for position, choice in subspace.fixed.items():
@@ -473,7 +398,8 @@ def build_graph(
     for slot, place in zip(subspace.slots, subspace._place_weights):
         split = choice_matrix.reshape(-1, slot.radix, int(place), spec.num_layers)
         split[..., list(slot.positions)] = np.array(slot.candidates, choice_matrix.dtype)[:, None]
-    return ArchGraph(subspace, n, weights, choice_matrix)
+    radices = tuple(slot.radix for slot in subspace.slots)
+    return ArchGraph(subspace, n, radices, similarity.weight, choice_matrix)
 
 
 def normalize_adjacency(graph: ArchGraph, dtype: np.dtype = np.float64) -> NormalizedAdjacency:
@@ -488,7 +414,9 @@ def normalize_adjacency(graph: ArchGraph, dtype: np.dtype = np.float64) -> Norma
     """
     dtype = np.dtype(dtype)
     if graph.normalized is None:
-        operator = NormalizedAdjacency(graph.slot_weights, np.empty(graph.num_nodes), dtype)
+        operator = NormalizedAdjacency(
+            graph.radices, graph.weight, np.empty(graph.num_nodes), dtype
+        )
         fold = operator._inner_fold()
         values = np.empty((len(fold[0]), operator.width))
         starts = np.arange(0, values.size, operator.width)

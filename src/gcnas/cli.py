@@ -2,7 +2,7 @@
 
 All experiments are driven by one JSON config; every omitted key falls back
 to the default of the class that takes the value (``SearchConfig``,
-``GcnConfig``, the similarity modes, ``SyntheticSupernet``,
+``GcnConfig``, ``AssignedSimilarity``, ``SyntheticSupernet``,
 ``GroundTruthParams.random``, ``default_space()``); the segment plan's
 default is set in ``_parse_plan``.
 Reports are JSON with floats at 6 decimal places; the search result record
@@ -23,7 +23,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from .arch_graph import AssignedSimilarity, MeasuredSimilarity, SimilarityMode
+from .arch_graph import AssignedSimilarity
 from .evaluator import (
     CostModel,
     GroundTruthParams,
@@ -153,9 +153,6 @@ def _build(cls: Callable[..., Any], path: str, *args: Any, **kwargs: Any) -> Any
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-_SIMILARITY_MODES = {"assigned": AssignedSimilarity, "measured": MeasuredSimilarity}
-
-
 def _parse_space(raw: Any, path: str) -> tuple[SearchSpaceSpec, dict[str, Any]]:
     default = dataclasses.asdict(default_space())
     values = _read(raw, path, default | {"choice_labels": _OrNull((str,))})
@@ -170,13 +167,12 @@ def _parse_plan(sizes: list[int] | None, spec: SearchSpaceSpec, path: str) -> Se
     return _build(make_segment_plan, path, spec, sizes)
 
 
-def _parse_similarity(raw: Any, path: str) -> tuple[SimilarityMode, dict[str, Any]]:
+def _parse_similarity(raw: Any, path: str) -> tuple[AssignedSimilarity, dict[str, Any]]:
     mode = _require_mapping(raw, path).get("mode", "assigned")
-    cls = _SIMILARITY_MODES.get(mode) if isinstance(mode, str) else None
-    if cls is None:
-        raise ConfigError(f'{path}.mode: expected "assigned" or "measured", got {mode!r}')
-    values = _read(raw, path, {"mode": mode} | _defaults(cls))
-    return _build(cls, path, **{k: v for k, v in values.items() if k != "mode"}), values
+    if mode != "assigned":
+        raise ConfigError(f'{path}.mode: expected "assigned", got {mode!r}')
+    values = _read(raw, path, {"mode": mode} | _defaults(AssignedSimilarity))
+    return _build(AssignedSimilarity, path, weight=values["weight"]), values
 
 
 def _parse_search(raw: Any, seed: int, path: str) -> tuple[SearchConfig, dict[str, Any]]:

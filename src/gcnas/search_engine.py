@@ -19,7 +19,6 @@ import numpy as np
 from .arch_graph import (
     ArchGraph,
     AssignedSimilarity,
-    SimilarityMode,
     build_graph,
     check_graph_size,
     node_architecture,
@@ -51,7 +50,7 @@ class SearchConfig:
     train_split: int = 1800
     top_pool: int = 100
     k_preserve: int = 6
-    similarity: SimilarityMode = AssignedSimilarity()
+    similarity: AssignedSimilarity = AssignedSimilarity()
     gcn: GcnConfig = GcnConfig()
     seed: int = 0
     constraint_budget: float | None = None
@@ -282,7 +281,7 @@ def run_round(
     accuracies = _evaluate(evaluator, archs)
     _check_validation_scores(accuracies, config.train_split, evaluator)
 
-    graph = build_graph(subspace, config.similarity, samples=(digits, accuracies))
+    graph = build_graph(subspace, config.similarity)
     normalize_adjacency(graph, np.dtype(config.gcn.dtype))
 
     split = config.train_split

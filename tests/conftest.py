@@ -20,7 +20,6 @@ from gcnas import arch_graph, cli
 from gcnas.arch_graph import (
     ArchGraph,
     AssignedSimilarity,
-    MeasuredSimilarity,
     NormalizedAdjacency,
     build_graph,
     feature_basis,
@@ -223,32 +222,6 @@ def materialize_reference(subspace: Subspace, digits) -> tuple[int, ...]:
     return tuple(choices)  # type: ignore[arg-type]
 
 
-def measured_similarity_reference(digits, accuracies, subspace: Subspace, mode) -> list[np.ndarray]:
-    """Per-slot similarity matrices with records grouped in dicts keyed by
-    the other slots' digits, in first-seen order, a repeated row keeping its
-    last accuracy; the reference for ``measured_similarity``."""
-    rows = [tuple(int(d) for d in row) for row in digits]
-    accs = [float(acc) for acc in accuracies]
-    weights = []
-    for j, (_, radix, _) in enumerate(_slots_reference(subspace)):
-        groups: dict[tuple[int, ...], dict[int, float]] = {}
-        for row, acc in zip(rows, accs):
-            groups.setdefault(row[:j] + row[j + 1 :], {})[row[j]] = acc
-        w = np.zeros((radix, radix))
-        for c_a in range(radix):
-            for c_b in range(c_a + 1, radix):
-                pairs = [(g[c_a], g[c_b]) for g in groups.values() if c_a in g and c_b in g]
-                weight = mode.fallback_weight
-                if len(pairs) >= mode.min_pairs:
-                    x = np.asarray([p[0] for p in pairs])
-                    y = np.asarray([p[1] for p in pairs])
-                    if x.std() > 0 and y.std() > 0:
-                        weight = min(1.0, max(mode.floor, float(np.corrcoef(x, y)[0, 1])))
-                w[c_a, c_b] = w[c_b, c_a] = weight
-        weights.append(w)
-    return weights
-
-
 def extract_digits(subspace: Subspace, arch: Architecture) -> tuple[int, ...]:
     """Inverse of ``materialize`` for architectures consistent with the
     subspace; raises if the architecture contradicts fixed cells or picks
@@ -316,6 +289,11 @@ def hamming_adjacency_reference(subspace: Subspace, weight_of) -> sp.csr_matrix:
     )
 
 
+def slot_matrices(graph: ArchGraph) -> list[np.ndarray]:
+    """Each slot's zero-diagonal similarity matrix, ``w (1 - I)``."""
+    return [graph.weight * (1 - np.eye(radix)) for radix in graph.radices]
+
+
 def kronecker_sum_reference(weights: Sequence[np.ndarray]) -> sp.csr_matrix:
     """The Kronecker sum of the per-slot matrices folded from the last slot
     with ``sp.kronsum``, which puts each new slot on the more significant
@@ -336,14 +314,14 @@ def normalize_reference(adjacency: sp.csr_matrix) -> sp.csr_matrix:
 
 
 def a_hat_reference(graph: ArchGraph, dtype: np.dtype = np.float64) -> sp.csr_matrix:
-    """A_hat as one CSR matrix: ``A + I`` folded from the per-slot weights
+    """A_hat as one CSR matrix: ``A + I`` folded from the per-slot matrices
     by ``sp.kronsum`` (``kronecker_sum_reference``), its rows then its
     columns scaled in place by SciPy's own kernels with
     ``1 / sqrt(a_tilde.sum(axis=1))`` in float64, then cast to ``dtype``; the
     reference for the rows the graph's operator generates, and for their
     products."""
     n = graph.num_nodes
-    a_tilde = kronecker_sum_reference(graph.slot_weights) + sp.eye(n, format="csr")
+    a_tilde = kronecker_sum_reference(slot_matrices(graph)) + sp.eye(n, format="csr")
     arrays = (a_tilde.indptr, a_tilde.indices, a_tilde.data, inv_sqrt_reference(a_tilde))
     _sparsetools.csr_scale_rows(n, n, *arrays)
     _sparsetools.csr_scale_columns(n, n, *arrays)
@@ -371,13 +349,8 @@ def model_inputs_reference(
     return a_hat, a_hat @ basis, coefficients
 
 
-def random_graph(sub: Subspace, measured: bool, rng: np.random.Generator) -> ArchGraph:
-    """The graph of ``sub`` with random assigned weights, or weights measured
-    from random scores of up to 200 sampled nodes."""
-    if measured:
-        sampled = rng.choice(sub.node_count, min(sub.node_count, 200))
-        mode = MeasuredSimilarity(min_pairs=2)
-        return build_graph(sub, mode, samples=(sub.digits(sampled), rng.random(len(sampled))))
+def random_graph(sub: Subspace, rng: np.random.Generator) -> ArchGraph:
+    """The graph of ``sub`` with a random edge weight."""
     return build_graph(sub, AssignedSimilarity(rng.uniform(0.1, 1.0)))
 
 
@@ -398,11 +371,10 @@ def block_table_bytes(graph: ArchGraph, dtype) -> int:
     the inner slots' fold twice over (its last step and the one before),
     with a column index and a float64 value per entry, and the block's
     columns, entries, float64 values and gathered D^(-1/2)."""
-    radices = [len(w) for w in graph.slot_weights]
-    inner = block_radices_reference(radices, arch_graph.BLOCK_ROWS)
+    inner = block_radices_reference(graph.radices, arch_graph.BLOCK_ROWS)
     rows, index = math.prod(inner), np.dtype(np.int32).itemsize
     fold = rows * (1 + sum(r - 1 for r in inner))
-    width = 1 + sum(r - 1 for r in radices)
+    width = 1 + sum(r - 1 for r in graph.radices)
     return 2 * fold * (index + 8) + rows * width * (index + np.dtype(dtype).itemsize + 16)
 
 
@@ -529,13 +501,12 @@ def _fields(obj: Any, skip: Sequence[str] = ()) -> dict[str, Any]:
 
 def config_digest_reference(raw: dict) -> str:
     """``config_sha256`` of a raw config, its record rebuilt from the fields of
-    the parsed objects, the similarity mode found from its class; the
-    reference for the record ``parse_config`` builds from the values its
-    section readers returned. The simulator and cost-model sections come
-    from their readers, whose values the objects do not keep."""
+    the parsed objects, with the one similarity mode; the reference for the
+    record ``parse_config`` builds from the values its section readers
+    returned. The simulator and cost-model sections come from their readers,
+    whose values the objects do not keep."""
     config = cli.parse_config(raw)
     search = config.search
-    mode = next(m for m, cls in cli._SIMILARITY_MODES.items() if isinstance(search.similarity, cls))
     _, simulator = cli._parse_simulator(
         raw.get("simulator", {}), config.space, config.seed, "$.simulator"
     )
@@ -546,7 +517,8 @@ def config_digest_reference(raw: dict) -> str:
         "plan": [len(seg) for seg in config.plan.segments],
         "initial_architecture": config.initial_architecture.to_text(),
         "search": _fields(search, ("similarity", "gcn", "seed"))
-        | {"similarity": {"mode": mode} | _fields(search.similarity), "gcn": _fields(search.gcn)},
+        | {"similarity": {"mode": "assigned"} | _fields(search.similarity),
+           "gcn": _fields(search.gcn)},
         "simulator": simulator,
         "cost_model": cost_model,
     }

@@ -1,5 +1,4 @@
 import math
-import re
 import tracemalloc
 from dataclasses import fields
 from unittest import mock
@@ -15,9 +14,7 @@ from gcnas.arch_graph import (
     MAX_GRAPH_NODES,
     ArchGraph,
     AssignedSimilarity,
-    MeasuredSimilarity,
     build_graph,
-    measured_similarity,
     node_architecture,
     node_index,
     normalize_adjacency,
@@ -32,7 +29,6 @@ from gcnas.search_space import (
     full_subspace,
     gray_code_table,
     materialize,
-    sample_uniform,
 )
 from conftest import (
     ALL_FIXED,
@@ -45,10 +41,10 @@ from conftest import (
     hamming_adjacency_reference,
     inv_sqrt_reference,
     kronecker_sum_reference,
-    measured_similarity_reference,
     normalize_reference,
     power_iteration_largest_eigenvalue,
     random_graph,
+    slot_matrices,
     subspaces,
 )
 
@@ -209,10 +205,6 @@ class TestBuildGraph:
         assert table == 6**6 * 8
         assert peak <= 1.1 * table
 
-    def test_measured_mode_requires_samples(self):
-        with pytest.raises(ValueError, match="records"):
-            build_graph(two_free_cells(), MeasuredSimilarity())
-
 
 def assert_same_csr(got, want):
     assert got.has_canonical_format
@@ -243,26 +235,6 @@ class TestKroneckerSumMatchesEdgeList:
         graph = build_graph(sub, AssignedSimilarity(weight))
         self.check(graph, lambda j, c_a, c_b: weight, cap)
 
-    @settings(max_examples=60, deadline=None)
-    @given(subspaces(), st.integers(0, 2**32 - 1), st.integers(1, 40))
-    @example(ALL_FIXED, 0, 1)
-    def test_measured_over_all_nodes(self, sub, seed, cap):
-        # every node once, in a random order, then a few repeated with new accuracies
-        rng = np.random.default_rng(seed)
-        ids = rng.permutation(sub.node_count)
-        ids = np.concatenate([ids, rng.choice(ids, 3)])
-        digits, accs = sub.digits(ids), rng.random(len(ids))
-        mode = MeasuredSimilarity(min_pairs=2)
-        table = measured_similarity(digits, accs, sub, mode)
-        want = measured_similarity_reference(digits, accs, sub, mode)
-        assert len(table) == len(want) == len(sub.slots)
-        for w, ref, slot in zip(table, want, sub.slots):
-            assert w.shape == (slot.radix, slot.radix)
-            assert np.array_equal(w, w.T) and not w.diagonal().any()
-            assert np.array_equal(w, ref)
-        graph = build_graph(sub, mode, samples=(digits, accs))
-        self.check(graph, lambda j, c_a, c_b: table[j][c_a, c_b], cap)
-
     def test_search_ci_round_one_shape(self):
         # 10x6 space, plan [5, 5]: five free cells plus a K=6 super-cell, 6^6 nodes
         rng = np.random.default_rng(5)
@@ -277,27 +249,19 @@ class TestKroneckerSumMatchesEdgeList:
 
 class TestFixedDegreeTable:
     """The graph's generated (nodes, degree + 1) rows of ``A + I`` give the
-    bits of folding the per-slot matrices with ``sp.kronsum``."""
+    bits of folding the per-slot matrices ``w (1 - I)`` with ``sp.kronsum``."""
 
     @settings(max_examples=80, deadline=None)
-    @given(subspaces(), st.booleans(), st.integers(0, 2**32 - 1))
-    @example(ALL_FIXED, False, 0)
-    @example(ALL_FIXED, True, 0)
-    @example(ONE_CANDIDATE, False, 0)
-    @example(ONE_CANDIDATE, True, 1)
-    @example(Subspace(SearchSpaceSpec(2, 3), (), {}, (SuperCell((0, 1), ((1, 2),)),)), False, 0)
-    def test_same_bits_as_kronsum(self, sub, measured, seed):
+    @given(subspaces(), st.integers(0, 2**32 - 1))
+    @example(ALL_FIXED, 0)
+    @example(ONE_CANDIDATE, 0)
+    @example(ONE_CANDIDATE, 1)
+    @example(Subspace(SearchSpaceSpec(2, 3), (), {}, (SuperCell((0, 1), ((1, 2),)),)), 0)
+    def test_same_bits_as_kronsum(self, sub, seed):
         rng = np.random.default_rng(seed)
-        if measured:
-            ids = rng.choice(sub.node_count, min(sub.node_count, 300))
-            samples = sub.digits(ids), rng.random(len(ids))
-            mode = MeasuredSimilarity(min_pairs=2)
-            weights = measured_similarity(*samples, sub, mode)
-            graph = build_graph(sub, mode, samples=samples)
-        else:
-            weight = rng.uniform(1e-3, 10.0)
-            weights = [weight * (1 - np.eye(slot.radix)) for slot in sub.slots]
-            graph = build_graph(sub, AssignedSimilarity(weight))
+        weight = rng.uniform(1e-3, 10.0)
+        weights = [weight * (1 - np.eye(slot.radix)) for slot in sub.slots]
+        graph = build_graph(sub, AssignedSimilarity(weight))
         want = kronecker_sum_reference(weights)
         assert graph.adjacency.shape == want.shape == (sub.node_count,) * 2
         degree = sum(slot.radix - 1 for slot in sub.slots)
@@ -314,83 +278,19 @@ class TestFixedDegreeTable:
                 assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
 
 
-class TestMeasuredSimilarity:
-    def make_samples(self, sub, accuracy_of):
-        digits = sample_uniform(sub, sub.node_count, seed=0)
-        return digits, np.array([accuracy_of(row) for row in digits])
-
-    def test_perfectly_correlated_pair(self):
-        sub = Subspace(SearchSpaceSpec(2, 6), (0, 1), {})
-        # accuracy depends only on the *other* cell: swapping cell 0's choice
-        # between any two values gives perfectly correlated accuracies
-        samples = self.make_samples(sub, lambda a: 0.5 + 0.01 * a[1])
-        table = measured_similarity(*samples, sub, MeasuredSimilarity(min_pairs=4))
-        assert table[0][0, 1] == pytest.approx(1.0)
-
-    def test_anticorrelated_pair_clamps_to_floor(self):
-        sub = Subspace(SearchSpaceSpec(2, 6), (0, 1), {})
-
-        def accuracy(a):
-            sign = 1.0 if a[0] == 0 else -1.0
-            return 0.5 + sign * 0.01 * a[1]
-
-        samples = self.make_samples(sub, accuracy)
-        table = measured_similarity(*samples, sub, MeasuredSimilarity(min_pairs=4, floor=0.01))
-        assert table[0][0, 1] == pytest.approx(0.01)
-
-    def test_sparse_statistics_fall_back(self):
-        sub = Subspace(SearchSpaceSpec(2, 6), (0, 1), {})
-        samples = self.make_samples(sub, lambda a: 0.5 + 0.01 * a[1])
-        table = measured_similarity(*samples, sub, MeasuredSimilarity(min_pairs=30))
-        assert table[0][0, 1] == pytest.approx(ASSIGNED)
-
-    def test_repeated_row_keeps_its_last_accuracy(self):
-        sub = Subspace(SearchSpaceSpec(2, 6), (0, 1), {})
-        digits, accs = self.make_samples(sub, lambda a: 0.5 + 0.01 * a[1])
-        mode = MeasuredSimilarity(min_pairs=4)
-        repeated = measured_similarity(np.vstack([digits, digits[:1]]), np.append(accs, 0.9), sub, mode)
-        overwritten = measured_similarity(digits, np.append(0.9, accs[1:]), sub, mode)
-        original = measured_similarity(digits, accs, sub, mode)
-        assert all(np.array_equal(a, b) for a, b in zip(repeated, overwritten))
-        assert not all(np.array_equal(a, b) for a, b in zip(repeated, original))
-
-    def test_rows_and_accuracies_must_pair_up(self):
-        sub = two_free_cells()
-        with pytest.raises(ValueError, match="3 digit rows but 2 accuracies"):
-            measured_similarity(sub.digits([0, 1, 2]), np.array([0.5, 0.6]), sub)
-
-    def test_empty_samples_error(self):
-        with pytest.raises(ValueError):
-            measured_similarity(np.empty((0, 2), dtype=np.int64), np.empty(0), two_free_cells())
-
-    @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan")])
-    def test_non_positive_fallback_weight_rejected(self, weight):
-        with pytest.raises(ValueError, match="fallback weight must be positive"):
-            MeasuredSimilarity(fallback_weight=weight)
-
-    def test_weights_applied_to_edges(self):
-        sub = Subspace(SearchSpaceSpec(2, 6), (0, 1), {})
-        samples = self.make_samples(sub, lambda a: 0.5 + 0.01 * a[1])
-        mode = MeasuredSimilarity(min_pairs=4)
-        graph = build_graph(sub, mode, samples=samples)
-        u = node_index(sub, [0, 2])
-        v = node_index(sub, [1, 2])
-        assert graph.adjacency[u, v] == pytest.approx(1.0)
-
-
 class TestNormalizeAdjacency:
     def test_isolated_node(self):
         graph = ArchGraph(
             subspace=two_free_cells(),
             num_nodes=1,
-            slot_weights=[],
+            radices=(),
+            weight=ASSIGNED,
             choice_matrix=np.zeros((1, 3), dtype=np.uint8),
         )
         assert every_row(normalize_adjacency(graph)).toarray() == pytest.approx(np.array([[1.0]]))
 
     def test_two_nodes_single_unit_edge(self):
-        graph = ArchGraph(two_free_cells(), 2, [np.array([[0.0, 1.0], [1.0, 0.0]])],
-                          np.zeros((2, 3), np.uint8))
+        graph = ArchGraph(two_free_cells(), 2, (2,), 1.0, np.zeros((2, 3), np.uint8))
         expected = np.array([[0.5, 0.5], [0.5, 0.5]])
         assert every_row(normalize_adjacency(graph)).toarray() == pytest.approx(expected)
 
@@ -421,11 +321,10 @@ class TestNormalizeAdjacency:
 
 
 class TestSlotWeights:
-    """The graph keeps its per-slot weights; ``adjacency`` is rebuilt from
-    them only on request."""
+    """The graph keeps its slot radices and edge weight; ``adjacency`` is
+    rebuilt from them only on request."""
 
-    @pytest.mark.parametrize("mode", [AssignedSimilarity(), MeasuredSimilarity(min_pairs=3)])
-    def test_a_round_never_reads_the_adjacency(self, monkeypatch, mode):
+    def test_a_round_never_reads_the_adjacency(self, monkeypatch):
         def refuse(graph):
             raise AssertionError("ArchGraph.adjacency read")
 
@@ -434,7 +333,7 @@ class TestSlotWeights:
         evaluator = SyntheticSupernet(GroundTruthParams.random(spec, 1), sigma=0.005,
                                       checkpoint_seed=2)
         config = SearchConfig(m_samples=40, train_split=32, top_pool=8, k_preserve=3,
-                              similarity=mode, gcn=GcnConfig(hidden_dims=(6, 6), epochs=5), seed=3)
+                              gcn=GcnConfig(hidden_dims=(6, 6), epochs=5), seed=3)
         result = run_round(full_subspace(spec), evaluator, config)
         assert forward(result.graph, result.model).tobytes() == result.predictions.tobytes()
         with pytest.raises(AssertionError, match="adjacency read"):
@@ -487,15 +386,15 @@ class TestGeneratedRows:
     CSR matrix that the whole fold scales, bit for bit, at any block size."""
 
     @settings(max_examples=120, deadline=None)
-    @given(subspaces(), st.booleans(), st.sampled_from(["float32", "float64"]),
+    @given(subspaces(), st.sampled_from(["float32", "float64"]),
            st.integers(1, 40), st.sampled_from(ID_SETS), st.integers(0, 2**32 - 1))
-    @example(ALL_FIXED, False, "float64", 1, "every", 0)
-    @example(ONE_CANDIDATE, True, "float32", 2, "straddle", 0)
-    def test_rows_are_the_reference_rows(self, sub, measured, dtype, cap, kind, seed):
+    @example(ALL_FIXED, "float64", 1, "every", 0)
+    @example(ONE_CANDIDATE, "float32", 2, "straddle", 0)
+    def test_rows_are_the_reference_rows(self, sub, dtype, cap, kind, seed):
         rng = np.random.default_rng(seed)
-        graph = random_graph(sub, measured, rng)
+        graph = random_graph(sub, rng)
         want = a_hat_reference(graph, np.dtype(dtype))
-        rows = math.prod(block_radices_reference([len(w) for w in graph.slot_weights], cap))
+        rows = math.prod(block_radices_reference(graph.radices, cap))
         ids = id_set(kind, sub.node_count, rows, rng)
         with mock.patch.object(arch_graph, "BLOCK_ROWS", cap):
             got = normalize_adjacency(graph, dtype).rows(ids)
@@ -506,27 +405,14 @@ class TestGeneratedRows:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     @settings(max_examples=80, deadline=None)
-    @given(subspaces(), st.booleans(), st.integers(1, 40), st.integers(0, 2**32 - 1))
-    @example(ALL_FIXED, False, 1, 0)
-    @example(ONE_CANDIDATE, True, 1, 1)
-    def test_degrees_are_scipys_row_sums(self, sub, measured, cap, seed):
-        graph = random_graph(sub, measured, np.random.default_rng(seed))
+    @given(subspaces(), st.integers(1, 40), st.integers(0, 2**32 - 1))
+    @example(ALL_FIXED, 1, 0)
+    @example(ONE_CANDIDATE, 1, 1)
+    def test_degrees_are_scipys_row_sums(self, sub, cap, seed):
+        graph = random_graph(sub, np.random.default_rng(seed))
         with mock.patch.object(arch_graph, "BLOCK_ROWS", cap):
             inv_sqrt = normalize_adjacency(graph).inv_sqrt
-        want = inv_sqrt_reference(kronecker_sum_reference(graph.slot_weights)
+        want = inv_sqrt_reference(kronecker_sum_reference(slot_matrices(graph))
                                   + sp.eye(sub.node_count, format="csr"))
         assert inv_sqrt.dtype == np.float64 and inv_sqrt.tobytes() == want.tobytes()
 
-
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [
-        ({"floor": 0.0}, "floor must be in (0, 1], got 0.0"),
-        ({"floor": 1.5}, "floor must be in (0, 1], got 1.5"),
-        ({"min_pairs": 1}, "min_pairs must be >= 2, got 1"),
-    ],
-)
-def test_measured_similarity_refusals(kwargs, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as info:
-        MeasuredSimilarity(**kwargs)
-    assert type(info.value) is ValueError

@@ -56,10 +56,6 @@ def tiny_config(tmp_path):
 PINNED_DIGESTS = [
     ({}, "2e0de7c615c8b84658f4fa624fbefb4a57b4d1e517a5814e00bae0156e185799"),
     (
-        {"search": {"similarity": {"mode": "measured"}}},
-        "0279146d6845b3e06b8b9497c1bc17bd77ed33d8355154e3995d879e273c8d30",
-    ),
-    (
         {
             "seed": 3,
             "search_space": {"num_layers": 10, "choices_per_layer": 6},
@@ -108,8 +104,7 @@ LEAF_KEYS = [
     "search_space.num_layers", "search_space.choices_per_layer", "search_space.choice_labels",
     "search.m_samples", "search.train_split", "search.top_pool", "search.k_preserve",
     "search.advance_checkpoints", "search.constraint_budget",
-    "search.similarity.mode", "search.similarity.weight", "search.similarity.min_pairs",
-    "search.similarity.floor", "search.similarity.fallback_weight",
+    "search.similarity.mode", "search.similarity.weight",
     "search.gcn.hidden_dims", "search.gcn.epochs", "search.gcn.lr", "search.gcn.lr_decay",
     "search.gcn.weight_decay", "search.gcn.dtype",
     "simulator.a", "simulator.b", "simulator.sigma", "simulator.base",
@@ -118,28 +113,23 @@ LEAF_KEYS = [
     "cost_model.fixed_cost", "cost_model.cell_cost",
 ]
 FLOAT_KEYS = [
-    "search.constraint_budget", "search.similarity.weight", "search.similarity.floor",
-    "search.similarity.fallback_weight", "search.gcn.lr", "search.gcn.lr_decay",
-    "search.gcn.weight_decay", "simulator.a", "simulator.b", "simulator.sigma",
-    "simulator.base", "simulator.utility_amplitude", "simulator.pair_strength",
+    "search.constraint_budget", "search.similarity.weight", "search.gcn.lr",
+    "search.gcn.lr_decay", "search.gcn.weight_decay", "simulator.a", "simulator.b",
+    "simulator.sigma", "simulator.base", "simulator.utility_amplitude", "simulator.pair_strength",
     "cost_model.fixed_cost",
 ]
-MEASURED_KEYS = ("min_pairs", "floor", "fallback_weight")
-# a valid non-default value for every leaf key but output_dir. config_with
-# puts measured mode beside the measured keys and a cell table beside
-# cost_model.fixed_cost; those two configs are the ones of
-# search.similarity.mode and cost_model.cell_cost, so a digest unlike every
-# other one shows that the key itself is hashed
+# a valid non-default value for every leaf key but output_dir and
+# search.similarity.mode, whose one valid value is its default. config_with
+# puts a cell table beside cost_model.fixed_cost; that config is the one of
+# cost_model.cell_cost, so a digest unlike every other one shows that the
+# key itself is hashed
 NON_DEFAULTS = {
     "seed": 5, "plan": [10, 9], "initial_architecture": ",".join("0" * 19),
     "search_space.num_layers": 5, "search_space.choices_per_layer": 4,
     "search_space.choice_labels": ["a", "b", "c", "d", "e", "f"],
     "search.m_samples": 2001, "search.train_split": 1700, "search.top_pool": 50,
     "search.k_preserve": 3, "search.advance_checkpoints": True,
-    "search.constraint_budget": 4e8,
-    "search.similarity.mode": "measured", "search.similarity.weight": 0.5,
-    "search.similarity.min_pairs": 10, "search.similarity.floor": 0.05,
-    "search.similarity.fallback_weight": 0.5,
+    "search.constraint_budget": 4e8, "search.similarity.weight": 0.5,
     "search.gcn.hidden_dims": [32, 32], "search.gcn.epochs": 40, "search.gcn.lr": 0.02,
     "search.gcn.lr_decay": 0.5, "search.gcn.weight_decay": 0.0, "search.gcn.dtype": "float32",
     "simulator.a": 0.9, "simulator.b": 0.1, "simulator.sigma": 0.0, "simulator.base": 0.7,
@@ -151,11 +141,9 @@ NON_DEFAULTS = {
 
 def config_with(dotted: str, value) -> dict:
     """A config that sets ``value`` at the dotted key path, plus what the key
-    needs to be read: measured mode for its keys, a table for a cost model."""
+    needs to be read: a table for a cost model."""
     *sections, key = dotted.split(".")
     obj = {key: value}
-    if sections == ["search", "similarity"] and key in MEASURED_KEYS:
-        obj = {"mode": "measured"} | obj
     if sections == ["cost_model"]:
         obj = {"cell_cost": [[1.0] * 6] * 19} | obj
     for section in reversed(sections):
@@ -164,7 +152,7 @@ def config_with(dotted: str, value) -> dict:
 
 
 class TestConfigSchema:
-    @pytest.mark.parametrize("raw, digest", PINNED_DIGESTS, ids=["default", "measured", "ci10"])
+    @pytest.mark.parametrize("raw, digest", PINNED_DIGESTS, ids=["default", "ci10"])
     def test_pinned_config_digests(self, raw, digest):
         assert parse_config(raw).config_sha256 == digest
 
@@ -183,7 +171,8 @@ class TestConfigSchema:
             assert hashlib.sha256(data).hexdigest() == digest
 
     def test_every_leaf_but_output_dir_is_hashed(self):
-        assert list(NON_DEFAULTS) == [k for k in LEAF_KEYS if k != "output_dir"]
+        unset = ("output_dir", "search.similarity.mode")
+        assert list(NON_DEFAULTS) == [k for k in LEAF_KEYS if k not in unset]
         digests = [parse_config(config_with(k, v)).config_sha256 for k, v in NON_DEFAULTS.items()]
         digests.append(parse_config({}).config_sha256)
         assert len(set(digests)) == len(digests)
@@ -235,7 +224,7 @@ class TestConfigSchema:
             ({"search_space": {"bogus": 1}}, "$.search_space"),
             ({"search": {"bogus": 1}}, "$.search"),
             ({"search": {"similarity": {"bogus": 1}}}, "$.search.similarity"),
-            ({"search": {"similarity": {"mode": "measured", "bogus": 1}}}, "$.search.similarity"),
+            ({"search": {"similarity": {"mode": "assigned", "bogus": 1}}}, "$.search.similarity"),
             ({"search": {"gcn": {"bogus": 1}}}, "$.search.gcn"),
             ({"simulator": {"bogus": 1}}, "$.simulator"),
             ({"cost_model": {"bogus": 1}}, "$.cost_model"),
@@ -336,8 +325,8 @@ class TestConfigSchema:
             ({"gcn": {"lr_decay": 0}}, "$.search.gcn"),
             ({"gcn": {"lr_decay": 1.5}}, "$.search.gcn"),
             ({"gcn": {"weight_decay": -0.001}}, "$.search.gcn"),
-            ({"similarity": {"mode": "measured", "fallback_weight": -1}}, "$.search.similarity"),
-            ({"similarity": {"mode": "measured", "fallback_weight": 0}}, "$.search.similarity"),
+            ({"similarity": {"weight": -1}}, "$.search.similarity"),
+            ({"similarity": {"weight": 0}}, "$.search.similarity"),
             ({"m_samples": 10, "train_split": 9}, "$.search"),  # one validation sample
         ],
     )
@@ -352,12 +341,13 @@ class TestConfigSchema:
             parse_config(config_with(dotted, outside))
         assert str(info.value).startswith(f"$.{dotted}: expected an integer in [")
 
-    def test_measured_similarity_parse(self):
-        config = parse_config(
-            {"search": {"similarity": {"mode": "measured", "min_pairs": 5, "floor": 0.05}}}
-        )
-        assert config.search.similarity.min_pairs == 5
-        assert config.search.similarity.floor == 0.05
+    def test_readme_configuration_is_the_default(self):
+        # the README's jsonc block, its // comments stripped, documents every
+        # key at its default: it parses to the pinned default digest
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("\n## Configuration\n", 1)[1].split("```jsonc\n", 1)[1]
+        text = re.sub(r"//.*", "", block.split("```", 1)[0])
+        assert parse_config(json.loads(text)).config_sha256 == PINNED_DIGESTS[0][1]
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="not found"):
@@ -505,6 +495,17 @@ class TestSearchCommand:
         path.write_text(json.dumps(config))
         assert main(["search", "--config", str(path)]) == 1
         assert capsys.readouterr().err.startswith("error: $.cost_model.cell_cost: expected a 4x4")
+        assert not out.exists()
+
+    def test_measured_mode_refused_before_writing(self, tiny_config, capsys):
+        path, out = tiny_config
+        config = json.loads(path.read_text())
+        config["search"]["similarity"] = {"mode": "measured"}
+        path.write_text(json.dumps(config))
+        assert main(["search", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: $.search.similarity.mode: expected \"assigned\", got 'measured'\n"
+        )
         assert not out.exists()
 
     def test_dump_predictions(self, tiny_config):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gcnas import arch_graph
 from gcnas.arch_graph import (
     ArchGraph,
+    AssignedSimilarity,
     build_graph,
     feature_basis,
     node_features,
@@ -17,6 +18,7 @@ from gcnas.arch_graph import (
 )
 from gcnas.gcn import (
     GcnConfig,
+    GcnModel,
     _model_inputs,
     _propagate,
     _receptive_field,
@@ -67,7 +69,8 @@ def edgeless_graph(num_nodes: int, feat_dim: int, seed: int = 0) -> ArchGraph:
     graph = ArchGraph(
         subspace=sub,
         num_nodes=num_nodes,
-        slot_weights=[np.zeros((num_nodes, num_nodes))],
+        radices=(num_nodes,),
+        weight=0.0,
         choice_matrix=np.zeros((num_nodes, feat_dim), dtype=np.uint8),
     )
     normalize_adjacency(graph)
@@ -158,24 +161,21 @@ class TestForward:
     def test_permutation_equivariance(self):
         sub = Subspace(SearchSpaceSpec(3, 5), (0, 1), {2: 0})
         rng = np.random.default_rng(5)
-        weights = []
-        for _ in range(2):
-            w = np.triu(rng.uniform(0.1, 1.0, (5, 5)), 1)
-            weights.append(w + w.T)
-        graph = ArchGraph(sub, 25, weights, build_graph(sub).choice_matrix)
+        graph = build_graph(sub, AssignedSimilarity(rng.uniform(0.1, 1.0)))
         model = init_model(graph.features.shape[1], GcnConfig(hidden_dims=(7, 7)), 1)
         out = forward(graph, model)
         # relabel nodes: swap the two slots and permute each one's choices.
-        # The relabelled graph is the Kronecker sum of the permuted weights,
-        # so its operator is generated from them; node (a, b) of it is node
-        # (order[1][b], order[0][a]) of the graph
+        # That maps the edges of the graph onto themselves, so the relabelled
+        # graph keeps the radices and the weight, and only its choices move;
+        # node (a, b) of it is node (order[1][b], order[0][a]) of the graph
         order = [rng.permutation(5) for _ in range(2)]
         new_a, new_b = np.divmod(np.arange(25), 5)
         perm = order[1][new_b] * 5 + order[0][new_a]
         permuted = ArchGraph(
             subspace=graph.subspace,
             num_nodes=graph.num_nodes,
-            slot_weights=[w[np.ix_(o, o)] for w, o in zip(weights[::-1], order)],
+            radices=graph.radices,
+            weight=graph.weight,
             choice_matrix=graph.choice_matrix[perm],
         )
         assert forward(permuted, model) == pytest.approx(out[perm], abs=1e-9)
@@ -399,14 +399,28 @@ def basis_width_reference(sub: Subspace) -> int:
     return width + constant
 
 
+def magnitude_model(model: GcnModel) -> GcnModel:
+    """The model with each parameter replaced by its float64 magnitude."""
+    *weights, head, bias = [np.abs(p).astype(np.float64) for p in model.params()]
+    return GcnModel(weights, head, bias)
+
+
+def scaled_error(got: np.ndarray, want: np.ndarray, scale: np.ndarray) -> float:
+    """The largest difference of an entry over its ``scale``, the magnitudes
+    it sums; inf if an entry of no magnitude differs at all."""
+    diff = np.abs(got.astype(np.float64) - want)
+    if diff[scale == 0].any():
+        return np.inf
+    return float(np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0).max(initial=0))
+
+
 class TestFeatureBasis:
     """Layer 0 reads ``(A_hat Z)(M W0)``, where ``Z M`` is the features X."""
 
     @settings(max_examples=60, deadline=None)
-    @given(subspaces(), st.booleans(), st.sampled_from(["float32", "float64"]),
-           st.integers(0, 2**32 - 1))
-    def test_basis_times_coefficients_is_the_features(self, sub, measured, dtype, seed):
-        graph = random_graph(sub, measured, np.random.default_rng(seed))
+    @given(subspaces(), st.sampled_from(["float32", "float64"]), st.integers(0, 2**32 - 1))
+    def test_basis_times_coefficients_is_the_features(self, sub, dtype, seed):
+        graph = random_graph(sub, np.random.default_rng(seed))
         basis, coefficients = feature_basis(graph, np.dtype(dtype))
         width = basis_width_reference(sub)
         assert basis.shape == (sub.node_count, width)
@@ -430,25 +444,37 @@ class TestFeatureBasis:
         assert basis.shape[1] == len(coefficients) == width == basis_width_reference(sub)
 
     @settings(max_examples=60, deadline=None)
-    @given(subspaces(), st.booleans(), st.integers(1, 3), st.sampled_from(["float32", "float64"]),
+    @given(subspaces(), st.integers(1, 3), st.sampled_from(["float32", "float64"]),
            st.integers(0, 2**32 - 1))
     # now and then the reference's float32 (2, 5) @ (5,) head product raised
     # "invalid value encountered in matmul" here, on finite inputs and with
     # the right product; a fresh process does not repeat it
     @example(Subspace(SearchSpaceSpec(1, 4), (), {}, (SuperCell((0,), ((1,), (0,))),)),
-             False, 1, "float32", 0)
-    def test_forward_and_a_step_match_the_full_basis(self, sub, measured, depth, dtype, seed):
+             1, "float32", 0)
+    # pre-activations up to 1.17 cancel to outputs under 8.5e-4 here
+    @example(Subspace(SearchSpaceSpec(5, 3), (0, 3), {2: 1},
+                      (SuperCell((1, 4), ((1, 0), (2, 0), (1, 1), (0, 0))),)),
+             1, "float32", 39526)
+    def test_forward_and_a_step_match_the_full_basis(self, sub, depth, dtype, seed):
         rng = np.random.default_rng(seed)
-        graph = random_graph(sub, measured, rng)
+        graph = random_graph(sub, rng)
         config = GcnConfig(hidden_dims=tuple(rng.integers(1, 9, depth)), dtype=dtype)
         model = init_model(sub.spec.feature_dim, config, seed)
         a_hat, propagated, coefficients = model_inputs_reference(graph, np.dtype(dtype))
         # the plain form: A_hat X, with the identity as its coefficients
         full = a_hat @ node_features(graph, np.dtype(dtype))
         identity = np.eye(sub.spec.feature_dim, dtype=dtype)
+        plain = (a_hat, full, identity)
+        # each entry is held to the magnitudes it sums, |A_hat| |X| |W|
+        # propagated layer by layer (Higham, Accuracy and Stability of
+        # Numerical Algorithms, 2nd ed., 3.5), not to the output, whose terms
+        # may cancel; A_hat and X are their own magnitudes
+        magnitudes = [a.astype(np.float64) for a in plain]
+        absolute = magnitude_model(model)
         tolerance = 1e-12 if dtype == "float64" else 1e-5
-        want, _ = forward_reference(a_hat, full, identity, model)
-        assert relative_error(forward(graph, model), want, 1e-3) <= tolerance
+        want, _ = forward_reference(*plain, model)
+        scale, _ = forward_reference(*magnitudes, absolute)
+        assert scaled_error(forward(graph, model), want, scale) <= tolerance
 
         ids = rng.choice(sub.node_count, rng.integers(1, 13))
         y = (0.5 + 0.1 * rng.standard_normal(len(ids))).astype(dtype)
@@ -457,10 +483,14 @@ class TestFeatureBasis:
         out, activations = forward_reference(a_hat, propagated, coefficients, model)
         out_grad = np.zeros_like(out)
         np.add.at(out_grad, ids, np.sign(out[ids] - y) * np.dtype(dtype).type(1 / len(ids)))
-        want = gradients_reference(a_hat, full, identity, model, activations, out_grad, 5e-4)
-        for got, expected in zip(grads, want):
+        want = gradients_reference(*plain, model, activations, out_grad, 5e-4)
+        scales = gradients_reference(
+            *magnitudes, absolute, [a.astype(np.float64) for a in activations],
+            np.abs(out_grad).astype(np.float64), 5e-4,
+        )
+        for got, expected, scale in zip(grads, want, scales):
             assert got.shape == expected.shape and got.dtype == expected.dtype
-            assert relative_error(got, expected, 1 / len(ids)) <= tolerance
+            assert scaled_error(got, expected, scale) <= tolerance
 
 
 class TestPropagate:
@@ -479,12 +509,12 @@ class TestPropagate:
                 assert np.array_equal(out, a @ m)
 
     @settings(max_examples=60, deadline=None)
-    @given(subspaces(), st.booleans(), st.sampled_from(["float32", "float64"]),
+    @given(subspaces(), st.sampled_from(["float32", "float64"]),
            st.integers(1, 40), st.sampled_from([(), (1,), (512,)]), st.integers(0, 2**32 - 1))
-    @example(ALL_FIXED, False, "float64", 1, (512,), 0)
-    def test_blocks_give_the_bits_of_the_whole_matrix(self, sub, measured, dtype, cap, shape, seed):
+    @example(ALL_FIXED, "float64", 1, (512,), 0)
+    def test_blocks_give_the_bits_of_the_whole_matrix(self, sub, dtype, cap, shape, seed):
         rng = np.random.default_rng(seed)
-        graph = random_graph(sub, measured, rng)
+        graph = random_graph(sub, rng)
         m = rng.standard_normal((sub.node_count, *shape)).astype(dtype)
         out = np.full(m.shape, np.nan, dtype)  # the product overwrites every entry
         with mock.patch.object(arch_graph, "BLOCK_ROWS", cap):
@@ -635,12 +665,12 @@ class TestReceptiveField:
     """Training on the labels' receptive field against the full graph."""
 
     @settings(max_examples=60, deadline=None)
-    @given(subspaces(), st.booleans(), st.integers(1, 3), st.sampled_from(["float32", "float64"]),
+    @given(subspaces(), st.integers(1, 3), st.sampled_from(["float32", "float64"]),
            st.integers(0, 2**32 - 1))
-    def test_a_step_matches_the_full_graph(self, sub, measured, depth, dtype, seed):
+    def test_a_step_matches_the_full_graph(self, sub, depth, dtype, seed):
         rng = np.random.default_rng(seed)
         n = sub.node_count
-        graph = random_graph(sub, measured, rng)
+        graph = random_graph(sub, rng)
         config = GcnConfig(hidden_dims=tuple(rng.integers(1, 9, depth)), dtype=dtype)
         model = init_model(graph.features.shape[1], config, seed)
         ids = rng.choice(n, rng.integers(1, 13))  # repeats allowed

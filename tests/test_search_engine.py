@@ -289,24 +289,6 @@ class TestRunRound:
         with pytest.raises(ValueError, match="not a finite value in"):
             reverify([Architecture((0,))], Constant(), [0])
 
-    def test_measured_similarity_round(self):
-        # the sampled evaluations seed the similarity table; sparse statistics
-        # fall back to the assigned weight, so the round must still complete
-        from gcnas.arch_graph import MeasuredSimilarity
-
-        spec = SearchSpaceSpec(3, 4)
-        sub = full_subspace(spec)
-        truth = GroundTruthParams.random(spec, 4)
-        sn = SyntheticSupernet(truth, sigma=0.005, checkpoint_seed=2)
-        config = SearchConfig(
-            m_samples=60, train_split=50, top_pool=12, k_preserve=3,
-            similarity=MeasuredSimilarity(min_pairs=3), gcn=SMALL_GCN, seed=5,
-        )
-        result = run_round(sub, sn, config)
-        assert len(result.preserved) == 3
-        weights = np.unique(result.graph.adjacency.data)
-        assert weights.min() >= 0.01 and weights.max() <= 1.0
-
     def test_selected_is_argmax_of_reverified_pool(self):
         spec = SearchSpaceSpec(4, 4)
         sub = full_subspace(spec)
