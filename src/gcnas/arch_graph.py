@@ -7,7 +7,7 @@ carries one assigned weight, so the adjacency is the Kronecker sum of
 ``w (1 - I)`` over the slots, and the graph keeps just that weight and each
 slot's number of choices. The GCN consumes the symmetric renormalized
 adjacency as an operator that generates its rows, in blocks, from those and
-the degrees.
+``D^(-1/2)``.
 """
 
 from __future__ import annotations
@@ -240,13 +240,17 @@ class NormalizedAdjacency:
     A row of ``A + I`` is a function of the node's slot digits (``_fold``):
     in column order, each slot's lower choices from the first slot on, the
     diagonal, then each slot's higher choices from the last slot back; every
-    entry is ``weight`` but the diagonal's 1. Rows are generated in blocks of
-    the nodes that share the digits of the outer slots, those before
-    ``_inner_slots``. The inner slots are folded once per request and every
-    block reads its rows from that fold, while each outer neighbour sits at a
-    constant offset from its node throughout the block. An entry is
-    ``(w * s_i) * s_j`` in float64, cast to ``dtype``: the bits of scaling
-    the whole matrix's rows, then its columns, then casting it.
+    entry is ``weight`` but the diagonal's 1. So the diagonal sits at the
+    node's digit sum, the sum of its slot digits, which alone fixes its
+    degree: ``D^(-1/2)`` takes at most ``width`` values.
+
+    Rows are generated in blocks of the nodes that share the digits of the
+    outer slots, those before ``_inner_slots``. The inner slots are folded
+    once per request and every block reads its rows from that fold, while
+    each outer neighbour sits at a constant offset from its node throughout
+    the block. An entry is ``(w * s_i) * s_j`` in float64, cast to
+    ``dtype``: the bits of scaling the whole matrix's rows, then its
+    columns, then casting it.
     """
 
     radices: tuple[int, ...]
@@ -293,14 +297,14 @@ class NormalizedAdjacency:
             positions = slice(bounds[block], bounds[block + 1])
             yield positions, int(block), ids[positions] - block * rows
 
-    def _fill(
-        self, fold, block: int, local, columns: np.ndarray | None, values: np.ndarray,
-        scaled: bool = False,
+    def _write(
+        self, fold, block: int, local, columns: np.ndarray, data: np.ndarray, scratch: np.ndarray
     ) -> None:
-        """Write the rows ``local`` (offsets, or a slice) of ``block`` of
-        ``A + I`` from the inner slots' ``fold``: their columns into the
-        (rows, width) ``columns`` unless it is None, and their float64 values
-        into ``values``, times each row's ``D^(-1/2)`` if ``scaled``."""
+        """Write the rows ``local`` (offsets, or a slice) of ``block`` from
+        the inner slots' ``fold``: their columns, and their entries of
+        ``A_hat`` in ``data``'s dtype, ``(w * s_i) * s_j`` in float64, cast
+        as it is written. ``scratch`` is two float64 tables of at least as
+        many rows, for the values and the gathered ``s_j``."""
         fold_columns, fold_values = fold
         rows = len(fold_columns)
         lower, upper = [], []  # the column offset of each outer neighbour
@@ -313,29 +317,19 @@ class NormalizedAdjacency:
         start = block * rows
         ids = np.arange(start, start + rows, dtype=self._index_dtype)[local]
         lo, hi = len(lower), len(lower) + fold_columns.shape[1]
-        if columns is not None:
-            offsets = np.array(lower + upper, ids.dtype)
-            np.add(ids[:, None], offsets[:lo], out=columns[:, :lo])
-            np.add(fold_columns[local], start, out=columns[:, lo:hi])
-            np.add(ids[:, None], offsets[lo:], out=columns[:, hi:])
-        row_scale = self.inv_sqrt[ids][:, None] if scaled else 1.0
+        offsets = np.array(lower + upper, ids.dtype)
+        np.add(ids[:, None], offsets[:lo], out=columns[:, :lo])
+        np.add(fold_columns[local], start, out=columns[:, lo:hi])
+        np.add(ids[:, None], offsets[lo:], out=columns[:, hi:])
+        count = len(columns)
+        values = data if data.dtype == np.float64 else scratch[0, :count]
+        row_scale = self.inv_sqrt[ids][:, None]
         np.multiply(self.weight, row_scale, out=values[:, :lo])
         np.multiply(fold_values[local], row_scale, out=values[:, lo:hi])
         np.multiply(self.weight, row_scale, out=values[:, hi:])
-
-    def _write(
-        self, fold, block: int, local, columns: np.ndarray, data: np.ndarray, scratch: np.ndarray
-    ) -> None:
-        """The rows' columns, and their entries of ``A_hat`` in ``data``'s
-        dtype: ``(w * s_i) * s_j`` in float64, cast as it is written.
-        ``scratch`` is two float64 tables of at least as many rows, for the
-        values and the gathered ``s_j``."""
-        rows = len(columns)
-        values = data if data.dtype == np.float64 else scratch[0, :rows]
-        self._fill(fold, block, local, columns, values, scaled=True)
         # clip never moves a column id, and lets the gather write in place
-        np.take(self.inv_sqrt, columns, out=scratch[1, :rows], mode="clip")
-        np.multiply(values, scratch[1, :rows], out=data)
+        np.take(self.inv_sqrt, columns, out=scratch[1, :count], mode="clip")
+        np.multiply(values, scratch[1, :count], out=data)
 
     def rows(self, ids: np.ndarray) -> sp.csr_matrix:
         """``A_hat[ids, :]`` as canonical CSR, for sorted distinct node ids,
@@ -406,24 +400,24 @@ def normalize_adjacency(graph: ArchGraph, dtype: np.dtype = np.float64) -> Norma
     """Symmetric renormalization with self-loops:
     D^(-1/2) (A + I) D^(-1/2), D = diagonal of row sums of A + I.
 
-    The degrees are summed once per graph, block by block from the generated
-    rows of ``A + I``, each row reduced as SciPy's ``sum(axis=1)`` of the
-    CSR matrix reduces it; ``D^(-1/2)`` is kept in float64. The operator is
-    cached on the graph in ``dtype`` alone; asking for another dtype re-types
-    it, with the same ``D^(-1/2)``.
+    A degree depends only on the node's digit sum (``NormalizedAdjacency``):
+    each of the ``width`` possible rows of ``A + I`` is reduced as SciPy's
+    ``sum(axis=1)`` of the CSR matrix reduces it, and every node reads the
+    ``D^(-1/2)`` of its digit sum, kept in float64. The operator is cached
+    on the graph in ``dtype`` alone; asking for another dtype re-types it,
+    with the same ``D^(-1/2)``.
     """
     dtype = np.dtype(dtype)
     if graph.normalized is None:
-        operator = NormalizedAdjacency(
-            graph.radices, graph.weight, np.empty(graph.num_nodes), dtype
-        )
-        fold = operator._inner_fold()
-        values = np.empty((len(fold[0]), operator.width))
-        starts = np.arange(0, values.size, operator.width)
-        for positions, block, local in operator._blocks(None, len(values)):
-            operator._fill(fold, block, local, None, values)
-            np.add.reduceat(values.ravel(), starts, out=operator.inv_sqrt[positions])
-        np.divide(1.0, np.sqrt(operator.inv_sqrt, out=operator.inv_sqrt), out=operator.inv_sqrt)
+        width = 1 + sum(radix - 1 for radix in graph.radices)
+        possible = np.full((width, width), graph.weight)
+        np.fill_diagonal(possible, 1.0)
+        by_diagonal = np.add.reduceat(possible.ravel(), np.arange(0, possible.size, width))
+        np.divide(1.0, np.sqrt(by_diagonal, out=by_diagonal), out=by_diagonal)
+        digit_sum = np.zeros(1, np.min_scalar_type(width - 1))
+        for radix in graph.radices:  # the first slot most significant, as the node ids
+            digit_sum = (digit_sum[:, None] + np.arange(radix, dtype=digit_sum.dtype)).ravel()
+        operator = NormalizedAdjacency(graph.radices, graph.weight, by_diagonal[digit_sum], dtype)
         graph.normalized, graph.propagated = operator, None
     elif graph.normalized.dtype != dtype:
         graph.normalized, graph.propagated = graph.normalized.astype(dtype), None

@@ -224,6 +224,10 @@ def reverify(
     the best: the highest measured accuracy, ties to the lowest node index."""
     if not candidates:
         raise ValueError("reverify needs a non-empty candidate list")
+    if len(node_indices) != len(candidates):
+        raise ValueError(
+            f"reverify got {len(candidates)} candidates but {len(node_indices)} node indices"
+        )
     return _best(candidates, np.asarray(node_indices), _evaluate(evaluator, list(candidates)))[0]
 
 

@@ -34,7 +34,6 @@ from conftest import (
     ALL_FIXED,
     a_hat_reference,
     block_radices_reference,
-    block_table_bytes,
     cell_hamming,
     every_row,
     gray_encode,
@@ -341,7 +340,9 @@ class TestSlotWeights:
 
     def test_only_the_degree_vector_is_held(self):
         # 6^6 nodes: 8 layers, 6 free; past its choices the normalized graph
-        # holds D^(-1/2) alone, and while it sums the degrees, one block table
+        # holds D^(-1/2) alone, and while it reads D^(-1/2) by digit sum, the
+        # one-byte digit sums and the 8,192 of them at a time that NumPy's
+        # indexing casts to intp
         sub = Subspace(SearchSpaceSpec(8, 6), tuple(range(6)), {6: 1, 7: 4})
         tracemalloc.start()
         try:
@@ -356,7 +357,9 @@ class TestSlotWeights:
         degrees = graph.normalized.inv_sqrt.nbytes
         assert graph.num_nodes == 6**6 and degrees == graph.num_nodes * 8
         assert held - node_arrays <= 1.05 * degrees
-        assert peak - node_arrays <= degrees + block_table_bytes(graph, np.float64)
+        digit_sums = graph.num_nodes * np.dtype(np.uint8).itemsize
+        index_buffer = 8192 * np.dtype(np.intp).itemsize
+        assert peak - node_arrays <= 1.05 * degrees + digit_sums + index_buffer
         assert held_after_read - node_arrays <= 1.05 * degrees  # the raw matrix is not kept
 
 
@@ -405,13 +408,14 @@ class TestGeneratedRows:
             assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     @settings(max_examples=80, deadline=None)
-    @given(subspaces(), st.integers(1, 40), st.integers(0, 2**32 - 1))
-    @example(ALL_FIXED, 1, 0)
-    @example(ONE_CANDIDATE, 1, 1)
-    def test_degrees_are_scipys_row_sums(self, sub, cap, seed):
+    @given(subspaces(), st.integers(0, 2**32 - 1))
+    @example(ALL_FIXED, 0)
+    @example(ONE_CANDIDATE, 1)
+    # weight 0.326, at which rounding splits the 216 degrees into two values
+    @example(Subspace(SearchSpaceSpec(3, 6), (0, 1, 2), {}), 12)
+    def test_degrees_are_scipys_row_sums(self, sub, seed):
         graph = random_graph(sub, np.random.default_rng(seed))
-        with mock.patch.object(arch_graph, "BLOCK_ROWS", cap):
-            inv_sqrt = normalize_adjacency(graph).inv_sqrt
+        inv_sqrt = normalize_adjacency(graph).inv_sqrt
         want = inv_sqrt_reference(kronecker_sum_reference(slot_matrices(graph))
                                   + sp.eye(sub.node_count, format="csr"))
         assert inv_sqrt.dtype == np.float64 and inv_sqrt.tobytes() == want.tobytes()

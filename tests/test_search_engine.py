@@ -90,6 +90,12 @@ class TestReverify:
         with pytest.raises(ValueError):
             reverify([], noiseless_supernet(SearchSpaceSpec(2, 4), 0), [])
 
+    def test_lengths_must_match(self):
+        candidates = [Architecture((0, 1)), Architecture((1, 0))]
+        with pytest.raises(ValueError) as caught:
+            reverify(candidates, noiseless_supernet(SearchSpaceSpec(2, 4), 0), [3, 5, 7])
+        assert str(caught.value) == "reverify got 2 candidates but 3 node indices"
+
     def test_ties_break_to_lowest_node_index(self):
         spec = SearchSpaceSpec(3, 4)
         flat = GroundTruthParams(0.8, np.zeros((3, 4)), 0.0, 0)
