@@ -41,6 +41,13 @@ class Evaluator(abc.ABC):
     def evaluate_many(self, archs: Sequence[Architecture]) -> np.ndarray:
         return np.array([self.evaluate(a) for a in archs], dtype=np.float64)
 
+    def evaluate_matrix(self, choice_matrix: np.ndarray) -> np.ndarray:
+        """Scores of the rows of an (n, L) matrix of choice indices; by
+        default each row as an :class:`Architecture`, through
+        :meth:`evaluate_many`."""
+        rows = np.asarray(choice_matrix).tolist()
+        return self.evaluate_many([Architecture(tuple(row)) for row in rows])
+
     def advanced(self) -> "Evaluator":
         """A copy of this evaluator advanced to a fresh checkpoint."""
         raise NotImplementedError(f"{type(self).__name__} has no notion of checkpoints")
@@ -142,10 +149,14 @@ def _unit_noise_field(choice_matrix: np.ndarray, checkpoint_seed: int) -> np.nda
     rows = np.ascontiguousarray(choice_matrix, dtype=np.uint16)
     width = rows.shape[1] * rows.itemsize
     data = rows.tobytes()
-    digests = b"".join(
-        hashlib.blake2b(data[i : i + width], key=key, digest_size=8).digest()
-        for i in range(0, len(data), width)
-    )
+    keyed = hashlib.blake2b(key=key, digest_size=8)
+
+    def digest(row: bytes) -> bytes:
+        h = keyed.copy()  # the key block is hashed once, not once per row
+        h.update(row)
+        return h.digest()
+
+    digests = b"".join(digest(data[i : i + width]) for i in range(0, len(data), width))
     raw = np.frombuffer(digests, dtype="<u8")
     uniform = (raw.astype(np.float64) + 0.5) / 2.0**64
     return ndtri(uniform)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import contextlib
 import time
 from dataclasses import dataclass, fields
-from typing import Any, Iterator, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .arch_graph import (
     node_index,
     normalize_adjacency,
 )
-from .evaluator import CostModel, Evaluator, flops_many
+from .evaluator import CostModel, Evaluator, _choice_matrix, flops_many
 from .gcn import GcnConfig, GcnModel, forward, train
 from .metrics import kendall_tau, regression_score
 from .search_space import (
@@ -121,19 +121,20 @@ class RoundResult:
     loss_curve: list[float]
 
 
-def _evaluate(evaluator: Evaluator, archs: Sequence[Architecture]) -> np.ndarray:
-    """``evaluator.evaluate_many(archs)``, checked against the Evaluator
-    contract: one finite score in [0, 1] per architecture."""
-    scores = np.asarray(evaluator.evaluate_many(archs), dtype=np.float64)
-    if scores.shape != (len(archs),):
+def _checked(scores: Any, count: int, architecture: Callable[[int], Architecture]) -> np.ndarray:
+    """``scores`` as float64, checked against the Evaluator contract: one
+    finite score in [0, 1] for each of ``count`` architectures, the ``i``-th
+    of which ``architecture(i)`` builds for the message."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (count,):
         raise ValueError(
-            f"evaluator returned scores of shape {scores.shape} for {len(archs)} architectures"
+            f"evaluator returned scores of shape {scores.shape} for {count} architectures"
         )
     bad = ~((scores >= 0.0) & (scores <= 1.0))  # NaN fails both comparisons
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(
-            f"evaluator score {float(scores[i])!r} for architecture {archs[i].to_text()} "
+            f"evaluator score {float(scores[i])!r} for architecture {architecture(i).to_text()} "
             "is not a finite value in [0, 1]"
         )
     return scores
@@ -154,14 +155,33 @@ def _check_validation_scores(
 
 
 def _best(
-    archs: Sequence[Architecture], node_ids: np.ndarray, accuracies: np.ndarray, k: int = 1
+    architecture: Callable[[int], Architecture], node_ids: np.ndarray, accuracies: np.ndarray,
+    k: int = 1,
 ) -> tuple[ScoredArchitecture, ...]:
     """The ``k`` best by measured accuracy, highest first; ties go to the
-    lowest node id."""
+    lowest node id. ``architecture(i)`` builds the ``i``-th candidate, and is
+    called only for those returned."""
     return tuple(
-        ScoredArchitecture(archs[i], float(accuracies[i]), int(node_ids[i]))
+        ScoredArchitecture(architecture(i), float(accuracies[i]), int(node_ids[i]))
         for i in np.lexsort((node_ids, -accuracies))[:k]
     )
+
+
+def _node_architectures(graph: ArchGraph, node_ids: np.ndarray) -> Callable[[int], Architecture]:
+    """Builds the architecture of the ``i``-th node of ``node_ids`` on request."""
+    return lambda i: node_architecture(graph, int(node_ids[i]))
+
+
+def _reverify_rows(
+    rows: np.ndarray, node_ids: np.ndarray, evaluator: Evaluator,
+    architecture: Callable[[int], Architecture], k: int = 1,
+) -> tuple[tuple[ScoredArchitecture, ...], np.ndarray]:
+    """Score a pool given as choice ``rows`` (one per id of ``node_ids``)
+    with one checked ``evaluator.evaluate_matrix`` call; return its ``k``
+    best, as ``_best`` picks them, and every row's score. Only the returned
+    candidates are built as architectures."""
+    scores = _checked(evaluator.evaluate_matrix(rows), len(rows), architecture)
+    return _best(architecture, node_ids, scores, k), scores
 
 
 def _ranked_within_budget(
@@ -228,7 +248,8 @@ def reverify(
         raise ValueError(
             f"reverify got {len(candidates)} candidates but {len(node_indices)} node indices"
         )
-    return _best(candidates, np.asarray(node_indices), _evaluate(evaluator, list(candidates)))[0]
+    rows = _choice_matrix(candidates)
+    return _reverify_rows(rows, np.asarray(node_indices), evaluator, candidates.__getitem__)[0][0]
 
 
 def _later_round_nodes(spec: SearchSpaceSpec, segment: Sequence[int], config: SearchConfig) -> int:
@@ -282,7 +303,7 @@ def run_round(
     )
     node_ids = np.array([node_index(subspace, row) for row in digits], dtype=np.int64)
     archs = [materialize(subspace, row) for row in digits]
-    accuracies = _evaluate(evaluator, archs)
+    accuracies = _checked(evaluator.evaluate_many(archs), len(archs), archs.__getitem__)
     _check_validation_scores(accuracies, config.train_split, evaluator)
 
     graph = build_graph(subspace, config.similarity)
@@ -303,10 +324,11 @@ def run_round(
     pool_ids = _ranked_within_budget(
         graph, model, cost_model, config.constraint_budget, config.top_pool, predictions
     )
-    pool_archs = [node_architecture(graph, int(i)) for i in pool_ids]
-    pool_accs = _evaluate(evaluator, pool_archs)
-    preserved = _best(pool_archs, pool_ids, pool_accs, config.k_preserve)
-    gcn_top1 = ScoredArchitecture(pool_archs[0], float(pool_accs[0]), int(pool_ids[0]))
+    pool_architecture = _node_architectures(graph, pool_ids)
+    preserved, pool_accs = _reverify_rows(
+        graph.choice_matrix[pool_ids], pool_ids, evaluator, pool_architecture, config.k_preserve
+    )
+    gcn_top1 = ScoredArchitecture(pool_architecture(0), float(pool_accs[0]), int(pool_ids[0]))
 
     report = RoundReport(
         round_index=round_index,
@@ -316,7 +338,7 @@ def run_round(
         num_validation=len(val_ids),
         tau_val=tau_val,
         reg_score_val=reg_score_val,
-        best_sampled=_best(archs, node_ids, accuracies)[0],
+        best_sampled=_best(archs.__getitem__, node_ids, accuracies)[0],
         best_selected=preserved[0],
         gcn_top1=gcn_top1,
         preserved=preserved,
@@ -423,13 +445,14 @@ def constraint_select(
     top_pool: int,
 ) -> ScoredArchitecture:
     """Read the ranking of all nodes by prediction until ``top_pool`` nodes
-    within the multiply-add budget are found, re-evaluate that pool and
-    return the measured argmax. The ranking and the costs stay on the graph
-    for the next query."""
+    within the multiply-add budget are found, re-evaluate that pool from its
+    choice rows and return the measured argmax, the one node built as an
+    architecture. The ranking and the costs stay on the graph for the next
+    query."""
     if top_pool < 1:
         raise ValueError(f"top_pool must be at least 1, got {top_pool}")
     if np.isnan(budget):
         raise ValueError(f"budget must be a number of multiply-adds, got {budget}")
     pool_ids = _ranked_within_budget(graph, model, cost_model, budget, top_pool)
-    pool_archs = [node_architecture(graph, int(i)) for i in pool_ids]
-    return reverify(pool_archs, evaluator, node_indices=pool_ids.tolist())
+    rows = graph.choice_matrix[pool_ids]
+    return _reverify_rows(rows, pool_ids, evaluator, _node_architectures(graph, pool_ids))[0][0]

@@ -1,9 +1,11 @@
 import dataclasses
+import hashlib
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
 from gcnas import evaluator
 from gcnas.evaluator import (
@@ -166,6 +168,18 @@ class TestSyntheticSupernet:
         eps2 = _noise_field(matrix, checkpoint_seed=8, sigma=1.0)
         assert abs(np.corrcoef(eps1, eps2)[0, 1]) < 0.05
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_noise_field_is_a_keyed_hash_of_each_row(self, dtype):
+        matrix = np.random.default_rng(2).integers(0, 6, (500, 7)).astype(dtype)
+        key = (2**63 + 11).to_bytes(8, "little")
+        raw = np.array([
+            int.from_bytes(hashlib.blake2b(row.astype(np.uint16).tobytes(), key=key,
+                                           digest_size=8).digest(), "little")
+            for row in matrix
+        ], dtype=np.uint64)
+        expected = ndtri((raw.astype(np.float64) + 0.5) / 2.0**64)
+        assert _noise_field(matrix, 2**63 + 11, 1.0).tobytes() == expected.tobytes()
+
     def test_values_clamped(self):
         truth = flat_truth(SearchSpaceSpec(3, 4), base=0.99)
         sn = SyntheticSupernet(truth, a=1.0, b=0.5, sigma=0.0)
@@ -175,6 +189,31 @@ class TestSyntheticSupernet:
     def test_negative_sigma_rejected(self, sigma):
         with pytest.raises(ValueError, match="sigma must be non-negative"):
             SyntheticSupernet(flat_truth(SearchSpaceSpec(3, 4)), sigma=sigma)
+
+
+class TestEvaluateMatrix:
+    def test_base_scores_each_row_as_an_architecture(self):
+        seen = []
+
+        class ByArchitecture(evaluator.Evaluator):
+            def evaluate(self, arch):
+                seen.append(arch.choices)
+                return sum(arch.choices) / 10
+
+        rows = np.array([[0, 1, 2], [3, 0, 1]], dtype=np.uint8)
+        scores = ByArchitecture().evaluate_matrix(rows)
+        assert scores.dtype == np.float64 and scores.tolist() == [0.3, 0.4]
+        assert seen == [(0, 1, 2), (3, 0, 1)]
+        assert all(type(c) is int for choices in seen for c in choices)
+
+    def test_synthetic_supernet_rows_score_as_architectures(self):
+        spec = SearchSpaceSpec(4, 6)
+        sn = SyntheticSupernet(GroundTruthParams.random(spec, 2), sigma=0.02, checkpoint_seed=5)
+        matrix = sample_choice_matrix(spec, 40, seed=1)
+        archs = [Architecture(tuple(row)) for row in matrix.tolist()]
+        by_rows = evaluator.Evaluator.evaluate_matrix(sn, matrix.astype(np.uint8))
+        assert by_rows.tobytes() == sn.evaluate_matrix(matrix.astype(np.uint8)).tobytes()
+        assert by_rows.tobytes() == sn.evaluate_many(archs).tobytes()
 
 
 class TestSeedRanges:

@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import functools
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcnas.arch_graph import MAX_GRAPH_NODES, build_graph, normalize_adjacency
+from gcnas.arch_graph import MAX_GRAPH_NODES, build_graph, node_architecture, normalize_adjacency
 from gcnas.evaluator import (
     CostModel,
     Evaluator,
@@ -16,6 +17,7 @@ from gcnas.evaluator import (
     flops_many,
     ground_truth_many,
 )
+from gcnas import evaluator as evaluator_module
 from gcnas import search_engine
 from gcnas.gcn import GcnConfig, forward, train
 from gcnas.search_engine import (
@@ -243,23 +245,41 @@ class TestRunRound:
     class Shifted(SyntheticSupernet):
         """Scores outside the [0, 1] contract."""
 
-        def evaluate_many(self, archs):
-            return super().evaluate_many(archs) + 5
+        def evaluate_matrix(self, choice_matrix):
+            return super().evaluate_matrix(choice_matrix) + 5
 
     class Short(SyntheticSupernet):
         """Three scores too few."""
 
-        def evaluate_many(self, archs):
-            return super().evaluate_many(archs)[:-3]
+        def evaluate_matrix(self, choice_matrix):
+            return super().evaluate_matrix(choice_matrix)[:-3]
 
-    @pytest.mark.parametrize(
+    class BrokenRows(Evaluator):
+        """Scores architectures as ``clean`` does and choice rows as
+        ``broken`` does, so a round's sample passes and its pool does not."""
+
+        def __init__(self, clean, broken):
+            self.clean, self.broken = clean, broken
+
+        def evaluate(self, arch):
+            return self.clean.evaluate(arch)
+
+        def evaluate_many(self, archs):
+            return self.clean.evaluate_many(archs)
+
+        def evaluate_matrix(self, choice_matrix):
+            return self.broken.evaluate_matrix(choice_matrix)
+
+    BROKEN = pytest.mark.parametrize(
         "broken, message, pool_message",
         [(Shifted, r"score 5\.\d+ for architecture [\d,]+ is not a finite value in \[0, 1\]",
-          r"is not a finite value in \[0, 1\]"),
+          r"^evaluator score 5\.\d+ for architecture {} is not a finite value in \[0, 1\]$"),
          (Short, r"scores of shape \(17,\) for 20 architectures",
-          r"scores of shape \(2,\) for 5 architectures")],
+          r"^evaluator returned scores of shape \(2,\) for 5 architectures$")],
         ids=["out-of-range", "short"],
     )
+
+    @BROKEN
     def test_evaluator_outputs_checked_before_training(
         self, monkeypatch, broken, message, pool_message
     ):
@@ -270,9 +290,24 @@ class TestRunRound:
         monkeypatch.setattr(search_engine, "train", lambda *a: pytest.fail("trained"))
         with pytest.raises(ValueError, match=message):
             run_round(full_subspace(spec), evaluator, config)
-        with pytest.raises(ValueError, match=pool_message):
+        with pytest.raises(ValueError, match=pool_message.format("0,0,0")):
             reverify([Architecture((0, 0, i)) for i in range(4)] + [Architecture((1, 0, 0))],
                      evaluator, [0, 1, 2, 3, 16])
+
+    @BROKEN
+    def test_evaluator_outputs_checked_on_the_pool_rows(self, broken, message, pool_message):
+        spec = SearchSpaceSpec(3, 4)
+        clean = noiseless_supernet(spec, 2)
+        evaluator = self.BrokenRows(clean, broken(clean.truth))
+        config = SearchConfig(m_samples=20, train_split=15, top_pool=5, k_preserve=2,
+                              gcn=SMALL_GCN)
+        result = run_round(full_subspace(spec), clean, config)
+        first = node_architecture(result.graph, int(np.argmax(result.predictions)))
+        with pytest.raises(ValueError, match=pool_message.format(first.to_text())):
+            run_round(full_subspace(spec), evaluator, config)
+        cost = CostModel(10.0, np.ones((3, 4)))
+        with pytest.raises(ValueError, match=pool_message.format(first.to_text())):
+            constraint_select(result.graph, result.model, cost, float("inf"), evaluator, 5)
 
     def test_constant_validation_scores_rejected_before_training(self, monkeypatch):
         spec = SearchSpaceSpec(3, 4)
@@ -294,6 +329,13 @@ class TestRunRound:
 
         with pytest.raises(ValueError, match="not a finite value in"):
             reverify([Architecture((0,))], Constant(), [0])
+        # a budget query scores choice rows, through the base evaluate_matrix
+        result, _, cost, _ = pool_round()
+        first = node_architecture(result.graph, int(np.argmax(result.predictions)))
+        message = (f"evaluator score {score!r} for architecture {first.to_text()} "
+                   "is not a finite value in [0, 1]")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            constraint_select(result.graph, result.model, cost, float("inf"), Constant(), 5)
 
     def test_selected_is_argmax_of_reverified_pool(self):
         spec = SearchSpaceSpec(4, 4)
@@ -567,6 +609,111 @@ def oracle_select(graph, model, cost, budget, evaluator, top_pool) -> int:
     order = order[flops_many(graph.choice_matrix, cost)[order] <= budget][:top_pool]
     scores = evaluator.evaluate_matrix(graph.choice_matrix[order])
     return int(order[np.lexsort((order, -scores))[0]])
+
+
+@functools.cache
+def pool_round():
+    """A small trained round with a cost model, shared by the pool tests."""
+    spec = SearchSpaceSpec(4, 6)
+    truth = GroundTruthParams.random(spec, 8)
+    sn = SyntheticSupernet(truth, sigma=0.01, checkpoint_seed=3)
+    cost = CostModel(10.0, np.linspace(1, 60, 24).reshape(4, 6))
+    config = SearchConfig(m_samples=200, train_split=180, top_pool=20, k_preserve=5,
+                          gcn=SMALL_GCN, seed=6)
+    result = run_round(full_subspace(spec), sn, config, cost_model=cost)
+    return result, sn, cost, flops_many(result.graph.choice_matrix, cost)
+
+
+class TestPoolRows:
+    """A pool is re-verified from its choice rows: the same pick as scoring
+    its architectures, with only the returned candidates built."""
+
+    @staticmethod
+    def by_architectures(graph, pool, evaluator):
+        """The pick of the architecture path: ``reverify`` and a direct
+        ``evaluate_many`` of the pool's architectures."""
+        archs = [node_architecture(graph, int(i)) for i in pool]
+        picked = reverify(archs, evaluator, pool.tolist())
+        scores = evaluator.evaluate_many(archs)
+        best = int(np.lexsort((pool, -scores))[0])
+        assert (picked.architecture, picked.accuracy, picked.node_index) == (
+            archs[best], float(scores[best]), int(pool[best]))
+        return picked
+
+    @pytest.mark.parametrize("top_pool", [1, 6, 40])
+    @pytest.mark.parametrize("quantile", [None, 0.0, 0.005, 0.05, 0.25, 0.5, 0.75, 1.0])
+    def test_constraint_select_matches_the_architecture_path(self, quantile, top_pool):
+        result, sn, cost, all_cost = pool_round()
+        graph, model = result.graph, result.model
+        budget = float("inf") if quantile is None else float(np.quantile(all_cost, quantile))
+        pool = _ranked_within_budget(graph, model, cost, budget, top_pool)
+        if quantile == 0.0:
+            assert (all_cost <= budget).sum() < top_pool or top_pool == 1
+        picked = constraint_select(graph, model, cost, budget, sn, top_pool)
+        expected = self.by_architectures(graph, pool, sn)
+        assert picked == expected
+        assert type(picked.node_index) is int and type(picked.accuracy) is float
+
+    def test_tied_scores_go_to_the_lowest_node_id(self):
+        result, _, cost, all_cost = pool_round()
+        flat = SyntheticSupernet(GroundTruthParams(0.8, np.zeros((4, 6)), 0.0, 0), sigma=0.0)
+        budget = float(np.median(all_cost))
+        pool = _ranked_within_budget(result.graph, result.model, cost, budget, 30)
+        assert pool[0] != pool.min()
+        picked = constraint_select(result.graph, result.model, cost, budget, flat, 30)
+        assert picked.node_index == pool.min()
+        assert picked == self.by_architectures(result.graph, pool, flat)
+
+    def test_a_query_builds_one_architecture(self, monkeypatch):
+        result, sn, cost, all_cost = pool_round()
+        built = {"node_architecture": 0, "Architecture": 0}
+        inner_node, inner_init = search_engine.node_architecture, Architecture.__post_init__
+
+        def counted_node(*args):
+            built["node_architecture"] += 1
+            return inner_node(*args)
+
+        def counted_init(self):
+            built["Architecture"] += 1
+            inner_init(self)
+
+        monkeypatch.setattr(search_engine, "node_architecture", counted_node)
+        monkeypatch.setattr(Architecture, "__post_init__", counted_init)
+        for module in (search_engine, evaluator_module):
+            monkeypatch.setattr(module, "_choice_matrix", lambda *a: pytest.fail("round trip"))
+        budget = float(np.median(all_cost))
+        picked = constraint_select(result.graph, result.model, cost, budget, sn, 40)
+        assert built == {"node_architecture": 1, "Architecture": 1}
+        assert picked.architecture == node_architecture(result.graph, picked.node_index)
+
+    def test_a_round_builds_its_preserved_and_its_top1(self, monkeypatch):
+        spec = SearchSpaceSpec(3, 4)
+        config = SearchConfig(m_samples=30, train_split=24, top_pool=12, k_preserve=4,
+                              gcn=SMALL_GCN)
+        calls = []
+        inner = search_engine.node_architecture
+
+        def counted(graph, index):
+            calls.append(index)
+            return inner(graph, index)
+
+        monkeypatch.setattr(search_engine, "node_architecture", counted)
+        result = run_round(full_subspace(spec), noiseless_supernet(spec, 1), config)
+        report = result.report
+        assert sorted(calls) == sorted(
+            [p.node_index for p in report.preserved] + [report.gcn_top1.node_index])
+
+    def test_an_evaluate_only_evaluator_scores_rows_through_its_architectures(self):
+        result, sn, cost, all_cost = pool_round()
+
+        class ByArchitecture(Evaluator):
+            def evaluate(self, arch):
+                return sn.evaluate(arch)
+
+        for budget in (float("inf"), float(np.quantile(all_cost, 0.3))):
+            args = (result.graph, result.model, cost, budget)
+            assert constraint_select(*args, ByArchitecture(), 20) == constraint_select(
+                *args, sn, 20)
 
 
 class TestLookupTable:
