@@ -146,37 +146,27 @@ def node_index(subspace: Subspace, row: Sequence[int]) -> int:
 def _fold(radices: Sequence[int], weight: float) -> tuple[np.ndarray, np.ndarray]:
     """``A + I`` for the Hamming-1 graph of slots of ``radices`` with edges of
     ``weight``, the first slot most significant, as (nodes, degree + 1)
-    tables of each row's sorted columns and of their float64 values. It
-    folds the inner slots of a block of generated rows
+    tables of each row's sorted columns and of their float64 values. It is
+    built for the inner slots of a block of generated rows
     (``NormalizedAdjacency``), which for a graph of one block are all of
     them.
 
-    Every row has its diagonal and one entry per other choice of each slot,
-    so the table is folded from the 1x1 identity and the last slot, as
-    ``kronsum(P, W) = I (x) P + W (x) I`` does: row ``a*m + i`` holds
-    ``b*m + i`` for each ``b < a``, then row ``i`` of the previous table plus
-    ``a*m`` (its diagonal 1 included), then ``b*m + i`` for each ``b > a``,
-    at ``weight``.
+    Row ``i`` is ``i``'s closed neighbourhood: ``i``, and ``i`` with each
+    slot's digit replaced by each of its other choices, sorted; each entry
+    is ``weight`` but the diagonal's 1.
     """
     n = math.prod(radices)
     index_dtype = _index_dtype(n, 1 + sum(radix - 1 for radix in radices))
-    columns = np.zeros((1, 1), index_dtype)  # the graph with no slots: one self-looped node
-    values = np.ones((1, 1))
-    for radix in reversed(radices):
-        m = len(columns)
-        own = np.arange(m, dtype=index_dtype)[:, None]
-        step = np.arange(radix, dtype=index_dtype) * m
-        next_columns = np.empty((radix, m, columns.shape[1] + radix - 1), index_dtype)
-        next_values = np.full(next_columns.shape, weight)
-        for a in range(radix):
-            hi = a + columns.shape[1]
-            np.add(own, step[:a], out=next_columns[a, :, :a])
-            np.add(columns, step[a], out=next_columns[a, :, a:hi])
-            np.add(own, step[a + 1 :], out=next_columns[a, :, hi:])
-            next_values[a, :, a:hi] = values
-        columns = next_columns.reshape(radix * m, -1)
-        values = next_values.reshape(radix * m, -1)
-    return columns, values
+    own = np.arange(n, dtype=index_dtype)[:, None]
+    columns, place = [own], n
+    for digit, radix in zip(np.indices(radices, index_dtype).reshape(len(radices), n, 1), radices):
+        place //= radix
+        choice = np.arange(radix - 1, dtype=index_dtype)
+        other = choice + (choice >= digit)  # every choice but the digit
+        columns.append(own + (other - digit) * place)
+    columns = np.concatenate(columns, axis=1)
+    columns.sort(axis=1)
+    return columns, np.where(columns == own, 1.0, weight)
 
 
 def _index_dtype(n: int, width: int) -> type:
@@ -245,11 +235,11 @@ class NormalizedAdjacency:
     degree: ``D^(-1/2)`` takes at most ``width`` values.
 
     Rows are generated in blocks of the nodes that share the digits of the
-    outer slots, those before ``_inner_slots``. The inner slots are folded
-    once per request and every block reads its rows from that fold, while
-    each outer neighbour sits at a constant offset from its node throughout
-    the block. An entry is ``(w * s_i) * s_j`` in float64, cast to
-    ``dtype``: the bits of scaling the whole matrix's rows, then its
+    outer slots, those before ``_inner_slots``. The inner slots' table
+    (``_fold``) is built once per request and every block reads its rows
+    from it, while each outer neighbour sits at a constant offset from its
+    node throughout the block. An entry is ``(w * s_i) * s_j`` in float64,
+    cast to ``dtype``: the bits of scaling the whole matrix's rows, then its
     columns, then casting it.
     """
 
@@ -283,15 +273,10 @@ class NormalizedAdjacency:
         inner = self.radices[len(self.radices) - _inner_slots(self.radices) :]
         return _fold(inner, self.weight)
 
-    def _blocks(self, ids: np.ndarray | None, rows: int):
+    def _blocks(self, ids: np.ndarray, rows: int):
         """``(positions, block, local)`` for each block of ``rows`` nodes that
         holds one of the sorted node ids ``ids``, in order: the positions of
-        its ids in ``ids`` and their offsets in the block. With ``ids`` None,
-        every block, whole."""
-        if ids is None:
-            for block in range(self.shape[0] // rows):
-                yield slice(block * rows, (block + 1) * rows), block, slice(None)
-            return
+        its ids in ``ids`` and their offsets in the block."""
         bounds = np.searchsorted(ids, rows * np.arange(self.shape[0] // rows + 1))
         for block in np.flatnonzero(np.diff(bounds)):
             positions = slice(bounds[block], bounds[block + 1])
@@ -321,15 +306,14 @@ class NormalizedAdjacency:
         np.add(ids[:, None], offsets[:lo], out=columns[:, :lo])
         np.add(fold_columns[local], start, out=columns[:, lo:hi])
         np.add(ids[:, None], offsets[lo:], out=columns[:, hi:])
-        count = len(columns)
-        values = data if data.dtype == np.float64 else scratch[0, :count]
+        values, col_scale = scratch[:, : len(columns)]
         row_scale = self.inv_sqrt[ids][:, None]
         np.multiply(self.weight, row_scale, out=values[:, :lo])
         np.multiply(fold_values[local], row_scale, out=values[:, lo:hi])
         np.multiply(self.weight, row_scale, out=values[:, hi:])
         # clip never moves a column id, and lets the gather write in place
-        np.take(self.inv_sqrt, columns, out=scratch[1, :count], mode="clip")
-        np.multiply(values, scratch[1, :count], out=data)
+        np.take(self.inv_sqrt, columns, out=col_scale, mode="clip")
+        np.multiply(values, col_scale, out=data)
 
     def rows(self, ids: np.ndarray) -> sp.csr_matrix:
         """``A_hat[ids, :]`` as canonical CSR, for sorted distinct node ids,
@@ -359,10 +343,10 @@ class NormalizedAdjacency:
         data = np.empty(columns.shape, self.dtype)
         scratch = np.empty((2, *columns.shape))
         indptr = np.arange(0, columns.size + 1, self.width, dtype=columns.dtype)
-        for positions, block, local in self._blocks(None, rows):
-            self._write(fold, block, local, columns, data, scratch)
+        for block in range(self.shape[0] // rows):
+            self._write(fold, block, slice(None), columns, data, scratch)
             table = sp.csr_matrix((data.ravel(), columns.ravel(), indptr), (rows, self.shape[0]))
-            _propagate(table, m, out[positions])
+            _propagate(table, m, out[block * rows : (block + 1) * rows])
         return out
 
     def __matmul__(self, m: np.ndarray) -> np.ndarray:

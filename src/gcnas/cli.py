@@ -515,7 +515,7 @@ def _cmd_consistency(args: argparse.Namespace) -> int:
     first = config.simulator.evaluate_matrix(matrix)
     second = config.simulator.advanced().evaluate_matrix(matrix)
     tau_cross = kendall_tau(first, second)
-    tau_same = kendall_tau(first, first)
+    tau_same = 1.0  # kendall_tau(first, first), defined once tau_cross is
     payload = {
         "n_archs": args.n,
         "sigma": config.simulator.sigma,

@@ -368,7 +368,7 @@ def block_radices_reference(radices: Sequence[int], cap: int) -> list[int]:
 
 def block_table_bytes(graph: ArchGraph, dtype) -> int:
     """The bytes one block of A_hat's rows may hold while it is generated:
-    the inner slots' fold twice over (its last step and the one before),
+    the inner slots' table twice over (its column parts and their join),
     with a column index and a float64 value per entry, and the block's
     columns, entries, float64 values and gathered D^(-1/2)."""
     inner = block_radices_reference(graph.radices, arch_graph.BLOCK_ROWS)

@@ -420,3 +420,42 @@ class TestGeneratedRows:
                                   + sp.eye(sub.node_count, format="csr"))
         assert inv_sqrt.dtype == np.float64 and inv_sqrt.tobytes() == want.tobytes()
 
+
+
+class TestWideColumnIds:
+    """Once a table has 2^31 entries its column ids are int64
+    (``_index_dtype``); the fold, the rows and the products are then those
+    of int32 ids, at any block size."""
+
+    @pytest.mark.parametrize("sub, cap", [
+        (Subspace(SearchSpaceSpec(3, 6), (0, 1, 2), {}), arch_graph.BLOCK_ROWS),
+        # a block of 6 rows: two of the three slots sit outside it
+        (Subspace(SearchSpaceSpec(3, 6), (0, 1, 2), {}), 6),
+        (ONE_CANDIDATE, 2),
+        (Subspace(SearchSpaceSpec(5, 3), (0, 3), {2: 1},
+                  (SuperCell((1, 4), ((1, 0), (2, 0), (1, 1), (0, 0))),)), 5),
+    ])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_int64_ids_give_the_int32_tables(self, sub, cap, dtype):
+        rng = np.random.default_rng(7)
+        graph = random_graph(sub, rng)
+        a_hat = normalize_adjacency(graph, dtype)
+        ids = np.flatnonzero(rng.random(sub.node_count) < 0.5)
+        m = rng.standard_normal((sub.node_count, 3)).astype(dtype)
+
+        def generated():
+            inner = block_radices_reference(graph.radices, cap)[::-1]
+            with mock.patch.object(arch_graph, "BLOCK_ROWS", cap):
+                return arch_graph._fold(inner, graph.weight), a_hat.rows(ids), a_hat @ m
+
+        (columns, values), rows, product = generated()
+        with mock.patch.object(arch_graph, "_index_dtype", lambda n, width: np.int64):
+            assert a_hat._index_dtype is np.int64
+            (wide_columns, wide_values), wide_rows, wide_product = generated()
+        assert columns.dtype == np.int32 and wide_columns.dtype == np.int64
+        assert np.array_equal(wide_columns, columns)
+        assert wide_values.tobytes() == values.tobytes()
+        assert np.array_equal(wide_rows.indptr, rows.indptr)
+        assert np.array_equal(wide_rows.indices, rows.indices)
+        assert wide_rows.data.tobytes() == rows.data.tobytes()
+        assert wide_product.tobytes() == product.tobytes()

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import gcnas
-from gcnas import search_engine
+from gcnas import cli, search_engine
 from gcnas.cli import (
     ConfigError,
     _cmd_tau,
@@ -538,6 +538,16 @@ class TestOtherCommands:
         assert payload["n_archs"] == 150
         assert payload["tau_same_checkpoint"] == 1.0
         assert -1.0 <= payload["tau_between_checkpoints"] <= 1.0
+
+    def test_consistency_computes_one_tau(self, tiny_config, monkeypatch):
+        # a checkpoint ranks its architectures as itself ranks them: tau 1
+        path, _ = tiny_config
+        calls, kendall_tau = [], cli.kendall_tau
+        monkeypatch.setattr(
+            cli, "kendall_tau", lambda a, b: calls.append(len(a)) or kendall_tau(a, b)
+        )
+        assert main(["consistency", "--config", str(path), "--n", "150"]) == 0
+        assert calls == [150]
 
     def test_calibrate_writes_fragment(self, tiny_config):
         path, out = tiny_config
